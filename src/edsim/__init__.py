@@ -23,9 +23,7 @@ from .core import (
     beamsplitter_5050,
     coherence_weight,
     coherent_state,
-    eig_h,
     embed,
-    expectation,
     fock_cutoff,
     fock_state,
     hspace,
@@ -37,15 +35,12 @@ from .core import (
     validate_state,
 )
 from .engine import (
-    DecoherenceSpec,
     EvolutionSpec,
     LossChannel,
     decoherence_rate,
-    evolve,
     evolve_analytic,
     evolve_stepped,
     generator,
-    validate_decoherence_spec,
 )
 from .interferometry import (
     CoherentField,

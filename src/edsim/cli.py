@@ -177,9 +177,12 @@ def _parse_value(key: str, spec: ParamSpec, raw: str):
     raw = raw.strip()
     if spec.ptype == "float":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"malformed number for key {key!r}: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite number for key {key!r}: {raw!r}")
+        return value
     if spec.ptype == "int":
         try:
             return int(raw)
@@ -509,20 +512,20 @@ _HANDLERS: dict[str, Callable[[dict], ExperimentOutput]] = {
 
 
 def _emit(cfg: RunConfig, output: ExperimentOutput, meta: dict) -> None:
+    # serialize everything first, so a failure leaves no partial BASE.* files
+    texts = {
+        ".csv": _csv_text(output.points),
+        ".json": _json_text(output.summary),
+        ".meta.json": json.dumps(meta, indent=2) + "\n",
+    }
     for line in output.lines:
         print(line)
     if cfg.output_path:
         base = Path(cfg.output_path)
         base.parent.mkdir(parents=True, exist_ok=True)
-        Path(str(base) + ".csv").write_text(_csv_text(output.points), encoding="utf-8")
-        Path(str(base) + ".json").write_text(_json_text(output.summary), encoding="utf-8")
-        Path(str(base) + ".meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-        )
-    if cfg.output_format == "csv":
-        print(_csv_text(output.points), end="")
-    else:
-        print(_json_text(output.summary), end="")
+        for suffix, text in texts.items():
+            Path(str(base) + suffix).write_text(text, encoding="utf-8")
+    print(texts[".csv" if cfg.output_format == "csv" else ".json"], end="")
 
 
 def run(cfg: RunConfig) -> int:

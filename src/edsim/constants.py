@@ -19,7 +19,6 @@ OMEGA_PER_EV = EV / HBAR    # rad/s per eV
 HERM_TOL = 1e-12     # density-matrix Hermiticity
 TRACE_TOL = 1e-10    # unit trace
 PSD_TOL = 1e-9       # allowed negative eigenvalue excursion
-EIG_TOL = 1e-9       # eigendecomposition reconstruction error
 OP_TOL = 1e-10       # hermitian/unitary predicates, relative Frobenius
 
 # relative spectral gap below which eigenvalues are treated as degenerate

@@ -1,7 +1,7 @@
 """Dense linear algebra for small composite quantum systems.
 
-States, operators, labeled tensor-product spaces, partial traces,
-Hermitian eigendecomposition and the standard bosonic-mode constructors
+States, operators, labeled tensor-product spaces, partial traces and
+the standard bosonic-mode constructors
 (Fock states, coherent states, ladder operators, a balanced two-mode
 beamsplitter). Everything is immutable after construction; invariant
 checks are explicit ``validate_*`` calls so that intermediate states of
@@ -26,19 +26,16 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "identity",
-    "zero_operator",
     "basis_state",
     "tensor",
     "partial_trace",
     "embed",
-    "eig_h",
     "fock_cutoff",
     "fock_state",
     "coherent_state",
     "mode_ops",
     "beamsplitter_5050",
     "coherence_weight",
-    "expectation",
     "validate_state",
     "validate_density",
 ]
@@ -227,9 +224,6 @@ def validate_density(
 def identity(space: HilbertSpace) -> Operator:
     return Operator(space, np.eye(space.total_dim))
 
-def zero_operator(space: HilbertSpace) -> Operator:
-    return Operator(space, np.zeros((space.total_dim, space.total_dim)))
-
 
 def basis_state(space: HilbertSpace, index: int) -> PureState:
     v = np.zeros(space.total_dim, dtype=complex)
@@ -295,18 +289,6 @@ def embed(op: Operator, space: HilbertSpace) -> Operator:
     t = t.transpose(perm + [k + p for p in perm])
     d = space.total_dim
     return Operator(space, np.ascontiguousarray(t.reshape(d, d)))
-
-
-def eig_h(op: Operator, tol: float = OP_TOL) -> tuple[np.ndarray, Operator]:
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns (eigenvalues ascending, eigenvector Operator U) such that
-    op = U diag(w) U^dagger. Raises on non-Hermitian input.
-    """
-    if not op.is_hermitian(tol):
-        raise ValueError("operator is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((op.entries + op.entries.conj().T) / 2.0)
-    return w, Operator(op.space, v)
 
 
 def fock_cutoff(alpha: complex) -> int:
@@ -393,8 +375,3 @@ def coherence_weight(rho: DensityMatrix, basis: Operator) -> float:
     u = basis.entries
     x = u.conj().T @ rho.entries @ u
     return float(np.sum(np.abs(x)) - np.sum(np.abs(np.diag(x))))
-
-
-def expectation(rho: DensityMatrix, op: Operator) -> complex:
-    _check_same_space(rho, op)
-    return complex(np.trace(op.entries @ rho.entries))

@@ -12,6 +12,13 @@ gap_b**2 * t) to coherences between its eigenstates; a single block
 holding the total Hamiltonian is "global" dephasing, one block per
 subsystem is "local".
 
+An `EvolutionSpec(hamiltonian, duration, sigma, blocks, losses, step)`
+holds the block Hamiltonians as plain operators on the full space; the
+engine never sees subsystem labels. Which subsystems share a block is
+the business of `interferometry.DecoherencePartition`, whose
+`block_hamiltonians` sums an experiment's embedded free Hamiltonians
+block by block.
+
 Two propagators are provided: a closed-form eigenbasis propagator for
 mutually commuting Hamiltonians without losses, and a fixed-step
 classical 4th-order integrator for the general case (fixed step keeps
@@ -32,50 +39,16 @@ from .constants import (
     OMEGA_PER_EV,
     PSD_TOL,
 )
-from .core import (
-    DensityMatrix,
-    HilbertSpace,
-    InvariantError,
-    Operator,
-    _ptrace_matrix,
-    embed,
-)
+from .core import DensityMatrix, InvariantError, Operator
 
 __all__ = [
-    "DecoherenceSpec",
     "LossChannel",
     "EvolutionSpec",
-    "validate_decoherence_spec",
     "generator",
-    "evolve",
     "evolve_analytic",
     "evolve_stepped",
     "decoherence_rate",
 ]
-
-
-@dataclass(frozen=True)
-class DecoherenceSpec:
-    """Dephasing strength plus the partition of double-commutator blocks.
-
-    Each block is a (factor-label frozenset, block Hamiltonian) pair; the
-    Hamiltonian is given on the full space and must act as the identity
-    outside its labels. Blocks must cover disjoint label sets. A single
-    block containing every label with the total Hamiltonian realizes
-    global dephasing.
-    """
-
-    sigma: float
-    blocks: tuple[tuple[frozenset[str], Operator], ...] = ()
-
-    @staticmethod
-    def none() -> "DecoherenceSpec":
-        return DecoherenceSpec(0.0, ())
-
-    @staticmethod
-    def global_block(sigma: float, hamiltonian: Operator) -> "DecoherenceSpec":
-        labels = frozenset(hamiltonian.space.labels)
-        return DecoherenceSpec(sigma, ((labels, hamiltonian),))
 
 
 @dataclass(frozen=True)
@@ -84,54 +57,34 @@ class LossChannel:
 
     rate: float
     lowering: Operator
-    kind: str = "amplitude_damping"
 
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """One evolution segment: drive Hamiltonian, dephasing, losses, duration."""
+    """One evolution segment: drive Hamiltonian, duration, dephasing, losses.
+
+    Each block Hamiltonian enters as one double commutator scaled by
+    sigma; `step` is the fixed step of the stepped integrator.
+    """
 
     hamiltonian: Operator
-    decoherence: DecoherenceSpec
     duration: float
+    sigma: float = 0.0
+    blocks: tuple[Operator, ...] = ()
     losses: tuple[LossChannel, ...] = ()
-    method: str = "analytic"
     step: float | None = None
 
-
-def validate_decoherence_spec(spec: DecoherenceSpec, space: HilbertSpace, tol: float = 1e-9) -> None:
-    """Check block disjointness, Hermiticity and identity action outside labels."""
-    if spec.sigma < 0.0:
-        raise ValueError("sigma must be non-negative")
-    seen: set[str] = set()
-    for labels, ham in spec.blocks:
-        if ham.space != space:
-            raise ValueError("block Hamiltonian lives on the wrong space")
-        unknown = set(labels) - set(space.labels)
-        if unknown:
-            raise KeyError(f"unknown block labels {sorted(unknown)}")
-        if seen & set(labels):
-            raise ValueError("block label sets must be pairwise disjoint")
-        seen |= set(labels)
-        if not ham.is_hermitian():
-            raise ValueError(f"block Hamiltonian on {sorted(labels)} is not Hermitian")
-        rest = [lab for lab in space.labels if lab not in labels]
-        if rest:
-            keep_axes = [space.axis(lab) for lab in sorted(labels, key=space.axis)]
-            d_rest = int(np.prod([space.dim_of(lab) for lab in rest]))
-            reduced = _ptrace_matrix(ham.entries, space.dims, keep_axes) / d_rest
-            back = embed(Operator(space.subspace(labels), reduced), space)
-            scale = max(1.0, float(np.linalg.norm(ham.entries)))
-            if float(np.linalg.norm(ham.entries - back.entries)) > tol * scale:
-                raise ValueError(
-                    f"block Hamiltonian on {sorted(labels)} does not act as identity outside its labels"
-                )
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError("sigma must be finite and non-negative")
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ValueError("duration must be finite and non-negative")
 
 
 def _rhs(spec: EvolutionSpec) -> Callable[[np.ndarray], np.ndarray]:
     h = spec.hamiltonian.entries
-    sigma = spec.decoherence.sigma
-    blocks = [ham.entries for _, ham in spec.decoherence.blocks] if sigma > 0.0 else []
+    sigma = spec.sigma
+    blocks = [b.entries for b in spec.blocks] if sigma > 0.0 else []
     loss_terms = []
     for ch in spec.losses:
         if ch.rate < 0.0:
@@ -215,16 +168,7 @@ def _check_commuting(mats: Sequence[np.ndarray]) -> None:
             a, b = mats[i], mats[j]
             scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
             if float(np.linalg.norm(a @ b - b @ a)) > COMMUTE_TOL * scale:
-                raise ValueError("Hamiltonians do not commute; use the stepped method")
-
-
-def evolve(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
-    """Dispatch to the analytic or stepped propagator per spec.method."""
-    if spec.method == "analytic":
-        return evolve_analytic(rho0, spec)
-    if spec.method == "stepped":
-        return evolve_stepped(rho0, spec)
-    raise ValueError(f"unknown method {spec.method!r}")
+                raise ValueError("Hamiltonians do not commute; use evolve_stepped")
 
 
 def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
@@ -238,10 +182,8 @@ def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     """
     if spec.losses:
         raise ValueError("the analytic propagator does not support loss channels")
-    if spec.duration < 0.0:
-        raise ValueError("duration must be non-negative")
     t = spec.duration
-    mats = [spec.hamiltonian.entries] + [ham.entries for _, ham in spec.decoherence.blocks]
+    mats = [spec.hamiltonian.entries] + [b.entries for b in spec.blocks]
     _check_commuting(mats)
     u, evals = _joint_eigbasis(mats)
     # build the phase factor as an outer product of per-state phases so the
@@ -249,12 +191,12 @@ def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     # absolute phases w*t are far beyond double-precision resolution
     phase = np.exp(-1j * evals[0] * t)
     mult = phase[:, None] * phase[None, :].conj()
-    if spec.decoherence.sigma > 0.0:
+    if spec.sigma > 0.0:
         decay = np.zeros((len(phase), len(phase)))
         for wb in evals[1:]:
             db = wb[:, None] - wb[None, :]
             decay = decay + db * db
-        mult = mult * np.exp(-spec.decoherence.sigma * decay * t)
+        mult = mult * np.exp(-spec.sigma * decay * t)
     x = u.conj().T @ rho0.entries @ u
     out = u @ (x * mult) @ u.conj().T
     out = (out + out.conj().T) / 2.0
@@ -268,8 +210,6 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     stay positive within PSD_TOL or an InvariantError is raised. Step
     size is rejected unless ||generator(rho0)|| * step <= 0.1.
     """
-    if spec.duration < 0.0:
-        raise ValueError("duration must be non-negative")
     if spec.duration == 0.0:
         return DensityMatrix(rho0.space, rho0.entries.copy())
     if spec.step is None or spec.step <= 0.0:

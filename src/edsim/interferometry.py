@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from functools import reduce
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
     DensityMatrix,
-    HilbertSpace,
     Operator,
     PureState,
     beamsplitter_5050,
@@ -36,7 +36,6 @@ from .core import (
     validate_density,
 )
 from .engine import (
-    DecoherenceSpec,
     EvolutionSpec,
     LossChannel,
     evolve_analytic,
@@ -71,21 +70,37 @@ _MAX_STEPS = 2_000_000
 class DecoherencePartition:
     """Dephasing strength plus the label sets that dephase as single blocks.
 
-    The experiment supplies each block's free Hamiltonian; the partition
-    only names which subsystems are lumped together.
+    The partition only names which subsystems are lumped together; the
+    experiment supplies the free Hamiltonians that block_hamiltonians
+    sums into one operator per block.
     """
 
     sigma: float
     blocks: tuple[frozenset[str], ...] = ()
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError("sigma must be finite and non-negative")
         seen: set[str] = set()
         for labels in self.blocks:
             if seen & set(labels):
                 raise ValueError("partition blocks must be disjoint")
             seen |= set(labels)
+
+    def block_hamiltonians(self, free: Mapping[str, Operator]) -> tuple[Operator, ...]:
+        """One Hamiltonian per block: the sum of its labels' free Hamiltonians.
+
+        `free` maps each subsystem label the experiment supports to its
+        free Hamiltonian, already embedded in the full space; terms are
+        added in the mapping's order. A block naming any other label, or
+        no label, raises ValueError.
+        """
+        out = []
+        for labels in self.blocks:
+            if not labels or not labels <= free.keys():
+                raise ValueError(f"unsupported dephasing block {sorted(labels)}")
+            out.append(reduce(Operator.__add__, (h for lab, h in free.items() if lab in labels)))
+        return tuple(out)
 
     @staticmethod
     def none() -> "DecoherencePartition":
@@ -273,36 +288,33 @@ def _hermitian_propagator(h: np.ndarray, t: float) -> np.ndarray:
 
 def _wait_segment(
     rho: np.ndarray,
-    space: HilbertSpace,
     drive: Operator,
-    blocks: tuple[tuple[frozenset[str], Operator], ...],
-    sigma: float,
+    partition: DecoherencePartition,
+    free: Mapping[str, Operator],
     gamma_sp: float,
     lowering: Operator | None,
     duration: float,
 ) -> np.ndarray:
     """Free-evolution segment, analytic when loss-free, stepped otherwise."""
+    blocks = partition.block_hamiltonians(free)
     if duration == 0.0:
         return rho
-    dec = DecoherenceSpec(sigma, blocks)
-    state = DensityMatrix(space, rho)
+    sigma = partition.sigma
+    state = DensityMatrix(drive.space, rho)
     if gamma_sp > 0.0 and lowering is not None:
         # integrate dephasing and damping in the frame rotating with the
         # drive (exact split: the drive commutes with every block and only
         # phases the lowering operator), then restore the free phases
         losses = (LossChannel(gamma_sp, lowering),)
-        zero = Operator(space, np.zeros_like(drive.entries))
-        probe = EvolutionSpec(zero, dec, duration, losses=losses, method="stepped", step=duration)
+        zero = Operator(drive.space, np.zeros_like(drive.entries))
+        probe = EvolutionSpec(zero, duration, sigma, blocks, losses, step=duration)
         g0 = float(np.linalg.norm(generator(state, probe)))
         step = min(duration / 1000.0, 0.09 / g0 if g0 > 0.0 else duration)
         if duration / step > _MAX_STEPS:
             raise ValueError("rates too fast for the stepped integrator at this duration")
-        spec = EvolutionSpec(zero, dec, duration, losses=losses, method="stepped", step=step)
-        damped = evolve_stepped(state, spec)
-        phases = EvolutionSpec(drive, DecoherenceSpec.none(), duration)
-        return evolve_analytic(damped, phases).entries
-    spec = EvolutionSpec(drive, dec, duration, method="analytic")
-    return evolve_analytic(state, spec).entries
+        damped = evolve_stepped(state, EvolutionSpec(zero, duration, sigma, blocks, losses, step))
+        return evolve_analytic(damped, EvolutionSpec(drive, duration)).entries
+    return evolve_analytic(state, EvolutionSpec(drive, duration, sigma, blocks)).entries
 
 
 def _clamp_probability(p: float) -> float:
@@ -323,19 +335,15 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     V = exp(-sigma*omega0^2*wait) * exp(-gamma_sp*wait/2).
     """
     cfg.validate()
-    for labels in cfg.decoherence.blocks:
-        if not set(labels) <= {"atom"}:
-            raise ValueError("semiclassical Ramsey supports dephasing blocks over the atom only")
     space = hspace(atom=2)
     p_g, p_e, s_minus = _qubit_ops()
     pulse = _rotation(cfg.pulse_area)
     rho = pulse @ np.diag([1.0 + 0.0j, 0.0j]) @ pulse.conj().T
 
-    block_h = Operator(space, cfg.omega0 * p_e)
-    blocks = tuple((labels, block_h) for labels in cfg.decoherence.blocks)
     rho = _wait_segment(
-        rho, space, Operator(space, np.zeros((2, 2))), blocks,
-        cfg.decoherence.sigma, cfg.spontaneous_rate, Operator(space, s_minus), cfg.wait,
+        rho, Operator(space, np.zeros((2, 2))), cfg.decoherence,
+        {"atom": Operator(space, cfg.omega0 * p_e)},
+        cfg.spontaneous_rate, Operator(space, s_minus), cfg.wait,
     )
 
     unpulse = pulse.conj().T
@@ -347,22 +355,6 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
         points.append((float(phi), _clamp_probability(float(np.real(final[0, 0])))))
     pts = tuple(points)
     return FringeResult(pts, visibility(pts))
-
-
-def _quantized_blocks(
-    cfg: RamseyConfig, space: HilbertSpace, h_atom: Operator, h_field: Operator
-) -> tuple[tuple[frozenset[str], Operator], ...]:
-    mapping = {
-        frozenset({"atom"}): h_atom,
-        frozenset({"field"}): h_field,
-        frozenset({"atom", "field"}): h_atom + h_field,
-    }
-    blocks = []
-    for labels in cfg.decoherence.blocks:
-        if labels not in mapping:
-            raise ValueError(f"unsupported dephasing block {sorted(labels)}")
-        blocks.append((labels, mapping[labels]))
-    return tuple(blocks)
 
 
 def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
@@ -391,15 +383,13 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     omega_field = cfg.omega0 - cfg.detuning
     h_atom = cfg.omega0 * embed(Operator(hspace(atom=2), p_e), space)
     h_field = omega_field * embed(num_op, space)
-    blocks = _quantized_blocks(cfg, space, h_atom, h_field)
 
     psi0 = np.kron(np.array([1.0, 0.0], dtype=complex), cfg.field.amplitudes(n_max))
     rho = np.outer(psi0, psi0.conj())
     rho = pulse @ rho @ pulse.conj().T
     rho = _wait_segment(
-        rho, space, h_atom + h_field, blocks,
-        cfg.decoherence.sigma, cfg.spontaneous_rate,
-        embed(Operator(hspace(atom=2), s_minus), space), cfg.wait,
+        rho, h_atom + h_field, cfg.decoherence, {"atom": h_atom, "field": h_field},
+        cfg.spontaneous_rate, embed(Operator(hspace(atom=2), s_minus), space), cfg.wait,
     )
 
     proj_g = embed(Operator(hspace(atom=2), p_g), space).entries
@@ -436,20 +426,9 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     h_c = cfg.mode_frequency * embed(num_op, arm_space)
     _, num_d = mode_ops(n_max, label="arm_d")
     h_d = cfg.mode_frequency * embed(num_d, arm_space)
-    mapping = {
-        frozenset({"arm_c"}): h_c,
-        frozenset({"arm_d"}): h_d,
-        frozenset({"arm_c", "arm_d"}): h_c + h_d,
-    }
-    blocks = []
-    for labels in cfg.decoherence.blocks:
-        if labels not in mapping:
-            raise ValueError(f"unsupported dephasing block {sorted(labels)}")
-        blocks.append((labels, mapping[labels]))
-
     rho_arms = _wait_segment(
-        rho_arms, arm_space, h_c + h_d, tuple(blocks),
-        cfg.decoherence.sigma, 0.0, None, cfg.arm_time,
+        rho_arms, h_c + h_d, cfg.decoherence, {"arm_c": h_c, "arm_d": h_d},
+        0.0, None, cfg.arm_time,
     )
 
     rho_out = w.conj().T @ rho_arms @ w

@@ -20,14 +20,10 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
+from . import cli
 from .constants import OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
 from .core import DensityMatrix, Operator, embed, hspace, validate_density
-from .engine import (
-    DecoherenceSpec,
-    EvolutionSpec,
-    evolve_analytic,
-    evolve_stepped,
-)
+from .engine import EvolutionSpec, evolve_analytic, evolve_stepped
 from .interferometry import (
     DecoherencePartition,
     FockField,
@@ -52,7 +48,6 @@ from .sensitivity import (
 __all__ = ["CriterionResult", "CRITERIA", "run_all"]
 
 _NA_MASS = 22.98976928 * 1.66053906660e-27  # kg
-_SR = SpeciesParams(gamma_sp=1e-3, delta_e=1.0, mass=1.4597e-25, kappa=1e-17, k3=1e-41)
 
 
 @dataclass(frozen=True)
@@ -106,15 +101,9 @@ def criterion_01() -> _Checks:
         h_right = embed(Operator(hspace(right=db), _random_hermitian(rng, db)), space)
         drive = h_left + h_right
         rho0 = DensityMatrix(space, _random_density(rng, da * db))
-        for blocks in (
-            ((frozenset({"left"}), h_left), (frozenset({"right"}), h_right)),
-            ((frozenset({"left", "right"}), drive),),
-        ):
-            dec = DecoherenceSpec(0.1, blocks)
-            exact = evolve_analytic(rho0, EvolutionSpec(drive, dec, 1.0))
-            stepped = evolve_stepped(
-                rho0, EvolutionSpec(drive, dec, 1.0, method="stepped", step=1e-3)
-            )
+        for blocks in ((h_left, h_right), (drive,)):
+            exact = evolve_analytic(rho0, EvolutionSpec(drive, 1.0, 0.1, blocks))
+            stepped = evolve_stepped(rho0, EvolutionSpec(drive, 1.0, 0.1, blocks, step=1e-3))
             dist = float(np.linalg.norm(exact.entries - stepped.entries))
             c.add(f"dim{da * db}_frobenius_{dist:.1e}", dist <= 1e-8)
             for state in (exact, stepped):
@@ -134,11 +123,10 @@ def criterion_02() -> _Checks:
     space = hspace(atom=2)
     h = Operator(space, np.diag([0.0, omega0]))
     rho0 = DensityMatrix(space, np.full((2, 2), 0.5, dtype=complex))
-    dec = DecoherenceSpec.global_block(sigma, h)
     worst = 0.0
     for x in np.linspace(0.0, 10.0, 21):
         t = x / (sigma * omega0 * omega0)
-        out = evolve_analytic(rho0, EvolutionSpec(h, dec, float(t)))
+        out = evolve_analytic(rho0, EvolutionSpec(h, float(t), sigma, (h,)))
         validate_density(out)
         worst = max(worst, abs(abs(out.entries[0, 1]) - 0.5 * math.exp(-x)))
     c.add(f"decay_law_max_err_{worst:.1e}", worst <= 1e-9)
@@ -213,9 +201,7 @@ def criterion_06() -> _Checks:
         psi = np.zeros(space.total_dim, dtype=complex)
         psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
         rho0 = DensityMatrix(space, np.outer(psi, psi.conj()))
-        out = evolve_analytic(
-            rho0, EvolutionSpec(h, DecoherenceSpec.global_block(sigma, h), 1.0)
-        )
+        out = evolve_analytic(rho0, EvolutionSpec(h, 1.0, sigma, (h,)))
         validate_density(out)
         sim = abs(out.entries[0, -1])
         model = run_ghz(GhzConfig(n_atoms=n, omega0=omega0, sigma=sigma, wait=1.0)).coherence
@@ -226,14 +212,15 @@ def criterion_06() -> _Checks:
 def criterion_07() -> _Checks:
     """Strontium working point reproduces the design numbers."""
     c = _Checks()
-    closed = ghz_design(_SR)
-    grid = ghz_design_grid(_SR)
+    sr = cli.SPECIES["Sr"].params
+    closed = ghz_design(sr)
+    grid = ghz_design_grid(sr)
     c.add("gamma_min_closed", abs(closed.gamma_min / 1e-8 - 1.0) <= 1e-12)
     c.add("v_opt", abs(closed.v_opt / 1e-14 - 1.0) <= 1e-12)
     c.add("n_opt", abs(closed.n_opt / 1e5 - 1.0) <= 1e-12)
     c.add("n_opt_vs_grid", abs(math.log(closed.n_opt / grid.n_opt)) <= math.log(1.5))
     c.add("sigma_min_window", 1e-39 <= closed.sigma_min <= 1e-38)
-    reach = distance_reach(closed.gamma_min, _SR.gamma_sp, 1.0)
+    reach = distance_reach(closed.gamma_min, sr.gamma_sp, 1.0)
     c.add("l_decoherence", abs(reach.l_decoherence / 3e6 - 1.0) <= 0.01)
     c.add("creation_constraint", closed.creation_constraint_ok)
     return c
@@ -248,7 +235,7 @@ def criterion_08() -> _Checks:
         p = SpeciesParams(
             gamma_sp=10.0 ** rng.uniform(-6.0, 0.0),
             delta_e=1.0,
-            mass=_SR.mass,
+            mass=cli.SPECIES["Sr"].params.mass,
             kappa=10.0 ** rng.uniform(-20.0, -14.0),
             k3=10.0 ** rng.uniform(-44.0, -38.0),
         )
@@ -317,8 +304,6 @@ def criterion_12() -> _Checks:
 
 def criterion_13() -> _Checks:
     """CLI outputs are byte-identical across runs and round-trip through JSON."""
-    from . import cli
-
     c = _Checks()
 
     def capture(argv: list[str]) -> int:

@@ -167,6 +167,29 @@ class TestRunCommands:
         assert "PASS  9" in out and "PASS 11" in out
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["ghz", "--sigma", "nan"],
+        ["ramsey", "--wait", "inf"],
+    ])
+    def test_non_finite_value_rejected(self, argv, capsys):
+        code, out, err = _run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ConfigError"
+
+    def test_failed_serialization_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        def nan_summary(params):
+            return cli.ExperimentOutput([{"x": 1.0}], {"x": math.nan}, {})
+
+        monkeypatch.setitem(cli._HANDLERS, "ghz", nan_summary)
+        code, _, err = _run(["ghz", "--out", str(tmp_path / "B")], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
 class TestSweep:
     def test_sigma_sweep_monotone_visibility(self, capsys):
         code, out, _ = _run(

@@ -15,7 +15,6 @@ from edsim.core import (
     beamsplitter_5050,
     coherence_weight,
     coherent_state,
-    eig_h,
     embed,
     fock_cutoff,
     fock_state,
@@ -150,40 +149,6 @@ class TestPartialTrace:
                     assert abs(reduced.entries[i, j]) <= 1e-14
 
 
-class TestEigH:
-    def test_diagonal(self):
-        w, u = eig_h(Operator(hspace(a=2), np.diag([0.0, 1.0])))
-        assert np.allclose(w, [0.0, 1.0])
-        assert np.allclose(np.abs(u.entries), np.eye(2))
-
-    def test_flip_spectrum(self):
-        w, _ = eig_h(Operator(hspace(a=2), np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-15)
-
-    def test_excitation_exchange_pair_block(self):
-        # 2x2 block coupling |g,n> and |e,n-1> has eigenvalues +-g*sqrt(n)
-        g = 0.7
-        for n in (1, 4, 9):
-            block = np.array([[0.0, g * math.sqrt(n)], [g * math.sqrt(n), 0.0]])
-            w, _ = eig_h(Operator(hspace(pair=2), block))
-            assert np.allclose(w, [-g * math.sqrt(n), g * math.sqrt(n)], rtol=1e-14)
-
-    def test_reconstruction_dim_256(self):
-        rng = np.random.default_rng(2)
-        g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
-        h = (g + g.conj().T) / 2.0
-        op = Operator(hspace(big=256), h)
-        w, u = eig_h(op)
-        rebuilt = (u.entries * w) @ u.entries.conj().T
-        rel = np.linalg.norm(rebuilt - h) / np.linalg.norm(h)
-        assert rel <= 1e-9
-        assert np.all(np.diff(w) >= 0)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            eig_h(Operator(hspace(a=2), np.array([[0.0, 1.0], [0.0, 0.0]])))
-
-
 class TestCoherentState:
     def test_vacuum(self):
         psi = coherent_state(0.0, 5)
@@ -254,25 +219,22 @@ class TestBeamsplitter:
 
 class TestCoherenceWeight:
     def test_eigenstate_has_none(self):
-        h = Operator(hspace(a=2), np.diag([0.0, 1.0]))
-        _, u = eig_h(h)
+        u = identity(hspace(a=2))
         rho = basis_state(hspace(a=2), 1).to_density()
         assert coherence_weight(rho, u) <= 1e-15
 
     def test_balanced_superposition(self):
-        h = Operator(hspace(a=2), np.diag([0.0, 1.0]))
-        _, u = eig_h(h)
+        u = identity(hspace(a=2))
         psi = PureState(hspace(a=2), np.array([1.0, 1.0]) / math.sqrt(2.0))
         assert abs(coherence_weight(psi.to_density(), u) - 1.0) <= 1e-14
 
     def test_equal_mixture(self):
-        h = Operator(hspace(a=2), np.diag([0.0, 1.0]))
-        _, u = eig_h(h)
+        u = identity(hspace(a=2))
         rho = DensityMatrix(hspace(a=2), np.eye(2) / 2.0)
         assert coherence_weight(rho, u) == 0.0
 
     def test_dimension_mismatch(self):
-        _, u = eig_h(Operator(hspace(a=2), np.diag([0.0, 1.0])))
+        u = identity(hspace(a=2))
         rho = DensityMatrix(hspace(b=3), np.eye(3) / 3.0)
         with pytest.raises(ValueError):
             coherence_weight(rho, u)

@@ -11,21 +11,18 @@ from edsim.core import (
     Operator,
     PureState,
     coherence_weight,
-    eig_h,
     embed,
     hspace,
+    identity,
     validate_density,
 )
 from edsim.engine import (
-    DecoherenceSpec,
     EvolutionSpec,
     LossChannel,
     decoherence_rate,
-    evolve,
     evolve_analytic,
     evolve_stepped,
     generator,
-    validate_decoherence_spec,
 )
 from edsim.sensitivity import single_atom_reach
 
@@ -54,7 +51,7 @@ class TestGenerator:
     def test_eigenprojector_is_stationary(self):
         h = Operator(SPACE2, np.diag([0.0, 3.0]))
         rho = DensityMatrix(SPACE2, np.diag([1.0, 0.0]).astype(complex))
-        g = generator(rho, EvolutionSpec(h, DecoherenceSpec.global_block(0.5, h), 1.0))
+        g = generator(rho, EvolutionSpec(h, 1.0, 0.5, (h,)))
         assert np.linalg.norm(g) == 0.0
 
     def test_two_level_off_diagonal_rate(self):
@@ -64,7 +61,7 @@ class TestGenerator:
         h = Operator(SPACE2, np.diag([0.0, w]))
         r = 0.3 + 0.1j
         rho = DensityMatrix(SPACE2, np.array([[0.6, np.conj(r)], [r, 0.4]]))
-        g = generator(rho, EvolutionSpec(h, DecoherenceSpec.global_block(sigma, h), 1.0))
+        g = generator(rho, EvolutionSpec(h, 1.0, sigma, (h,)))
         assert abs(g[1, 0] - (-1j * w - sigma * w * w) * r) <= 1e-15
 
     def test_traceless_and_hermitian_with_losses(self):
@@ -73,10 +70,7 @@ class TestGenerator:
         h = Operator(space, _rand_hermitian(rng, 4))
         lower = Operator(space, rng.normal(size=(4, 4)))
         rho = DensityMatrix(space, _rand_density(rng, 4))
-        spec = EvolutionSpec(
-            h, DecoherenceSpec.global_block(0.3, h), 1.0,
-            losses=(LossChannel(0.4, lower),),
-        )
+        spec = EvolutionSpec(h, 1.0, 0.3, (h,), losses=(LossChannel(0.4, lower),))
         g = generator(rho, spec)
         assert abs(np.trace(g)) <= 1e-12
         assert np.linalg.norm(g - g.conj().T) <= 1e-12
@@ -85,14 +79,14 @@ class TestGenerator:
         h = Operator(hspace(sys=3), np.eye(3))
         rho = DensityMatrix(SPACE2, np.eye(2) / 2.0)
         with pytest.raises(ValueError):
-            generator(rho, EvolutionSpec(h, DecoherenceSpec.none(), 1.0))
+            generator(rho, EvolutionSpec(h, 1.0))
 
 
 class TestEvolveAnalytic:
     def test_pure_phase_at_sigma_zero(self):
         w0, t = 2.0, 0.7
         h = Operator(SPACE2, np.diag([0.0, w0]))
-        out = evolve_analytic(_superposition(), EvolutionSpec(h, DecoherenceSpec.none(), t))
+        out = evolve_analytic(_superposition(), EvolutionSpec(h, t))
         assert abs(out.entries[1, 0] - 0.5 * np.exp(-1j * w0 * t)) <= 1e-12
 
     def test_half_life_amplitude(self):
@@ -100,18 +94,14 @@ class TestEvolveAnalytic:
         w0 = 3.0
         sigma = math.log(2.0) / (w0 * w0)
         h = Operator(SPACE2, np.diag([0.0, w0]))
-        out = evolve_analytic(
-            _superposition(), EvolutionSpec(h, DecoherenceSpec.global_block(sigma, h), 1.0)
-        )
+        out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
         assert abs(abs(out.entries[0, 1]) - 0.25) <= 1e-12
 
     def test_complete_dephasing_gives_equal_mixture(self):
         w0 = 3.0
         sigma = 50.0 / (w0 * w0)
         h = Operator(SPACE2, np.diag([0.0, w0]))
-        out = evolve_analytic(
-            _superposition(), EvolutionSpec(h, DecoherenceSpec.global_block(sigma, h), 1.0)
-        )
+        out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
         assert abs(out.entries[0, 1]) <= 1e-10
         assert np.allclose(np.diag(out.entries).real, [0.5, 0.5], atol=1e-12)
         validate_density(out)
@@ -120,14 +110,10 @@ class TestEvolveAnalytic:
         h = Operator(SPACE2, np.diag([0.0, 1.0]))
         block = Operator(SPACE2, np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
-            evolve_analytic(
-                _superposition(), EvolutionSpec(h, DecoherenceSpec.global_block(1.0, block), 1.0)
-            )
+            evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, 1.0, (block,)))
 
     def test_losses_rejected(self):
-        spec = EvolutionSpec(
-            ZERO2, DecoherenceSpec.none(), 1.0, losses=(LossChannel(0.1, LOWER2),)
-        )
+        spec = EvolutionSpec(ZERO2, 1.0, losses=(LossChannel(0.1, LOWER2),))
         with pytest.raises(ValueError):
             evolve_analytic(_superposition(), spec)
 
@@ -142,8 +128,8 @@ class TestEvolveAnalytic:
         psi = np.zeros(4, dtype=complex)
         psi[1] = psi[2] = 1.0 / math.sqrt(2.0)
         rho = PureState(space, psi).to_density()
-        out_none = evolve_analytic(rho, EvolutionSpec(h, DecoherenceSpec.global_block(0.0, h), 1.0))
-        out_huge = evolve_analytic(rho, EvolutionSpec(h, DecoherenceSpec.global_block(1e-2, h), 1.0))
+        out_none = evolve_analytic(rho, EvolutionSpec(h, 1.0, 0.0, (h,)))
+        out_huge = evolve_analytic(rho, EvolutionSpec(h, 1.0, 1e-2, (h,)))
         assert np.array_equal(out_none.entries, out_huge.entries)
         assert abs(abs(out_huge.entries[1, 2]) - 0.5) <= 1e-14
 
@@ -152,10 +138,9 @@ class TestEvolveAnalytic:
         space = hspace(sys=4)
         h = Operator(space, np.diag([0.0, 1.0, 2.5, 4.0]))
         rho0 = DensityMatrix(space, _rand_density(rng, 4))
-        _, u = eig_h(h)
-        dec = DecoherenceSpec.global_block(0.2, h)
+        u = identity(space)  # eigenbasis of the diagonal h
         weights = [
-            coherence_weight(evolve_analytic(rho0, EvolutionSpec(h, dec, t)), u)
+            coherence_weight(evolve_analytic(rho0, EvolutionSpec(h, t, 0.2, (h,))), u)
             for t in np.linspace(0.0, 4.0, 9)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(weights, weights[1:]))
@@ -165,14 +150,14 @@ class TestEvolveAnalytic:
         space = hspace(sys=6)
         h = Operator(space, _rand_hermitian(rng, 6, scale=2.0))
         rho0 = DensityMatrix(space, _rand_density(rng, 6))
-        out = evolve_analytic(rho0, EvolutionSpec(h, DecoherenceSpec.global_block(0.7, h), 3.0))
+        out = evolve_analytic(rho0, EvolutionSpec(h, 3.0, 0.7, (h,)))
         validate_density(out)
 
 
 class TestEvolveStepped:
     def test_zero_duration_identity(self):
         rho = _superposition()
-        spec = EvolutionSpec(ZERO2, DecoherenceSpec.none(), 0.0, method="stepped", step=1.0)
+        spec = EvolutionSpec(ZERO2, 0.0, step=1.0)
         out = evolve_stepped(rho, spec)
         assert np.array_equal(out.entries, rho.entries)
 
@@ -180,43 +165,29 @@ class TestEvolveStepped:
         w0 = 3.0
         sigma = math.log(2.0) / (w0 * w0)
         h = Operator(SPACE2, np.diag([0.0, w0]))
-        dec = DecoherenceSpec.global_block(sigma, h)
-        exact = evolve_analytic(_superposition(), EvolutionSpec(h, dec, 1.0))
-        stepped = evolve_stepped(
-            _superposition(), EvolutionSpec(h, dec, 1.0, method="stepped", step=1e-3)
-        )
+        exact = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
+        stepped = evolve_stepped(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,), step=1e-3))
         assert np.linalg.norm(exact.entries - stepped.entries) <= 1e-8
 
     def test_amplitude_damping_closed_form(self):
         # oracle: excited population decays exactly as exp(-rate*t)
         rate, t = 0.7, 2.0
         rho = DensityMatrix(SPACE2, np.diag([0.0, 1.0]).astype(complex))
-        spec = EvolutionSpec(
-            ZERO2, DecoherenceSpec.none(), t,
-            losses=(LossChannel(rate, LOWER2),), method="stepped", step=t / 2000.0,
-        )
+        spec = EvolutionSpec(ZERO2, t, losses=(LossChannel(rate, LOWER2),), step=t / 2000.0)
         out = evolve_stepped(rho, spec)
         assert abs(out.entries[1, 1].real - math.exp(-rate * t)) <= 1e-8
         validate_density(out)
 
     def test_step_larger_than_duration(self):
-        spec = EvolutionSpec(ZERO2, DecoherenceSpec.none(), 1.0, method="stepped", step=2.0)
+        spec = EvolutionSpec(ZERO2, 1.0, step=2.0)
         with pytest.raises(ValueError):
             evolve_stepped(_superposition(), spec)
 
     def test_step_size_generator_bound(self):
         h = Operator(SPACE2, np.diag([0.0, 100.0]))
-        spec = EvolutionSpec(h, DecoherenceSpec.none(), 1.0, method="stepped", step=0.1)
+        spec = EvolutionSpec(h, 1.0, step=0.1)
         with pytest.raises(ValueError):
             evolve_stepped(_superposition(), spec)
-
-    def test_dispatch(self):
-        h = Operator(SPACE2, np.diag([0.0, 1.0]))
-        spec = EvolutionSpec(h, DecoherenceSpec.none(), 0.5)
-        assert np.allclose(
-            evolve(_superposition(), spec).entries,
-            evolve_analytic(_superposition(), spec).entries,
-        )
 
 
 class TestDecoherenceRate:
@@ -239,31 +210,13 @@ class TestDecoherenceRate:
             assert abs(back / sigma - 1.0) <= 1e-12
 
 
-class TestValidateDecoherenceSpec:
-    def test_global_block_accepted(self):
-        space = hspace(a=2, b=3)
-        h = Operator(space, np.diag(np.arange(6, dtype=float)))
-        validate_decoherence_spec(DecoherenceSpec.global_block(1.0, h), space)
-
-    def test_overlapping_blocks_rejected(self):
-        space = hspace(a=2, b=2)
-        h = embed(Operator(hspace(a=2), np.diag([0.0, 1.0])), space)
-        spec = DecoherenceSpec(1.0, ((frozenset({"a"}), h), (frozenset({"a", "b"}), h)))
+class TestEvolutionSpec:
+    @pytest.mark.parametrize("sigma,duration", [
+        (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
+    ], ids=["sigma-neg", "sigma-nan", "sigma-inf", "duration-neg", "duration-nan", "duration-inf"])
+    def test_bad_scalars_rejected(self, sigma, duration):
         with pytest.raises(ValueError):
-            validate_decoherence_spec(spec, space)
-
-    def test_nonlocal_block_hamiltonian_rejected(self):
-        space = hspace(a=2, b=2)
-        coupling = np.zeros((4, 4))
-        coupling[0, 3] = coupling[3, 0] = 1.0
-        spec = DecoherenceSpec(1.0, ((frozenset({"a"}),  Operator(space, coupling)),))
-        with pytest.raises(ValueError):
-            validate_decoherence_spec(spec, space)
-
-    def test_negative_sigma_rejected(self):
-        space = hspace(a=2)
-        with pytest.raises(ValueError):
-            validate_decoherence_spec(DecoherenceSpec(-1.0, ()), space)
+            EvolutionSpec(ZERO2, duration, sigma)
 
 
 class TestSteppedVsAnalyticRandom:
@@ -274,13 +227,9 @@ class TestSteppedVsAnalyticRandom:
         h_right = embed(Operator(hspace(right=3), _rand_hermitian(rng, 3)), space)
         drive = h_left + h_right
         rho0 = DensityMatrix(space, _rand_density(rng, 9))
-        dec = DecoherenceSpec(
-            0.15, ((frozenset({"left"}), h_left), (frozenset({"right"}), h_right))
-        )
-        exact = evolve_analytic(rho0, EvolutionSpec(drive, dec, 1.0))
-        stepped = evolve_stepped(
-            rho0, EvolutionSpec(drive, dec, 1.0, method="stepped", step=1e-3)
-        )
+        blocks = (h_left, h_right)
+        exact = evolve_analytic(rho0, EvolutionSpec(drive, 1.0, 0.15, blocks))
+        stepped = evolve_stepped(rho0, EvolutionSpec(drive, 1.0, 0.15, blocks, step=1e-3))
         assert np.linalg.norm(exact.entries - stepped.entries) <= 1e-8
         validate_density(exact)
         validate_density(stepped)

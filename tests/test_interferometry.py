@@ -17,7 +17,7 @@ from edsim.core import (
     partial_trace,
     validate_state,
 )
-from edsim.engine import DecoherenceSpec, EvolutionSpec, evolve_analytic
+from edsim.engine import EvolutionSpec, evolve_analytic
 from edsim.interferometry import (
     CoherentField,
     DecoherencePartition,
@@ -39,6 +39,28 @@ W0 = OMEGA_PER_EV
 
 def _atom_partition(sigma):
     return DecoherencePartition(sigma, (frozenset({"atom"}),))
+
+
+class TestDecoherencePartition:
+    def test_overlapping_blocks_rejected(self):
+        with pytest.raises(ValueError):
+            DecoherencePartition(1.0, (frozenset({"a"}), frozenset({"a", "b"})))
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            DecoherencePartition.local_over(sigma, "a", "b")
+
+    def test_block_hamiltonians_sum_free_terms(self):
+        space = hspace(a=2, b=3)
+        h_a = embed(Operator(hspace(a=2), np.diag([0.0, 1.0])), space)
+        h_b = embed(Operator(hspace(b=3), np.diag([0.0, 2.0, 4.0])), space)
+        free = {"a": h_a, "b": h_b}
+        (total,) = DecoherencePartition.global_over(1.0, "a", "b").block_hamiltonians(free)
+        assert np.array_equal(total.entries, (h_a + h_b).entries)
+        local = DecoherencePartition.local_over(1.0, "b", "a").block_hamiltonians(free)
+        assert [b.entries.tolist() for b in local] == [h_b.entries.tolist(), h_a.entries.tolist()]
+        assert DecoherencePartition.none().block_hamiltonians(free) == ()
 
 
 class TestVisibility:
@@ -182,7 +204,7 @@ class TestRamseyQuantized:
         drive = Operator(space, h_free)
         rho = evolve_analytic(
             DensityMatrix(space, rho),
-            EvolutionSpec(drive, DecoherenceSpec.global_block(1e-30, drive), 1.0),
+            EvolutionSpec(drive, 1.0, 1e-30, (drive,)),
         ).entries
         rho = pulse @ rho @ pulse.conj().T
         populations = np.real(np.diag(rho))
@@ -225,13 +247,21 @@ class TestRamseyQuantized:
         with pytest.raises(ValueError):
             run_ramsey_quantized(cfg)
 
-    def test_invalid_partition(self):
-        cfg = RamseyConfig(
-            omega0=W0, wait=1.0, field=FockField(3),
-            decoherence=DecoherencePartition(1e-30, (frozenset({"nope"}),)),
-        )
+    @pytest.mark.parametrize("runner,labels", [
+        (run_ramsey_quantized, {"nope"}),
+        (run_ramsey_quantized, set()),
+        (run_ramsey_semiclassical, {"field"}),
+        (run_michelson, {"atom"}),
+    ], ids=["quantized-nope", "quantized-empty", "semiclassical-field", "michelson-atom"])
+    def test_invalid_partition(self, runner, labels):
+        # every runner rejects an empty block or one over a label its experiment lacks
+        partition = DecoherencePartition(1e-30, (frozenset(labels),))
+        if runner is run_michelson:
+            cfg = MichelsonConfig(alpha=1.0, arm_time=1.0, mode_frequency=W0, decoherence=partition)
+        else:
+            cfg = RamseyConfig(omega0=W0, wait=1.0, field=FockField(3), decoherence=partition)
         with pytest.raises(ValueError):
-            run_ramsey_quantized(cfg)
+            runner(cfg)
 
 
 class TestMichelson:
@@ -306,7 +336,7 @@ class TestMichelson:
         _, num_d = mode_ops(n_max, label="arm_d")
         h = W0 * (embed(num_c, space) + embed(num_d, space))
         sigma = 50.0 / (W0 * W0)
-        evolved = evolve_analytic(rho, EvolutionSpec(h, DecoherenceSpec.global_block(sigma, h), 1.0))
+        evolved = evolve_analytic(rho, EvolutionSpec(h, 1.0, sigma, (h,)))
         arm = partial_trace(evolved, {"arm_c"})
         mean = alpha * alpha / 2.0
         probs = np.array(
@@ -380,7 +410,7 @@ class TestGhz:
             psi = np.zeros(dim, dtype=complex)
             psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
             rho = DensityMatrix(space, np.outer(psi, psi.conj()))
-            out = evolve_analytic(rho, EvolutionSpec(h, DecoherenceSpec.global_block(sigma, h), 1.0))
+            out = evolve_analytic(rho, EvolutionSpec(h, 1.0, sigma, (h,)))
             model = run_ghz(GhzConfig(n_atoms=n, omega0=omega0, sigma=sigma, wait=1.0))
             assert abs(abs(out.entries[0, -1]) - model.coherence) <= 1e-9
 
