@@ -16,6 +16,7 @@ block rate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
@@ -25,6 +26,7 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
+    HilbertSpace,
     Operator,
     PureState,
     beamsplitter_5050,
@@ -64,6 +66,11 @@ __all__ = [
 ]
 
 _MAX_STEPS = 2_000_000
+
+
+def _require_finite(*values: complex) -> None:
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError("config values must be finite (no NaN or inf)")
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,8 @@ class RamseyConfig:
     spontaneous_rate: float = 0.0     # amplitude-damping rate on the atom, 1/s
 
     def validate(self) -> None:
+        _require_finite(self.omega0, self.wait, self.coupling, self.pulse_area, self.detuning,
+                        self.spontaneous_rate, getattr(self.field, "alpha", 0.0), *self.phases)
         if not 0.0 < self.pulse_area <= math.pi:
             raise ValueError("pulse_area must lie in (0, pi]")
         if self.wait < 0.0 or self.spontaneous_rate < 0.0 or self.coupling <= 0.0:
@@ -215,6 +224,7 @@ class MichelsonConfig:
     n_max: int | None = None
 
     def validate(self) -> None:
+        _require_finite(self.alpha, self.arm_time, self.mode_frequency)
         if self.arm_time < 0.0:
             raise ValueError("arm_time must be non-negative")
 
@@ -227,6 +237,8 @@ class MichelsonConfig:
 
 @dataclass(frozen=True)
 class MichelsonResult:
+    """Output photon means; state_out is in the rotating frame of run_michelson."""
+
     mean_photons_out_a: float
     mean_photons_out_b: float
     state_out: DensityMatrix
@@ -244,6 +256,7 @@ class GhzConfig:
     three_body_rate: float = 0.0      # precomputed k3*N^3/V^2 event rate, 1/s
 
     def validate(self) -> None:
+        _require_finite(self.omega0, self.sigma, self.wait, self.gamma_sp, self.three_body_rate)
         if self.n_atoms < 1:
             raise ValueError("need at least one atom")
         if min(self.sigma, self.wait, self.gamma_sp, self.three_body_rate) < 0.0:
@@ -268,12 +281,8 @@ def visibility(points: Sequence[tuple[float, float]]) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def _qubit_ops():
-    p_g = np.diag([1.0, 0.0])
-    p_e = np.diag([0.0, 1.0])
-    s_minus = np.zeros((2, 2))
-    s_minus[0, 1] = 1.0
-    return p_g, p_e, s_minus
+_P_E = np.diag([0.0, 1.0])                  # |e><e|, with |g> = index 0
+_S_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -323,6 +332,26 @@ def _clamp_probability(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _fringe(rho: np.ndarray, pulse: np.ndarray, space: HilbertSpace, phases) -> FringeResult:
+    """Ground-state fringe after phase shift and second pulse, in closed form.
+
+    The atom leads the tensor order, |g> first, so the shift scales the
+    excited-row, ground-column block of rho by e^{i*phi} (its mirror by
+    the conjugate). With M = U^dag P_g U, p_g(phi) = A + 2*Re(B*e^{i*phi}):
+    A sums M.T*rho over the atom-diagonal blocks, B over that block.
+    Unitaries keep trace and spectrum: one validation covers every phase.
+    """
+    validate_density(DensityMatrix(space, rho))
+    h = rho.shape[0] // 2
+    u_g = pulse[:h]
+    terms = (u_g.T @ u_g.conj()) * rho
+    a = float(np.real(np.sum(terms[:h, :h]) + np.sum(terms[h:, h:])))
+    b = complex(np.sum(terms[h:, :h]))
+    p_g = a + 2.0 * np.real(b * np.exp(1j * np.asarray(phases, dtype=float)))
+    pts = tuple((float(phi), _clamp_probability(float(p))) for phi, p in zip(phases, p_g))
+    return FringeResult(pts, visibility(pts))
+
+
 def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     """Ramsey fringe with ideal classical pulses.
 
@@ -336,25 +365,16 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     """
     cfg.validate()
     space = hspace(atom=2)
-    p_g, p_e, s_minus = _qubit_ops()
     pulse = _rotation(cfg.pulse_area)
     rho = pulse @ np.diag([1.0 + 0.0j, 0.0j]) @ pulse.conj().T
 
     rho = _wait_segment(
         rho, Operator(space, np.zeros((2, 2))), cfg.decoherence,
-        {"atom": Operator(space, cfg.omega0 * p_e)},
-        cfg.spontaneous_rate, Operator(space, s_minus), cfg.wait,
+        {"atom": Operator(space, cfg.omega0 * _P_E)},
+        cfg.spontaneous_rate, Operator(space, _S_MINUS), cfg.wait,
     )
 
-    unpulse = pulse.conj().T
-    points = []
-    for phi in cfg.phases:
-        shift = np.diag([1.0, np.exp(1j * phi)])
-        final = unpulse @ shift @ rho @ shift.conj().T @ unpulse.conj().T
-        validate_density(DensityMatrix(space, (final + final.conj().T) / 2.0))
-        points.append((float(phi), _clamp_probability(float(np.real(final[0, 0])))))
-    pts = tuple(points)
-    return FringeResult(pts, visibility(pts))
+    return _fringe(rho, pulse.conj().T, space, cfg.phases)
 
 
 def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
@@ -363,44 +383,36 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     The pulses apply the excitation-exchange unitary generated by
     coupling*(a |e><g| + a^dag |g><e|), with the duration chosen so the
     rotation angle at the field's dominant photon number equals
-    pulse_area. The wait evolves under the free Hamiltonian
-    omega0*|e><e| + omega*n with omega = omega0 - detuning, dephased
-    according to the partition; the scanned phase is injected on |e>
-    before the second, identical pulse.
+    pulse_area. The free Hamiltonian omega0*|e><e| + omega*n, with
+    omega = omega0 - detuning, dephases the wait according to the
+    partition; the wait runs in the frame rotating at omega with the
+    conserved excitation number |e><e| + n (exact, as pulses, phase shift
+    and readout conserve it), so its drive is detuning*|e><e|. The
+    scanned phase is injected on |e> before the second, identical pulse.
     """
     cfg.validate()
     n_max = cfg.cutoff()
     space = hspace(atom=2, field=n_max + 1)
-    p_g, p_e, s_minus = _qubit_ops()
     a_op, num_op = mode_ops(n_max, label="field")
 
     h_jc = cfg.coupling * (
-        np.kron(s_minus.conj().T, a_op.entries) + np.kron(s_minus, a_op.entries.conj().T)
+        np.kron(_S_MINUS.T, a_op.entries) + np.kron(_S_MINUS, a_op.entries.conj().T)
     )
     t_pulse = cfg.pulse_area / (2.0 * cfg.coupling * math.sqrt(cfg.field.dominant_n))
     pulse = _hermitian_propagator(h_jc, t_pulse)
 
-    omega_field = cfg.omega0 - cfg.detuning
-    h_atom = cfg.omega0 * embed(Operator(hspace(atom=2), p_e), space)
-    h_field = omega_field * embed(num_op, space)
+    excited = embed(Operator(hspace(atom=2), _P_E), space)
+    h_atom = cfg.omega0 * excited
+    h_field = (cfg.omega0 - cfg.detuning) * embed(num_op, space)
 
     psi0 = np.kron(np.array([1.0, 0.0], dtype=complex), cfg.field.amplitudes(n_max))
     rho = np.outer(psi0, psi0.conj())
     rho = pulse @ rho @ pulse.conj().T
     rho = _wait_segment(
-        rho, h_atom + h_field, cfg.decoherence, {"atom": h_atom, "field": h_field},
-        cfg.spontaneous_rate, embed(Operator(hspace(atom=2), s_minus), space), cfg.wait,
+        rho, cfg.detuning * excited, cfg.decoherence, {"atom": h_atom, "field": h_field},
+        cfg.spontaneous_rate, embed(Operator(hspace(atom=2), _S_MINUS), space), cfg.wait,
     )
-
-    proj_g = embed(Operator(hspace(atom=2), p_g), space).entries
-    points = []
-    for phi in cfg.phases:
-        shift = np.kron(np.diag([1.0, np.exp(1j * phi)]), np.eye(n_max + 1))
-        final = pulse @ shift @ rho @ shift.conj().T @ pulse.conj().T
-        validate_density(DensityMatrix(space, (final + final.conj().T) / 2.0))
-        points.append((float(phi), _clamp_probability(float(np.real(np.trace(proj_g @ final))))))
-    pts = tuple(points)
-    return FringeResult(pts, visibility(pts))
+    return _fringe(rho, pulse, space, cfg.phases)
 
 
 def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
@@ -409,7 +421,11 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     The input |alpha>_a |0>_b is rewritten in the arm basis through the
     balanced beamsplitter, each arm evolves freely at the mode frequency
     under the configured dephasing partition, and the recombined output
-    photon numbers are reported together with the output state.
+    photon numbers are reported together with the output state. The arms
+    wait in the frame rotating at the mode frequency with the total photon
+    number, which the beamsplitter conserves, so no drive is left and
+    state_out is expressed in that frame; the photon means are the same
+    in either frame.
     """
     cfg.validate()
     n_max = cfg.cutoff()
@@ -427,16 +443,15 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     _, num_d = mode_ops(n_max, label="arm_d")
     h_d = cfg.mode_frequency * embed(num_d, arm_space)
     rho_arms = _wait_segment(
-        rho_arms, h_c + h_d, cfg.decoherence, {"arm_c": h_c, "arm_d": h_d},
-        0.0, None, cfg.arm_time,
+        rho_arms, Operator(arm_space, np.zeros_like(h_c.entries)), cfg.decoherence,
+        {"arm_c": h_c, "arm_d": h_d}, 0.0, None, cfg.arm_time,
     )
 
     rho_out = w.conj().T @ rho_arms @ w
     rho_out = (rho_out + rho_out.conj().T) / 2.0
     out_space = hspace(out_a=d, out_b=d)
-    number = np.diag(np.arange(d, dtype=float))
-    mean_a = float(np.real(np.trace(np.kron(number, np.eye(d)) @ rho_out)))
-    mean_b = float(np.real(np.trace(np.kron(np.eye(d), number) @ rho_out)))
+    populations = np.diagonal(rho_out).real.reshape(d, d)
+    mean_a, mean_b = (float(populations.sum(axis=k) @ np.arange(d)) for k in (1, 0))
     state_out = DensityMatrix(out_space, rho_out)
     validate_density(state_out)
     return MichelsonResult(mean_a, mean_b, state_out)

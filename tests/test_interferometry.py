@@ -1,9 +1,14 @@
 """Tests for the Ramsey, Michelson and GHZ experiment simulations."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+import edsim.engine
+import edsim.interferometry
 
 from edsim.constants import OMEGA_PER_EV
 from edsim.core import (
@@ -15,6 +20,7 @@ from edsim.core import (
     hspace,
     mode_ops,
     partial_trace,
+    validate_density,
     validate_state,
 )
 from edsim.engine import EvolutionSpec, evolve_analytic
@@ -35,6 +41,9 @@ from edsim.interferometry import (
 )
 
 W0 = OMEGA_PER_EV
+
+# 2*pi to 50 digits: reduces phases of 1e12 rad well below 1e-9
+TWO_PI = Fraction("6.28318530717958647692528676655900576839433879875021")
 
 
 def _atom_partition(sigma):
@@ -429,3 +438,147 @@ class TestSplitPulseState:
     def test_needs_a_photon(self):
         with pytest.raises(ValueError):
             split_pulse_ramsey_state(0)
+
+
+def _fringe_phase(result):
+    """Phase of the fringe's e^{i*phi} Fourier coefficient: pi on resonance,
+    pi - detuning*wait (mod 2*pi) with a detuning."""
+    return cmath.phase(sum(p * cmath.exp(-1j * phi) for phi, p in result.points))
+
+
+def _phase_distance(a, b):
+    return abs(cmath.phase(cmath.exp(1j * (a - b))))
+
+
+class TestRamseyFringePhase:
+    """The detuning phase must survive at every scale (no snapping, no
+    rounding of absolute phases) and must not depend on the photon number."""
+
+    @pytest.mark.parametrize("n", [4, 12, 40])
+    def test_small_detuning_is_kept(self, n):
+        cfg = RamseyConfig(omega0=1e9, wait=1.0, field=FockField(n), detuning=0.7)
+        phase = _fringe_phase(run_ramsey_quantized(cfg))
+        assert _phase_distance(phase, math.pi - 0.7) <= 1e-9
+
+    def test_one_ev_phase_is_exact_and_n_independent(self):
+        delta = float(round(1e-3 * W0))
+        x = Fraction(delta)
+        reduced = float(x - math.floor(x / TWO_PI) * TWO_PI)
+        sigma = 0.5 / (2.0 * W0 * W0)
+        for n in (4, 12, 40):
+            cfg = RamseyConfig(
+                omega0=W0, wait=1.0, field=FockField(n), detuning=delta,
+                decoherence=DecoherencePartition.local_over(sigma, "atom", "field"),
+            )
+            phase = _fringe_phase(run_ramsey_quantized(cfg))
+            assert _phase_distance(phase, math.pi - reduced) <= 1e-9
+
+
+class TestClosedFormReadout:
+    def test_matches_dense_per_phase_reference(self):
+        # oracle: laboratory-frame wait written out element by element,
+        # then phase shift, second pulse and ground projection per phase
+        omega0, detuning, wait, sigma, alpha = 40.0, 0.3, 1.3, 2e-4, 2.0
+        cfg = RamseyConfig(
+            omega0=omega0, wait=wait, field=CoherentField(alpha), detuning=detuning,
+            decoherence=DecoherencePartition.local_over(sigma, "atom", "field"),
+        )
+        n_max = cfg.cutoff()
+        d = n_max + 1
+        a_op, _ = mode_ops(n_max, label="field")
+        sm = np.array([[0.0, 1.0], [0.0, 0.0]])
+        h_jc = np.kron(sm.T, a_op.entries) + np.kron(sm, a_op.entries.T)
+        w, v = np.linalg.eigh(h_jc)
+        t_pulse = (math.pi / 2.0) / (2.0 * math.sqrt(round(alpha * alpha)))
+        pulse = (v * np.exp(-1j * w * t_pulse)) @ v.conj().T
+        psi = np.kron([1.0, 0.0], coherent_state(alpha, n_max).amplitudes)
+        rho = pulse @ np.outer(psi, psi.conj()) @ pulse.conj().T
+
+        atom = np.repeat([0.0, omega0], d)
+        field = np.tile(np.arange(d) * (omega0 - detuning), 2)
+        energy = atom + field
+
+        def gap2(e):
+            return (e[:, None] - e[None, :]) ** 2
+
+        rho = rho * np.exp(-1j * (energy[:, None] - energy[None, :]) * wait)
+        rho = rho * np.exp(-sigma * (gap2(atom) + gap2(field)) * wait)
+        reference = []
+        for phi in cfg.phases:
+            shift = np.kron(np.diag([1.0, np.exp(1j * phi)]), np.eye(d))
+            final = pulse @ shift @ rho @ shift.conj().T @ pulse.conj().T
+            reference.append(float(np.real(np.trace(final[:d, :d]))))
+
+        result = run_ramsey_quantized(cfg)
+        assert [phi for phi, _ in result.points] == list(cfg.phases)
+        assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-12
+        assert 0.1 <= result.visibility <= 0.9
+
+    def test_validates_the_waited_state_once(self, monkeypatch):
+        calls = []
+
+        def counting(rho, *args, **kwargs):
+            calls.append(rho)
+            return validate_density(rho, *args, **kwargs)
+
+        monkeypatch.setattr(edsim.interferometry, "validate_density", counting)
+        run_ramsey_quantized(RamseyConfig(omega0=W0, wait=1.0, field=FockField(12)))
+        assert len(calls) == 1
+
+
+class TestDiagonalFrame:
+    def test_pipelines_never_diagonalize(self, monkeypatch):
+        # every wait Hamiltonian is diagonal in the atom-Fock basis, so
+        # the pipelines must not reach the eigenbasis machinery
+        def boom(*args, **kwargs):
+            raise AssertionError("eigenbasis path used on diagonal input")
+
+        monkeypatch.setattr(edsim.engine, "_check_commuting", boom)
+        monkeypatch.setattr(edsim.engine, "_joint_eigbasis", boom)
+        local = DecoherencePartition.local_over(1e-31, "atom", "field")
+        run_ramsey_quantized(RamseyConfig(
+            omega0=W0, wait=1.0, field=CoherentField(1.5), detuning=1e9, decoherence=local,
+        ))
+        run_ramsey_quantized(RamseyConfig(
+            omega0=W0, wait=1.0, field=FockField(2), n_max=3, decoherence=local,
+            spontaneous_rate=0.3,
+        ))
+        run_ramsey_semiclassical(RamseyConfig(omega0=W0, wait=1.0, decoherence=_atom_partition(1e-31)))
+        for partition in (DecoherencePartition.local_over(1e-31, "arm_c", "arm_d"),
+                          DecoherencePartition.global_over(1e-31, "arm_c", "arm_d")):
+            run_michelson(MichelsonConfig(
+                alpha=1.0, arm_time=1.0, mode_frequency=W0, decoherence=partition,
+            ))
+
+
+BAD = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("value", BAD, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [
+        "omega0", "wait", "coupling", "pulse_area", "detuning", "spontaneous_rate", "phases", "field",
+    ])
+    def test_ramsey(self, name, value):
+        params = {"omega0": W0, "wait": 1.0, name: value}
+        if name == "phases":
+            params[name] = (0.0, value)
+        if name == "field":
+            params[name] = CoherentField(value)
+        cfg = RamseyConfig(**params)
+        with pytest.raises(ValueError, match="finite"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", BAD, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["alpha", "arm_time", "mode_frequency"])
+    def test_michelson(self, name, value):
+        cfg = MichelsonConfig(**{"alpha": 1.0, "arm_time": 1.0, "mode_frequency": W0, name: value})
+        with pytest.raises(ValueError, match="finite"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", BAD, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["omega0", "sigma", "wait", "gamma_sp", "three_body_rate"])
+    def test_ghz(self, name, value):
+        cfg = GhzConfig(**{"n_atoms": 2, "omega0": 1.0, "sigma": 0.0, "wait": 1.0, name: value})
+        with pytest.raises(ValueError, match="finite"):
+            run_ghz(cfg)
