@@ -512,7 +512,8 @@ _HANDLERS: dict[str, Callable[[dict], ExperimentOutput]] = {
 
 
 def _emit(cfg: RunConfig, output: ExperimentOutput, meta: dict) -> None:
-    # serialize everything first, so a failure leaves no partial BASE.* files
+    # serialize everything first and remove this call's files if a write
+    # fails, so a failure leaves no partial BASE.* files
     texts = {
         ".csv": _csv_text(output.points),
         ".json": _json_text(output.summary),
@@ -523,8 +524,17 @@ def _emit(cfg: RunConfig, output: ExperimentOutput, meta: dict) -> None:
     if cfg.output_path:
         base = Path(cfg.output_path)
         base.parent.mkdir(parents=True, exist_ok=True)
-        for suffix, text in texts.items():
-            Path(str(base) + suffix).write_text(text, encoding="utf-8")
+        written: list[Path] = []
+        try:
+            for suffix, text in texts.items():
+                path = Path(str(base) + suffix)
+                with path.open("w", encoding="utf-8") as fh:
+                    written.append(path)
+                    fh.write(text)
+        except OSError:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
     print(texts[".csv" if cfg.output_format == "csv" else ".json"], end="")
 
 

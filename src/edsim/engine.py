@@ -21,8 +21,9 @@ block by block.
 
 Two propagators are provided: a closed-form eigenbasis propagator for
 mutually commuting Hamiltonians without losses, and a fixed-step
-classical 4th-order integrator for the general case (fixed step keeps
-repeated runs bit-stable). Diagonal inputs, as the experiment pipelines
+classical 4th-order integrator for the general case and the tests'
+oracle (fixed step keeps repeated runs bit-stable); no experiment
+pipeline uses it. Diagonal inputs, as the experiment pipelines
 pass them, take an exact path: the diagonal entries are the spectra, so
 there is no commutation check, no eigensolver and no eigenvalue snapping.
 """
@@ -139,25 +140,19 @@ def _joint_eigbasis(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.nda
     """
     dim = mats[0].shape[0]
     u = np.eye(dim, dtype=complex)
-    u_is_identity = True
     blocks = [np.arange(dim)]
     all_evals: list[np.ndarray] = []
     for m in mats:
         w = np.empty(dim)
-        diag_shortcut = u_is_identity and np.count_nonzero(m - np.diag(np.diagonal(m))) == 0
-        if diag_shortcut:
-            w[:] = np.diagonal(m).real
-        else:
-            for idx in blocks:
-                if len(idx) == 1:
-                    w[idx] = float((u[:, idx].conj().T @ m @ u[:, idx]).real[0, 0])
-                    continue
-                sub = u[:, idx]
-                a = sub.conj().T @ m @ sub
-                wv, vv = np.linalg.eigh((a + a.conj().T) / 2.0)
-                u[:, idx] = sub @ vv
-                w[idx] = wv
-            u_is_identity = False
+        for idx in blocks:
+            if len(idx) == 1:
+                w[idx] = float((u[:, idx].conj().T @ m @ u[:, idx]).real[0, 0])
+                continue
+            sub = u[:, idx]
+            a = sub.conj().T @ m @ sub
+            wv, vv = np.linalg.eigh((a + a.conj().T) / 2.0)
+            u[:, idx] = sub @ vv
+            w[idx] = wv
         scale = max(1.0, float(np.max(w) - np.min(w)))
         w, blocks = _cluster_and_snap(w, blocks, EIG_CLUSTER_RTOL * scale)
         all_evals.append(w)

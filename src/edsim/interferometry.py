@@ -37,13 +37,7 @@ from .core import (
     mode_ops,
     validate_density,
 )
-from .engine import (
-    EvolutionSpec,
-    LossChannel,
-    evolve_analytic,
-    evolve_stepped,
-    generator,
-)
+from .engine import EvolutionSpec, evolve_analytic
 
 __all__ = [
     "DecoherencePartition",
@@ -64,8 +58,6 @@ __all__ = [
     "run_ghz",
     "split_pulse_ramsey_state",
 ]
-
-_MAX_STEPS = 2_000_000
 
 
 def _require_finite(*values: complex) -> None:
@@ -304,26 +296,25 @@ def _wait_segment(
     lowering: Operator | None,
     duration: float,
 ) -> np.ndarray:
-    """Free-evolution segment, analytic when loss-free, stepped otherwise."""
+    """Free-evolution segment: spontaneous decay, then closed-form propagation.
+
+    The atomic lowering operator L = |g><e| is an eigenoperator of the
+    drive and of every block, [H, L] = -c L (c is omega0, detuning or 0),
+    so the damping dissipator commutes with the unitary and
+    double-commutator terms and the lossy wait splits exactly into the
+    amplitude-damping channel K0 = I - (1 - sqrt(1-p)) L^dag L,
+    K1 = sqrt(p) L, p = 1 - exp(-gamma_sp*duration), then evolve_analytic.
+    """
     blocks = partition.block_hamiltonians(free)
     if duration == 0.0:
         return rho
-    sigma = partition.sigma
+    if gamma_sp > 0.0:
+        l = lowering.entries
+        k0 = np.eye(len(rho)) + math.expm1(-0.5 * gamma_sp * duration) * (l.conj().T @ l)
+        k1 = math.sqrt(-math.expm1(-gamma_sp * duration)) * l
+        rho = k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
     state = DensityMatrix(drive.space, rho)
-    if gamma_sp > 0.0 and lowering is not None:
-        # integrate dephasing and damping in the frame rotating with the
-        # drive (exact split: the drive commutes with every block and only
-        # phases the lowering operator), then restore the free phases
-        losses = (LossChannel(gamma_sp, lowering),)
-        zero = Operator(drive.space, np.zeros_like(drive.entries))
-        probe = EvolutionSpec(zero, duration, sigma, blocks, losses, step=duration)
-        g0 = float(np.linalg.norm(generator(state, probe)))
-        step = min(duration / 1000.0, 0.09 / g0 if g0 > 0.0 else duration)
-        if duration / step > _MAX_STEPS:
-            raise ValueError("rates too fast for the stepped integrator at this duration")
-        damped = evolve_stepped(state, EvolutionSpec(zero, duration, sigma, blocks, losses, step))
-        return evolve_analytic(damped, EvolutionSpec(drive, duration)).entries
-    return evolve_analytic(state, EvolutionSpec(drive, duration, sigma, blocks)).entries
+    return evolve_analytic(state, EvolutionSpec(drive, duration, partition.sigma, blocks)).entries
 
 
 def _clamp_probability(p: float) -> float:
@@ -399,6 +390,8 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
         np.kron(_S_MINUS.T, a_op.entries) + np.kron(_S_MINUS, a_op.entries.conj().T)
     )
     t_pulse = cfg.pulse_area / (2.0 * cfg.coupling * math.sqrt(cfg.field.dominant_n))
+    if not math.isfinite(t_pulse):
+        raise ValueError(f"pulse duration overflows at coupling {cfg.coupling!r}")
     pulse = _hermitian_propagator(h_jc, t_pulse)
 
     excited = embed(Operator(hspace(atom=2), _P_E), space)

@@ -74,6 +74,13 @@ class TestRunCommands:
         assert blobs[0] == blobs[1]
         assert (tmp_path / "r1.meta.json").exists()
 
+    def test_decay_beyond_double_range_runs(self, capsys):
+        argv = ["ramsey", "--mode", "semiclassical", "--gamma-sp", "1e300", "--wait", "1e10"]
+        code, out, err = _run(argv, capsys)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["visibility"] == 0.0
+
     def test_csv_has_header_and_full_precision(self, tmp_path, capsys):
         base = tmp_path / "out"
         code, _, _ = _run(["ramsey", "--out", str(base)], capsys)
@@ -189,6 +196,21 @@ class TestBadInput:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_removes_earlier_files(self, tmp_path, capsys):
+        (tmp_path / "B.json").mkdir()
+        code, _, err = _run(["ghz", "--out", str(tmp_path / "B")], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["B.json"]
+
+    def test_overflowing_pulse_duration_rejected(self, capsys):
+        code, _, err = _run(["ramsey", "--mode", "quantized", "--coupling", "1e-320"], capsys)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
 
 class TestSweep:
     def test_sigma_sweep_monotone_visibility(self, capsys):

@@ -23,7 +23,7 @@ from edsim.core import (
     validate_density,
     validate_state,
 )
-from edsim.engine import EvolutionSpec, evolve_analytic
+from edsim.engine import EvolutionSpec, LossChannel, evolve_analytic, evolve_stepped
 from edsim.interferometry import (
     CoherentField,
     DecoherencePartition,
@@ -116,17 +116,18 @@ class TestRamseySemiclassical:
             assert abs(p - 0.5) <= 1e-10
 
     def test_closed_form_with_damping(self):
-        # oracle: V = exp(-sigma*w0^2*t) * exp(-gamma*t/2), fringe (1+V cos phi)/2
+        # oracle: V = exp(-sigma*w0^2*t) * exp(-gamma*t/2), fringe (1+V cos phi)/2;
+        # the second case decays far beyond any fixed-step budget: no fringe left
         sigma = math.log(2.0) / (W0 * W0)
-        gamma = 0.3
-        cfg = RamseyConfig(
-            omega0=W0, wait=1.0, decoherence=_atom_partition(sigma), spontaneous_rate=gamma
-        )
-        result = run_ramsey_semiclassical(cfg)
-        expected_v = 0.5 * math.exp(-gamma / 2.0)
-        assert abs(result.visibility - expected_v) <= 1e-9
-        for phi, p in result.points:
-            assert abs(p - 0.5 * (1.0 + expected_v * math.cos(phi))) <= 1e-9
+        for gamma, wait in ((0.3, 1.0), (1e5, 100.0)):
+            cfg = RamseyConfig(
+                omega0=W0, wait=wait, decoherence=_atom_partition(sigma), spontaneous_rate=gamma
+            )
+            result = run_ramsey_semiclassical(cfg)
+            expected_v = 0.5**wait * math.exp(-gamma * wait / 2.0)
+            assert abs(result.visibility - expected_v) <= 1e-9
+            for phi, p in result.points:
+                assert abs(p - 0.5 * (1.0 + expected_v * math.cos(phi))) <= 1e-9
 
     def test_rejects_field_blocks(self):
         cfg = RamseyConfig(
@@ -239,8 +240,8 @@ class TestRamseyQuantized:
         assert abs(measured / (sigma * delta * delta) - 1.0) <= 1e-6
 
     def test_damping_is_frequency_independent(self):
-        # losses integrate in the rotating frame, so the visibility must
-        # not depend on the absolute transition frequency
+        # the damping channel commutes with the free phases, so the
+        # visibility must not depend on the absolute transition frequency
         vis = []
         for omega0 in (1.0, W0):
             cfg = RamseyConfig(
@@ -250,6 +251,30 @@ class TestRamseyQuantized:
             )
             vis.append(run_ramsey_quantized(cfg).visibility)
         assert abs(vis[0] - vis[1]) <= 1e-12
+
+    @pytest.mark.parametrize("partition", [
+        DecoherencePartition.local_over(0.05, "atom", "field"),
+        DecoherencePartition.global_over(0.05, "atom", "field"),
+    ], ids=["local", "global"])
+    def test_lossy_wait_matches_stepped_generator(self, partition):
+        # oracle: RK4 on the full generator (drive, blocks and damping
+        # together) against the damping channel then the closed-form wait
+        omega0, detuning, gamma, n_max = 3.0, 1.3, 0.4, 3
+        space = hspace(atom=2, field=n_max + 1)
+        excited = embed(Operator(hspace(atom=2), np.diag([0.0, 1.0])), space)
+        lower = embed(Operator(hspace(atom=2), np.array([[0.0, 1.0], [0.0, 0.0]])), space)
+        free = {
+            "atom": omega0 * excited,
+            "field": (omega0 - detuning) * embed(mode_ops(n_max, label="field")[1], space),
+        }
+        drive = detuning * excited
+        g = np.random.default_rng(7).normal(size=(8, 16)).view(complex)
+        rho0 = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        waited = edsim.interferometry._wait_segment(rho0, drive, partition, free, gamma, lower, 1.0)
+        spec = EvolutionSpec(drive, 1.0, partition.sigma, partition.block_hamiltonians(free),
+                             (LossChannel(gamma, lower),), step=1e-3)
+        stepped = evolve_stepped(DensityMatrix(space, rho0), spec)
+        assert np.linalg.norm(waited - stepped.entries) <= 1e-8
 
     def test_cutoff_violation(self):
         cfg = RamseyConfig(omega0=W0, wait=1.0, field=FockField(12), n_max=9)
@@ -528,13 +553,15 @@ class TestClosedFormReadout:
 
 class TestDiagonalFrame:
     def test_pipelines_never_diagonalize(self, monkeypatch):
-        # every wait Hamiltonian is diagonal in the atom-Fock basis, so
-        # the pipelines must not reach the eigenbasis machinery
+        # every wait Hamiltonian is diagonal in the atom-Fock basis and
+        # decay is a closed-form channel, so the pipelines must reach
+        # neither the eigenbasis machinery nor the stepped integrator
         def boom(*args, **kwargs):
-            raise AssertionError("eigenbasis path used on diagonal input")
+            raise AssertionError("eigenbasis or stepped path used by a pipeline")
 
         monkeypatch.setattr(edsim.engine, "_check_commuting", boom)
         monkeypatch.setattr(edsim.engine, "_joint_eigbasis", boom)
+        monkeypatch.setattr(edsim.engine, "_rhs", boom)
         local = DecoherencePartition.local_over(1e-31, "atom", "field")
         run_ramsey_quantized(RamseyConfig(
             omega0=W0, wait=1.0, field=CoherentField(1.5), detuning=1e9, decoherence=local,
@@ -544,6 +571,9 @@ class TestDiagonalFrame:
             spontaneous_rate=0.3,
         ))
         run_ramsey_semiclassical(RamseyConfig(omega0=W0, wait=1.0, decoherence=_atom_partition(1e-31)))
+        run_ramsey_semiclassical(RamseyConfig(
+            omega0=W0, wait=1.0, decoherence=_atom_partition(1e-31), spontaneous_rate=0.3,
+        ))
         for partition in (DecoherencePartition.local_over(1e-31, "arm_c", "arm_d"),
                           DecoherencePartition.global_over(1e-31, "arm_c", "arm_d")):
             run_michelson(MichelsonConfig(
