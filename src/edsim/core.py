@@ -208,17 +208,33 @@ def validate_density(
     trace_tol: float = TRACE_TOL,
     psd_tol: float = PSD_TOL,
 ) -> None:
-    """Raise InvariantError on Hermiticity, trace or positivity failure."""
+    """Raise InvariantError on non-finite entries, Hermiticity, trace or positivity failure.
+
+    Positivity means a smallest eigenvalue of at least -psd_tol, which
+    holds exactly when h + psd_tol*I is positive definite (h the
+    Hermitian part). A Cholesky factorization of that shifted matrix,
+    much cheaper than eigvalsh, accepts such states; only
+    when it fails is the smallest eigenvalue computed, and the decision
+    and message are the eigenvalue's. The two can differ only within
+    rounding of the threshold, O(d*eps*||rho||).
+    """
     m = rho.entries
+    if not np.all(np.isfinite(m)):
+        raise InvariantError("density matrix has non-finite entries")
     herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > herm_tol:
         raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {herm_tol}")
     tr = np.trace(m)
     if abs(tr - 1.0) > trace_tol:
         raise InvariantError(f"trace {tr!r} deviates from 1 beyond {trace_tol}")
-    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-    if lo < -psd_tol:
-        raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{psd_tol}")
+    shifted = (m + m.conj().T) / 2.0
+    shifted[np.diag_indices(len(m))] += psd_tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+        if lo < -psd_tol:
+            raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{psd_tol}") from None
 
 
 def identity(space: HilbertSpace) -> Operator:

@@ -195,17 +195,21 @@ def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     # absolute phases w*t are far beyond double-precision resolution
     phase = np.exp(-1j * evals[0] * t)
     mult = phase[:, None] * phase[None, :].conj()
-    if spec.sigma > 0.0:
+    if spec.sigma > 0.0 and t > 0.0:
         decay = np.zeros((len(phase), len(phase)))
-        for wb in evals[1:]:
-            db = wb[:, None] - wb[None, :]
-            decay = decay + db * db
-        mult = mult * np.exp(-spec.sigma * decay * t)
+        # a squared gap beyond double range is inf: full decay, exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            for wb in evals[1:]:
+                db = wb[:, None] - wb[None, :]
+                decay = decay + db * db
+            mult = mult * np.exp(-spec.sigma * decay * t)
     if diagonal:
         out = rho0.entries * mult
     else:
         out = u @ ((u.conj().T @ rho0.entries @ u) * mult) @ u.conj().T
-    out = (out + out.conj().T) / 2.0
+    # in place: one dense temporary fewer at the pipelines' memory peak
+    out += out.conj().T
+    out /= 2.0
     return DensityMatrix(rho0.space, out)
 
 

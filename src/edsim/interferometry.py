@@ -282,9 +282,23 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def _hermitian_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+def _jc_pulse(coupling: float, duration: float, n_max: int) -> np.ndarray:
+    """exp(-i*h_jc*duration) for h_jc = coupling*(a |e><g| + a^dag |g><e|), in closed form.
+
+    h_jc conserves |e><e| + n, so the propagator is a direct sum of 2x2
+    rotations [[cos, -i sin], [-i sin, cos]] at angle coupling*sqrt(n)*duration
+    on the pairs (|g,n>, |e,n-1>), n = 1..n_max; |g,0> and |e,n_max> are
+    left alone. Indices follow hspace(atom=2, field=n_max+1), |g> first.
+    """
+    d = n_max + 1
+    n = np.arange(1, d)
+    theta = coupling * np.sqrt(n) * duration
+    g, e = n, d + n - 1
+    u = np.zeros((2 * d, 2 * d), dtype=complex)
+    u[0, 0] = u[-1, -1] = 1.0
+    u[g, g] = u[e, e] = np.cos(theta)
+    u[g, e] = u[e, g] = -1j * np.sin(theta)
+    return u
 
 
 def _wait_segment(
@@ -384,15 +398,12 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     cfg.validate()
     n_max = cfg.cutoff()
     space = hspace(atom=2, field=n_max + 1)
-    a_op, num_op = mode_ops(n_max, label="field")
+    _, num_op = mode_ops(n_max, label="field")
 
-    h_jc = cfg.coupling * (
-        np.kron(_S_MINUS.T, a_op.entries) + np.kron(_S_MINUS, a_op.entries.conj().T)
-    )
     t_pulse = cfg.pulse_area / (2.0 * cfg.coupling * math.sqrt(cfg.field.dominant_n))
     if not math.isfinite(t_pulse):
         raise ValueError(f"pulse duration overflows at coupling {cfg.coupling!r}")
-    pulse = _hermitian_propagator(h_jc, t_pulse)
+    pulse = _jc_pulse(cfg.coupling, t_pulse, n_max)
 
     excited = embed(Operator(hspace(atom=2), _P_E), space)
     h_atom = cfg.omega0 * excited
@@ -406,6 +417,27 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
         cfg.spontaneous_rate, embed(Operator(hspace(atom=2), _S_MINUS), space), cfg.wait,
     )
     return _fringe(rho, pulse, space, cfg.phases)
+
+
+def _recombine(w: np.ndarray, rho: np.ndarray, n_max: int) -> np.ndarray:
+    """w^dag rho w for the two-mode beamsplitter w, one photon-number sector at a time.
+
+    w conserves the total photon number n_c + n_d, so it is block
+    diagonal over the 2*n_max+1 sectors of equal total (index n_c*d + n_d):
+    each sector's rows are multiplied by its block's dagger, then each
+    sector's columns by its block.
+    """
+    n = np.arange(n_max + 1)
+    totals = np.add.outer(n, n).ravel()
+    sectors = [np.flatnonzero(totals == s) for s in range(2 * n_max + 1)]
+    blocks = [w[np.ix_(idx, idx)] for idx in sectors]
+    left = np.empty_like(rho)
+    for idx, b in zip(sectors, blocks):
+        left[idx] = b.conj().T @ rho[idx]
+    out = np.empty_like(rho)
+    for idx, b in zip(sectors, blocks):
+        out[:, idx] = left[:, idx] @ b
+    return out
 
 
 def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
@@ -440,7 +472,7 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
         {"arm_c": h_c, "arm_d": h_d}, 0.0, None, cfg.arm_time,
     )
 
-    rho_out = w.conj().T @ rho_arms @ w
+    rho_out = _recombine(w, rho_arms, n_max)
     rho_out = (rho_out + rho_out.conj().T) / 2.0
     out_space = hspace(out_a=d, out_b=d)
     populations = np.diagonal(rho_out).real.reshape(d, d)

@@ -8,6 +8,10 @@ import pytest
 from edsim import cli
 from edsim.cli import ConfigError, parse_config
 
+# pytest captures warnings apart from stderr, so `err == ""` alone would
+# miss a numpy RuntimeWarning that reaches the CLI user's stderr
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def _run(argv, capsys):
     code = cli.main(argv)
@@ -76,6 +80,16 @@ class TestRunCommands:
 
     def test_decay_beyond_double_range_runs(self, capsys):
         argv = ["ramsey", "--mode", "semiclassical", "--gamma-sp", "1e300", "--wait", "1e10"]
+        code, out, err = _run(argv, capsys)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["visibility"] == 0.0
+
+    @pytest.mark.parametrize("mode", ["semiclassical", "quantized"])
+    def test_gap_squared_beyond_double_range_runs(self, mode, capsys):
+        # (1e200 rad/s)**2 overflows: the fringe decays fully, with no warning
+        argv = ["ramsey", "--mode", mode, "--omega0", "1e200", "--sigma", "1e-31",
+                "--partition", "local"]
         code, out, err = _run(argv, capsys)
         assert code == 0
         assert err == ""

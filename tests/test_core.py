@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from edsim.constants import PSD_TOL
 from edsim.core import (
     DensityMatrix,
     HilbertSpace,
@@ -283,3 +284,58 @@ class TestValidation:
         rho = DensityMatrix(hspace(a=2), np.eye(2) / 2.0)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 9.0
+
+    @pytest.mark.parametrize("dim", [2, 4, 26])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)],
+                             ids=["nan", "inf", "imag-nan"])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_non_finite_entry_rejected(self, dim, bad, where):
+        m = np.eye(dim, dtype=complex) / dim
+        i, j = (0, 0) if where == "diagonal" else (0, dim - 1)
+        m[i, j] = bad
+        m[j, i] = np.conj(bad)
+        with pytest.raises(InvariantError, match="non-finite"):
+            validate_density(DensityMatrix(hspace(a=dim), m))
+
+
+def _density_with_spectrum(rng, lowest, dim):
+    """Seeded rho = U diag(lowest, ...) U^dag with unit trace."""
+    rest = rng.uniform(0.5, 1.5, size=dim - 1)
+    rest *= (1.0 - lowest) / rest.sum()
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(g)
+    rho = (u * np.concatenate(([lowest], rest))) @ u.conj().T
+    return DensityMatrix(hspace(a=dim), (rho + rho.conj().T) / 2.0)
+
+
+class TestPositivityDecision:
+    # the factorization passes exactly the states whose smallest
+    # eigenvalue is at least -PSD_TOL; failures keep the eigenvalue message
+    DIMS = [2, 26, 122]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_below_tolerance_raises(self, dim):
+        rho = _density_with_spectrum(np.random.default_rng(dim), -2.0 * PSD_TOL, dim)
+        with pytest.raises(InvariantError, match="smallest eigenvalue -2.000e-09"):
+            validate_density(rho)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_within_tolerance_passes(self, dim):
+        validate_density(_density_with_spectrum(np.random.default_rng(dim), -0.5 * PSD_TOL, dim))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_rank_deficient_state_passes(self, dim):
+        validate_density(_density_with_spectrum(np.random.default_rng(dim), 0.0, dim))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_hermiticity_failure_unchanged(self, dim):
+        rho = _density_with_spectrum(np.random.default_rng(dim), 0.0, dim).entries.copy()
+        rho[0, 1] += 1e-6
+        with pytest.raises(InvariantError, match=r"Hermiticity defect 1\.000e-06 exceeds"):
+            validate_density(DensityMatrix(hspace(a=dim), rho))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_trace_failure_unchanged(self, dim):
+        rho = _density_with_spectrum(np.random.default_rng(dim), 0.0, dim).entries * 1.001
+        with pytest.raises(InvariantError, match="trace .* deviates from 1 beyond"):
+            validate_density(DensityMatrix(hspace(a=dim), rho))

@@ -1,6 +1,7 @@
 """Tests for the dephasing generator and the two propagators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ class TestEvolveAnalytic:
         assert abs(out.entries[0, 1]) <= 1e-10
         assert np.allclose(np.diag(out.entries).real, [0.5, 0.5], atol=1e-12)
         validate_density(out)
+
+    def test_gap_squared_beyond_double_range(self):
+        # the squared gap 1e400 overflows: full decay, no warning, and a
+        # zero duration still returns the initial state (not inf*0 = NaN)
+        h = Operator(SPACE2, np.diag([0.0, 1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, 1e-31, (h,)))
+            same = evolve_analytic(_superposition(), EvolutionSpec(h, 0.0, 1e-31, (h,)))
+        assert out.entries[0, 1] == 0.0
+        assert np.array_equal(np.diag(out.entries), [0.5, 0.5])
+        assert np.array_equal(same.entries, _superposition().entries)
 
     def test_noncommuting_rejected(self):
         h = Operator(SPACE2, np.diag([0.0, 1.0]))

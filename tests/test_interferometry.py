@@ -562,6 +562,15 @@ class TestDiagonalFrame:
         monkeypatch.setattr(edsim.engine, "_check_commuting", boom)
         monkeypatch.setattr(edsim.engine, "_joint_eigbasis", boom)
         monkeypatch.setattr(edsim.engine, "_rhs", boom)
+        # valid states pass the positivity check by factorization alone
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        for partition in (DecoherencePartition.local_over(1e-31, "arm_c", "arm_d"),
+                          DecoherencePartition.global_over(1e-31, "arm_c", "arm_d")):
+            run_michelson(MichelsonConfig(
+                alpha=1.0, arm_time=1.0, mode_frequency=W0, decoherence=partition,
+            ))
+        # the Ramsey pulse is built in closed form
+        monkeypatch.setattr(np.linalg, "eigh", boom)
         local = DecoherencePartition.local_over(1e-31, "atom", "field")
         run_ramsey_quantized(RamseyConfig(
             omega0=W0, wait=1.0, field=CoherentField(1.5), detuning=1e9, decoherence=local,
@@ -574,11 +583,42 @@ class TestDiagonalFrame:
         run_ramsey_semiclassical(RamseyConfig(
             omega0=W0, wait=1.0, decoherence=_atom_partition(1e-31), spontaneous_rate=0.3,
         ))
-        for partition in (DecoherencePartition.local_over(1e-31, "arm_c", "arm_d"),
-                          DecoherencePartition.global_over(1e-31, "arm_c", "arm_d")):
-            run_michelson(MichelsonConfig(
-                alpha=1.0, arm_time=1.0, mode_frequency=W0, decoherence=partition,
-            ))
+
+
+def _rand_hermitian(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2.0
+
+
+class TestNumberSectors:
+    @pytest.mark.parametrize("n_max", [3, 30])
+    def test_recombination_matches_dense_product(self, n_max):
+        rng = np.random.default_rng(n_max)
+        w = beamsplitter_5050(n_max).entries
+        rho = _rand_hermitian(rng, (n_max + 1) ** 2)
+        dense = w.conj().T @ rho @ w
+        out = edsim.interferometry._recombine(w, rho, n_max)
+        assert np.max(np.abs(out - dense)) <= 1e-13
+
+    @pytest.mark.parametrize("n_max", [1, 12, 60])
+    def test_pulse_matches_dense_propagator(self, n_max):
+        rng = np.random.default_rng(n_max)
+        coupling, duration = rng.uniform(0.2, 2.0, size=2)
+        a_op, _ = mode_ops(n_max, label="field")
+        s_minus = np.array([[0.0, 1.0], [0.0, 0.0]])
+        h_jc = coupling * (
+            np.kron(s_minus.T, a_op.entries) + np.kron(s_minus, a_op.entries.T)
+        )
+        w, v = np.linalg.eigh(h_jc)
+        dense = (v * np.exp(-1j * w * duration)) @ v.conj().T
+        pulse = edsim.interferometry._jc_pulse(coupling, duration, n_max)
+        assert np.max(np.abs(pulse - dense)) <= 1e-13
+        # |g,0> and |e,n_max> have no partner inside the cutoff
+        for corner in (0, 2 * n_max + 1):
+            expected = np.zeros(2 * n_max + 2)
+            expected[corner] = 1.0
+            assert np.array_equal(pulse[corner], expected)
+            assert np.array_equal(pulse[:, corner], expected)
 
 
 BAD = [math.nan, math.inf, -math.inf]
