@@ -21,6 +21,7 @@ from .core import (
     Operator,
     PureState,
     beamsplitter_5050,
+    beamsplitter_sector,
     coherence_weight,
     coherent_state,
     embed,
@@ -31,6 +32,7 @@ from .core import (
     mode_ops,
     partial_trace,
     tensor,
+    validate_blocks,
     validate_density,
     validate_state,
 )

@@ -34,10 +34,12 @@ __all__ = [
     "fock_state",
     "coherent_state",
     "mode_ops",
+    "beamsplitter_sector",
     "beamsplitter_5050",
     "coherence_weight",
     "validate_state",
     "validate_density",
+    "validate_blocks",
 ]
 
 
@@ -116,13 +118,6 @@ class Operator:
         d = self.space.total_dim
         object.__setattr__(self, "entries", _frozen_array(self.entries, (d, d)))
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.entries.conj().T)
-
-    def is_hermitian(self, tol: float = OP_TOL) -> bool:
-        scale = max(1.0, float(np.linalg.norm(self.entries)))
-        return float(np.linalg.norm(self.entries - self.entries.conj().T)) <= tol * scale
-
     def is_unitary(self, tol: float = OP_TOL) -> bool:
         d = self.space.total_dim
         gram = self.entries.conj().T @ self.entries
@@ -164,10 +159,6 @@ class PureState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "PureState") -> complex:
-        _check_same_space(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -185,10 +176,6 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    @staticmethod
-    def from_pure(psi: PureState) -> "DensityMatrix":
-        return psi.to_density()
 
 
 def _check_same_space(a, b):
@@ -208,33 +195,48 @@ def validate_density(
     trace_tol: float = TRACE_TOL,
     psd_tol: float = PSD_TOL,
 ) -> None:
-    """Raise InvariantError on non-finite entries, Hermiticity, trace or positivity failure.
+    """Raise InvariantError on non-finite entries, Hermiticity, trace or positivity failure."""
+    validate_blocks((rho.entries,), herm_tol, trace_tol, psd_tol)
 
-    Positivity means a smallest eigenvalue of at least -psd_tol, which
-    holds exactly when h + psd_tol*I is positive definite (h the
-    Hermitian part). A Cholesky factorization of that shifted matrix,
-    much cheaper than eigvalsh, accepts such states; only
+
+def validate_blocks(
+    blocks: Iterable[np.ndarray],
+    herm_tol: float = HERM_TOL,
+    trace_tol: float = TRACE_TOL,
+    psd_tol: float = PSD_TOL,
+) -> None:
+    """validate_density for a block-diagonal state given by its diagonal blocks.
+
+    Each item is one square block or a stack of equal-size blocks, shape
+    (..., d, d). Non-finite entries, Hermiticity and positivity are
+    tested block by block, the unit trace on the sum of all blocks, in
+    that order. Positivity means a smallest eigenvalue of at least
+    -psd_tol, which holds exactly when h + psd_tol*I is positive
+    definite (h the Hermitian part). A Cholesky factorization of that
+    shifted matrix, much cheaper than eigvalsh, accepts such blocks; only
     when it fails is the smallest eigenvalue computed, and the decision
     and message are the eigenvalue's. The two can differ only within
     rounding of the threshold, O(d*eps*||rho||).
     """
-    m = rho.entries
-    if not np.all(np.isfinite(m)):
-        raise InvariantError("density matrix has non-finite entries")
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > herm_tol:
-        raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {herm_tol}")
-    tr = np.trace(m)
+    blocks = [np.asarray(m) for m in blocks]
+    tr = 0.0
+    for m in blocks:
+        if not np.all(np.isfinite(m)):
+            raise InvariantError("density matrix has non-finite entries")
+        herm = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
+        if herm > herm_tol:
+            raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {herm_tol}")
+        tr = tr + np.trace(m, axis1=-2, axis2=-1).sum()
     if abs(tr - 1.0) > trace_tol:
         raise InvariantError(f"trace {tr!r} deviates from 1 beyond {trace_tol}")
-    shifted = (m + m.conj().T) / 2.0
-    shifted[np.diag_indices(len(m))] += psd_tol
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if lo < -psd_tol:
-            raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{psd_tol}") from None
+    for m in blocks:
+        h = (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+        try:
+            np.linalg.cholesky(h + psd_tol * np.eye(m.shape[-1]))
+        except np.linalg.LinAlgError:
+            lo = float(np.min(np.linalg.eigvalsh(h)[..., 0]))
+            if lo < -psd_tol:
+                raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{psd_tol}") from None
 
 
 def identity(space: HilbertSpace) -> Operator:
@@ -310,7 +312,10 @@ def embed(op: Operator, space: HilbertSpace) -> Operator:
 def fock_cutoff(alpha: complex) -> int:
     """Fock truncation that keeps the norm deficit of |alpha> below 1e-10."""
     a = abs(alpha)
-    return int(math.ceil(a * a + 8.0 * a + 10.0))
+    cutoff = a * a + 8.0 * a + 10.0
+    if not math.isfinite(cutoff):
+        raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}: no Fock cutoff")
+    return int(math.ceil(cutoff))
 
 
 def fock_state(n: int, n_max: int, label: str = "mode") -> PureState:
@@ -351,6 +356,29 @@ def mode_ops(n_max: int, label: str = "mode") -> tuple[Operator, Operator]:
     return Operator(space, lower), Operator(space, np.diag(np.arange(d, dtype=float)))
 
 
+def beamsplitter_sector(n_max: int, total: int) -> np.ndarray:
+    """Block of beamsplitter_5050(n_max) on the sector n_c + n_d = total.
+
+    Rows (arm basis) and columns (input basis) both run over the first
+    mode's photon number max(0, total - n_max) .. min(n_max, total); for
+    total <= n_max that is 0..total, and the block does not depend on
+    n_max.
+    """
+    ncs = range(max(0, total - n_max), min(n_max, total) + 1)
+    m = len(ncs)
+    gen = np.zeros((m, m))
+    for j, nc in enumerate(ncs):
+        nd = total - nc
+        if nc + 1 <= n_max and nd - 1 >= 0:
+            gen[j + 1, j] = math.sqrt((nc + 1) * nd)  # c^dag d amplitude
+    gen = gen - gen.T
+    theta = math.pi / 4.0
+    lam, vec = np.linalg.eigh(1j * gen)  # exp(theta*gen) = exp(-i*theta*(i*gen))
+    u = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
+    sign = np.array([(-1.0) ** (total - nc) for nc in ncs])  # pi phase on mode d
+    return sign[:, None] * u
+
+
 def beamsplitter_5050(n_max: int, labels: tuple[str, str] = ("arm_c", "arm_d")) -> Operator:
     """Balanced beamsplitter between two modes truncated at n_max.
 
@@ -360,25 +388,15 @@ def beamsplitter_5050(n_max: int, labels: tuple[str, str] = ("arm_c", "arm_d")) 
     the ideal splitter on every total-photon-number sector that fits
     entirely below the cutoff (total <= n_max), which covers all inputs
     respecting the fock_cutoff rule. Applying the dagger recombines.
+    The total photon number is conserved, so the matrix is assembled
+    from its beamsplitter_sector blocks.
     """
     d = n_max + 1
     space = hspace(**{labels[0]: d, labels[1]: d})
     w = np.zeros((d * d, d * d), dtype=complex)
-    theta = math.pi / 4.0
     for total in range(2 * n_max + 1):
-        ncs = range(max(0, total - n_max), min(n_max, total) + 1)
-        idx = [nc * d + (total - nc) for nc in ncs]
-        m = len(idx)
-        gen = np.zeros((m, m))
-        for j, nc in enumerate(ncs):
-            nd = total - nc
-            if nc + 1 <= n_max and nd - 1 >= 0:
-                gen[j + 1, j] = math.sqrt((nc + 1) * nd)  # c^dag d amplitude
-        gen = gen - gen.T
-        lam, vec = np.linalg.eigh(1j * gen)  # exp(theta*gen) = exp(-i*theta*(i*gen))
-        u = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
-        sign = np.array([(-1.0) ** (total - nc) for nc in ncs])  # pi phase on mode d
-        w[np.ix_(idx, idx)] = sign[:, None] * u
+        idx = [nc * d + (total - nc) for nc in range(max(0, total - n_max), min(n_max, total) + 1)]
+        w[np.ix_(idx, idx)] = beamsplitter_sector(n_max, total)
     return Operator(space, w)
 
 

