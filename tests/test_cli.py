@@ -2,11 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from edsim import cli
+from edsim import cli, commands
 from edsim.cli import ConfigError, parse_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def _run(argv, capsys):
     code = cli.main(argv)
@@ -201,9 +209,9 @@ class TestBadInput:
 
     def test_failed_serialization_leaves_no_files(self, tmp_path, monkeypatch, capsys):
         def nan_summary(params):
-            return cli.ExperimentOutput([{"x": 1.0}], {"x": math.nan}, {})
+            return commands.ExperimentOutput([{"x": 1.0}], {"x": math.nan}, {})
 
-        monkeypatch.setitem(cli._HANDLERS, "ghz", nan_summary)
+        monkeypatch.setitem(commands.HANDLERS, "ghz", nan_summary)
         code, _, err = _run(["ghz", "--out", str(tmp_path / "B")], capsys)
         assert code == 2
         assert len(err.splitlines()) == 1
@@ -235,6 +243,128 @@ class TestBadInput:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+
+    @pytest.mark.parametrize("error", [MemoryError, RuntimeError, FloatingPointError])
+    def test_any_exception_is_one_json_line(self, error, monkeypatch, capsys):
+        def failing(params):
+            raise error("handler failed")
+
+        monkeypatch.setitem(commands.HANDLERS, "ghz", failing)
+        code, out, err = _run(["ghz"], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {"type": error.__name__, "message": "handler failed"}
+
+    @pytest.mark.parametrize("compute", [
+        lambda: np.float64(1e308) * 10,
+        lambda: np.float64(1.0) / np.float64(0.0),
+        lambda: np.float64(np.inf) - np.float64(np.inf),
+    ], ids=["over", "divide", "invalid"])
+    def test_numpy_float_error_is_one_json_line(self, compute, monkeypatch, capsys):
+        def handler(params):
+            compute()
+            return commands.ExperimentOutput([], {}, {})
+
+        monkeypatch.setitem(commands.HANDLERS, "ghz", handler)
+        code, out, err = _run(["ghz"], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "FloatingPointError"
+
+    def test_numpy_underflow_is_ignored(self, monkeypatch, capsys):
+        def handler(params):
+            tiny = np.float64(1e-300) * np.float64(1e-300)
+            return commands.ExperimentOutput([], {"tiny": float(tiny)}, {})
+
+        monkeypatch.setitem(commands.HANDLERS, "ghz", handler)
+        code, out, err = _run(["ghz"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"tiny": 0.0}
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["ramsey", "--sigma", "1", "--help"]])
+    def test_help_prints_usage(self, argv, capsys):
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: edsim <command>")
+        for command, schema in commands.SCHEMAS.items():
+            assert f"\n{command}:\n" in out
+            for key, spec in schema.items():
+                assert f"--{key.replace('_', '-')} " in out
+                assert spec.help in out
+
+    @pytest.mark.parametrize("argv", [[], ["--out", "B", "ramsey"]], ids=["empty", "flag_first"])
+    def test_command_must_come_first(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError"
+        assert "command" in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trailing_flag_needs_value(self, capsys):
+        code, out, err = _run(["ramsey", "--out"], capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError"
+        assert "needs a value" in error["message"]
+
+    def test_equals_form_matches_spaced_form(self, tmp_path, capsys):
+        spaced = _run(["ghz", "--sigma", "1e-34", "--out", str(tmp_path / "s")], capsys)
+        joined = _run(["ghz", "--sigma=1e-34", f"--out={tmp_path / 'j'}"], capsys)
+        assert spaced == joined
+        assert spaced[0] == 0
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"s{suffix}").read_bytes()
+                    == (tmp_path / f"j{suffix}").read_bytes())
+
+    def test_config_with_sweep(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("wait = 0.5\nn_atoms = 4\n")
+        code, out, err = _run(
+            ["ghz", "--config", str(cfgfile), "--sweep", "sigma", "--sweep-values=0,1e-34"], capsys
+        )
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        assert summary["parameters"]["wait"] == 0.5
+        assert summary["parameters"]["n_atoms"] == 4
+        assert [r["sigma"] for r in summary["rows"]] == [0.0, 1e-34]
+
+    def test_rerun_rewrites_longer_files_in_place(self, tmp_path, capsys):
+        values = ",".join(f"{k}e-36" for k in range(12))
+        argv = ["ghz", "--sweep", "sigma", "--sweep-values", values, "--out", str(tmp_path / "B")]
+        assert _run(argv, capsys)[0] == 0
+        assert _run(["ghz", "--out", str(tmp_path / "B")], capsys)[0] == 0
+        assert _run(["ghz", "--out", str(tmp_path / "fresh")], capsys)[0] == 0
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"B{suffix}").read_bytes()
+                    == (tmp_path / f"fresh{suffix}").read_bytes())
+
+    def test_full_selftest_through_main(self, capsys):
+        code, out, err = _run(["selftest"], capsys)
+        assert (code, err) == (0, "")
+        assert sum(line.startswith("PASS") for line in out.splitlines()) == 13
+
+    def test_python_dash_m_process(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for argv, first_out in ((["ghz", "--sigma", "1e-34"], "{"), (["--help"], "usage: ")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "edsim", *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.startswith(first_out)
 
 
 class TestSweep:
@@ -273,7 +403,7 @@ class TestSweep:
 
 class TestSpeciesTable:
     def test_strontium_entry(self):
-        entry = cli.SPECIES["Sr"]
+        entry = commands.SPECIES["Sr"]
         assert entry.params.gamma_sp == 1e-3
         assert entry.params.delta_e == 1.0
         assert entry.params.kappa == 1e-17
