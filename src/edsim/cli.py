@@ -6,38 +6,74 @@ The command comes first: ramsey, michelson, ghz, design, bounds or
 selftest. Every later token is a `--key value` or `--key=value` flag; a
 boolean key given without a value means true. Parameters come from an
 optional flat `key = value` config file (--config PATH) plus the flags
-(flags win); every key must be recognized for the chosen command, whose
-keys, units and handler live in `edsim.commands`. The front-end keys are
---config, --out, --format, --sweep and --sweep-values. `-h` or `--help`
-anywhere prints the usage, built from SCHEMAS, and exits 0. Numeric
-values accept scientific notation and never carry unit suffixes.
+(flags win); every key must be recognized for the chosen command. The
+front-end keys are --config, --out, --format, --sweep and --sweep-values.
+`-h` or `--help` anywhere prints the usage, built from SCHEMAS, and exits
+0. Units are fixed per key and listed in the schema help strings:
+seconds, rad/s, eV, kg, m, m^3/s, m^6/s. Numeric values accept
+scientific notation and never carry unit suffixes.
 
 When --out BASE is given, BASE.csv (per-point rows) and BASE.json
-(summary) are always written, plus BASE.meta.json with run metadata;
-files already there are rewritten in place. The data files are
-deterministic: no timestamps, floats with 17 significant digits in CSV,
-canonical sorted JSON, and infinities serialized as the string
-"unbounded". Any failure exits 2 with one JSON error line on stderr;
-numpy overflow, division by zero and invalid operations count as
-failures.
+(summary) are always written, plus BASE.meta.json with run metadata.
+The data files are deterministic: no timestamps, floats with 17
+significant digits in CSV, canonical sorted JSON, and infinities
+serialized as the string "unbounded". Any failure exits 2 with one JSON
+error line on stderr; numpy overflow, division by zero and invalid
+operations count as failures.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .commands import HANDLERS, SCHEMAS, ConfigError, ExperimentOutput, ParamSpec
+from .constants import OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
+from .interferometry import (
+    CoherentField,
+    DecoherencePartition,
+    FockField,
+    GhzConfig,
+    MichelsonConfig,
+    RamseyConfig,
+    default_phases,
+    run_ghz,
+    run_michelson,
+    run_ramsey_quantized,
+    run_ramsey_semiclassical,
+)
+from .sensitivity import (
+    DesignResult,
+    SpeciesParams,
+    cosmic_bound,
+    default_design_grids,
+    distance_reach,
+    ghz_design,
+    ghz_design_grid,
+    matterwave_bound,
+    single_atom_reach,
+    validate_species,
+)
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "run", "sweep", "main"]
+__all__ = ["ConfigError", "RunConfig", "SpeciesEntry", "SPECIES", "parse_config", "run", "sweep", "main"]
+
+
+class ConfigError(ValueError):
+    """Configuration problem: unknown key, malformed value or missing input."""
+
+
+@dataclass(frozen=True)
+class ParamSpec:
+    ptype: str                      # float | int | str | bool
+    default: object = None          # None means "absent unless provided"
+    choices: tuple[str, ...] = ()
+    help: str = ""
 
 
 @dataclass(frozen=True)
@@ -46,6 +82,103 @@ class RunConfig:
     parameters: dict
     output_path: str | None
     output_format: str
+
+
+@dataclass(frozen=True)
+class SpeciesEntry:
+    name: str
+    params: SpeciesParams
+    provenance: str
+
+
+SPECIES: dict[str, SpeciesEntry] = {
+    "Sr": SpeciesEntry(
+        name="Sr",
+        params=SpeciesParams(
+            gamma_sp=1e-3, delta_e=1.0, mass=1.4597e-25, kappa=1e-17, k3=1e-41
+        ),
+        provenance=(
+            "order-of-magnitude working values for the strontium clock transition; "
+            "supply measured numbers via explicit keys for quantitative work"
+        ),
+    ),
+}
+
+_PARTITIONS = ("global", "local", "atom", "field", "none")
+
+SCHEMAS: dict[str, dict[str, ParamSpec]] = {
+    "ramsey": {
+        "mode": ParamSpec("str", "semiclassical", ("semiclassical", "quantized")),
+        "field": ParamSpec("str", "fock", ("fock", "coherent")),
+        "n": ParamSpec("int", 12, help="Fock photon number"),
+        "alpha": ParamSpec("float", 5.0, help="coherent amplitude"),
+        "n_max": ParamSpec("int", help="field cutoff level; omit for automatic"),
+        "coupling": ParamSpec("float", 1.0, help="atom-field coupling, rad/s"),
+        "pulse_area": ParamSpec("float", math.pi / 2.0, help="rotation angle per pulse, rad"),
+        "detuning": ParamSpec("float", 0.0, help="atomic minus field frequency, rad/s"),
+        "omega0": ParamSpec("float", OMEGA_PER_EV, help="atomic gap, rad/s"),
+        "wait": ParamSpec("float", 1.0, help="free-evolution time, s"),
+        "sigma": ParamSpec("float", 0.0, help="dephasing strength, s"),
+        "partition": ParamSpec("str", "global", _PARTITIONS),
+        "gamma_sp": ParamSpec("float", 0.0, help="spontaneous rate, 1/s"),
+        "phase_points": ParamSpec("int", 32, help="fringe scan resolution"),
+    },
+    "michelson": {
+        "alpha": ParamSpec("float", 2.0, help="input coherent amplitude"),
+        "n_max": ParamSpec("int", help="per-mode cutoff level; omit for automatic"),
+        "arm_time": ParamSpec("float", 1.0, help="per-arm propagation time, s"),
+        "omega": ParamSpec("float", OMEGA_PER_EV, help="mode frequency, rad/s"),
+        "sigma": ParamSpec("float", 0.0, help="dephasing strength, s"),
+        "partition": ParamSpec("str", "global", ("global", "local", "none")),
+    },
+    "ghz": {
+        "n_atoms": ParamSpec("int", 10),
+        "omega0": ParamSpec("float", OMEGA_PER_EV, help="single-atom gap, rad/s"),
+        "sigma": ParamSpec("float", 0.0, help="dephasing strength, s"),
+        "gamma_sp": ParamSpec("float", 0.0, help="per-atom loss rate, 1/s"),
+        "three_body_rate": ParamSpec("float", 0.0, help="k3*N^3/V^2 event rate, 1/s"),
+        "wait": ParamSpec("float", 1.0, help="holding time, s"),
+    },
+    "design": {
+        "species": ParamSpec("str", help="built-in species name (Sr)"),
+        "gamma_sp": ParamSpec("float", help="spontaneous rate, 1/s"),
+        "kappa": ParamSpec("float", help="collisional coefficient, m^3/s"),
+        "k3": ParamSpec("float", help="three-body coefficient, m^6/s"),
+        "delta_e": ParamSpec("float", 1.0, help="level splitting, eV"),
+        "mass": ParamSpec("float", 0.0, help="atomic mass, kg (optional)"),
+        "grid_decades": ParamSpec("float", 6.0, help="grid span for the oracle"),
+        "grid_points_per_decade": ParamSpec("int", 50),
+    },
+    "bounds": {
+        "single_atom": ParamSpec("bool", False, help="compute the single-atom reach"),
+        "matterwave": ParamSpec("bool", False, help="compute the matter-wave bound"),
+        "distance": ParamSpec("bool", False, help="compute the distance reach"),
+        "cosmic": ParamSpec("bool", False, help="compute the cosmic-age bound"),
+        "sigma": ParamSpec("float", PLANCK_TIME, help="dephasing strength, s"),
+        "age_years": ParamSpec("float", 1e10, help="age for the cosmic bound, yr"),
+        "mass": ParamSpec("float", 3.8175409e-26, help="particle mass, kg (Na default)"),
+        "velocity": ParamSpec("float", 3000.0, help="beam velocity, m/s"),
+        "path_separation": ParamSpec("float", 20e-6, help="probed locality scale, m"),
+        "flight_path": ParamSpec("float", 1.0, help="flight distance through the instrument, m"),
+        "gamma_detectable": ParamSpec("float", 1e-3, help="resolvable rate, 1/s"),
+        "delta_e": ParamSpec("float", 1.0, help="level splitting, eV"),
+        "gamma": ParamSpec("float", help="dephasing rate for the distance reach, 1/s"),
+        "gamma_sp": ParamSpec("float", 1e-3, help="spontaneous rate, 1/s"),
+        "coherence_time": ParamSpec("float", 1.0, help="reference-laser coherence time, s"),
+    },
+    "selftest": {
+        "criteria": ParamSpec("str", help="comma-separated criterion ids; omit for all"),
+    },
+}
+
+
+@dataclass(frozen=True)
+class ExperimentOutput:
+    points: list
+    summary: dict
+    headline: dict
+    lines: tuple[str, ...] = ()
+    failed: bool = False
 
 
 def _parse_value(key: str, spec: ParamSpec, raw: str):
@@ -151,6 +284,239 @@ def _json_text(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _partition(sigma: float, name: str, labels: tuple[str, str]) -> DecoherencePartition:
+    if name == "none":
+        return DecoherencePartition(sigma, ())
+    if name == "global":
+        return DecoherencePartition.global_over(sigma, *labels)
+    if name == "local":
+        return DecoherencePartition.local_over(sigma, *labels)
+    return DecoherencePartition(sigma, (frozenset({name}),))
+
+
+def _handle_ramsey(params: dict) -> ExperimentOutput:
+    if params["field"] == "fock":
+        field_state = FockField(params["n"])
+    else:
+        field_state = CoherentField(params["alpha"])
+    mode = params["mode"]
+    if mode == "semiclassical":
+        # the classical field is not part of the quantum state, so the
+        # atom is the whole system and any partition collapses onto it
+        name = "none" if params["partition"] == "none" else "atom"
+        partition = _partition(params["sigma"], name, ("atom", "field"))
+    else:
+        partition = _partition(params["sigma"], params["partition"], ("atom", "field"))
+    cfg = RamseyConfig(
+        omega0=params["omega0"],
+        wait=params["wait"],
+        decoherence=partition,
+        field=field_state,
+        n_max=params.get("n_max"),
+        coupling=params["coupling"],
+        pulse_area=params["pulse_area"],
+        detuning=params["detuning"],
+        phases=default_phases(params["phase_points"]),
+        spontaneous_rate=params["gamma_sp"],
+    )
+    runner = run_ramsey_semiclassical if mode == "semiclassical" else run_ramsey_quantized
+    result = runner(cfg)
+    points = [{"phi": phi, "p_g": p} for phi, p in result.points]
+    headline = {"visibility": result.visibility}
+    summary = {"command": "ramsey", "parameters": dict(sorted(params.items())), **headline}
+    return ExperimentOutput(points, summary, headline)
+
+
+def _handle_michelson(params: dict) -> ExperimentOutput:
+    cfg = MichelsonConfig(
+        alpha=params["alpha"],
+        arm_time=params["arm_time"],
+        mode_frequency=params["omega"],
+        decoherence=_partition(params["sigma"], params["partition"], ("arm_c", "arm_d")),
+        n_max=params.get("n_max"),
+    )
+    result = run_michelson(cfg)
+    headline = {
+        "mean_photons_out_a": result.mean_photons_out_a,
+        "mean_photons_out_b": result.mean_photons_out_b,
+    }
+    points = [
+        {"output_mode": "a", "mean_photons": result.mean_photons_out_a},
+        {"output_mode": "b", "mean_photons": result.mean_photons_out_b},
+    ]
+    summary = {"command": "michelson", "parameters": dict(sorted(params.items())), **headline}
+    return ExperimentOutput(points, summary, headline)
+
+
+def _handle_ghz(params: dict) -> ExperimentOutput:
+    cfg = GhzConfig(
+        n_atoms=params["n_atoms"],
+        omega0=params["omega0"],
+        sigma=params["sigma"],
+        wait=params["wait"],
+        gamma_sp=params["gamma_sp"],
+        three_body_rate=params["three_body_rate"],
+    )
+    result = run_ghz(cfg)
+    headline = {
+        "coherence": result.coherence,
+        "survival": result.survival,
+        "effective_rate": result.effective_rate,
+    }
+    points = [{"wait": cfg.wait, **headline}]
+    summary = {"command": "ghz", "parameters": dict(sorted(params.items())), **headline}
+    return ExperimentOutput(points, summary, headline)
+
+
+def _design_dict(r: DesignResult) -> dict:
+    return {
+        "n_opt": r.n_opt,
+        "v_opt": r.v_opt,
+        "gamma_min": r.gamma_min,
+        "sigma_min": r.sigma_min,
+        "l_max": r.l_max,
+        "creation_time": r.creation_time,
+        "creation_margin": r.creation_margin,
+        "creation_constraint_ok": r.creation_constraint_ok,
+        "rates": {
+            "gravitational": r.rates.gravitational,
+            "spontaneous": r.rates.spontaneous,
+            "three_body": r.rates.three_body,
+        },
+    }
+
+
+def _species_from_params(params: dict) -> SpeciesParams:
+    name = params.get("species")
+    if name:
+        matches = [e for key, e in SPECIES.items() if key.lower() == name.lower()]
+        if not matches:
+            raise ConfigError(f"unknown species {name!r}; built-in: {sorted(SPECIES)}")
+        return matches[0].params
+    missing = [k for k in ("gamma_sp", "kappa", "k3") if params.get(k) is None]
+    if missing:
+        raise ConfigError(f"missing required key(s) for design: {', '.join(missing)}")
+    p = SpeciesParams(
+        gamma_sp=params["gamma_sp"],
+        delta_e=params["delta_e"],
+        mass=params["mass"],
+        kappa=params["kappa"],
+        k3=params["k3"],
+    )
+    validate_species(p)
+    return p
+
+
+def _handle_design(params: dict) -> ExperimentOutput:
+    species = _species_from_params(params)
+    closed = ghz_design(species)
+    n_grid, v_grid = default_design_grids(
+        species, decades=params["grid_decades"], points_per_decade=params["grid_points_per_decade"]
+    )
+    grid = ghz_design_grid(species, n_grid, v_grid)
+    rel = {
+        "gamma_min": abs(closed.gamma_min / grid.gamma_min - 1.0),
+        "n_opt": abs(closed.n_opt / grid.n_opt - 1.0),
+        "v_opt": abs(closed.v_opt / grid.v_opt - 1.0),
+    }
+    headline = {"gamma_min_closed": closed.gamma_min, "gamma_min_grid": grid.gamma_min}
+    points = [
+        {"method": "closed_form", **{k: v for k, v in _design_dict(closed).items() if k != "rates"}},
+        {"method": "grid", **{k: v for k, v in _design_dict(grid).items() if k != "rates"}},
+    ]
+    summary = {
+        "command": "design",
+        "parameters": dict(sorted(params.items())),
+        "closed_form": _design_dict(closed),
+        "grid": _design_dict(grid),
+        "relative_difference": rel,
+    }
+    return ExperimentOutput(points, summary, headline)
+
+
+def _handle_bounds(params: dict) -> ExperimentOutput:
+    selected = [k for k in ("single_atom", "matterwave", "distance", "cosmic") if params.get(k)]
+    if not selected:
+        raise ConfigError(
+            "no bound selected; pass at least one of --single-atom --matterwave --distance --cosmic"
+        )
+    summary: dict = {"command": "bounds", "parameters": dict(sorted(params.items()))}
+    points = []
+    headline: dict = {}
+
+    def emit(bound: str, values: dict) -> None:
+        summary[bound] = values
+        for quantity, value in values.items():
+            points.append({"bound": bound, "quantity": quantity, "value": value})
+            headline[f"{bound}_{quantity}"] = value
+
+    if "single_atom" in selected:
+        sigma = single_atom_reach(params["gamma_detectable"], params["delta_e"])
+        emit("single_atom", {"sigma_reach": sigma})
+    if "matterwave" in selected:
+        mw = matterwave_bound(
+            params["mass"], params["velocity"], params["path_separation"],
+            params["sigma"], params["flight_path"],
+        )
+        emit("matterwave", {
+            "rate": mw.rate,
+            "decoherence_length": mw.decoherence_length,
+            "excluded": mw.excluded,
+        })
+    if "distance" in selected:
+        if params.get("gamma") is None:
+            raise ConfigError("missing required key for --distance: gamma")
+        reach = distance_reach(params["gamma"], params["gamma_sp"], params["coherence_time"])
+        emit("distance", {
+            "l_decoherence": reach.l_decoherence,
+            "l_laser": reach.l_laser,
+            "l_max": reach.l_max,
+        })
+    if "cosmic" in selected:
+        de = cosmic_bound(params["sigma"], params["age_years"] * YEAR_SECONDS)
+        emit("cosmic", {"delta_e_ev": de})
+    return ExperimentOutput(points, summary, headline)
+
+
+def _handle_selftest(params: dict) -> ExperimentOutput:
+    from . import selftest
+
+    ids = None
+    if params.get("criteria"):
+        try:
+            ids = {int(part) for part in params["criteria"].split(",") if part.strip()}
+        except ValueError:
+            raise ConfigError(f"malformed criteria list: {params['criteria']!r}") from None
+    results = selftest.run_all(ids)
+    lines = tuple(
+        f"{'PASS' if r.passed else 'FAIL'} {r.cid:>2}  {r.description}  "
+        f"[{r.details}] ({r.elapsed:.2f}s)"
+        for r in results
+    )
+    points = [
+        {"criterion": r.cid, "description": r.description, "passed": r.passed, "details": r.details}
+        for r in results
+    ]
+    all_passed = all(r.passed for r in results) and bool(results)
+    summary = {
+        "command": "selftest",
+        "results": points,
+        "all_passed": all_passed,
+    }
+    headline = {"all_passed": all_passed}
+    return ExperimentOutput(points, summary, headline, lines=lines, failed=not all_passed)
+
+
+_HANDLERS: dict[str, Callable[[dict], ExperimentOutput]] = {
+    "ramsey": _handle_ramsey,
+    "michelson": _handle_michelson,
+    "ghz": _handle_ghz,
+    "design": _handle_design,
+    "bounds": _handle_bounds,
+    "selftest": _handle_selftest,
+}
+
+
 def _emit(cfg: RunConfig, output: ExperimentOutput, meta: dict) -> None:
     # serialize everything first and remove this call's files if a write
     # fails, so a failure leaves no partial BASE.* files
@@ -168,12 +534,9 @@ def _emit(cfg: RunConfig, output: ExperimentOutput, meta: dict) -> None:
         try:
             for suffix, text in texts.items():
                 path = Path(str(base) + suffix)
-                # no O_TRUNC: freeing the old blocks costs more than the write
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-                written.append(path)
-                with open(fd, "wb") as fh:
-                    fh.write(text.encode("utf-8"))
-                    fh.truncate()
+                with path.open("w", encoding="utf-8") as fh:
+                    written.append(path)
+                    fh.write(text)
         except OSError:
             for path in written:
                 path.unlink(missing_ok=True)
@@ -184,7 +547,7 @@ def _emit(cfg: RunConfig, output: ExperimentOutput, meta: dict) -> None:
 def run(cfg: RunConfig) -> int:
     """Execute one command and emit its outputs. Returns the exit status."""
     start = time.perf_counter()
-    output = HANDLERS[cfg.command](cfg.parameters)
+    output = _HANDLERS[cfg.command](cfg.parameters)
     meta = {
         "command": cfg.command,
         "elapsed_seconds": time.perf_counter() - start,
@@ -213,7 +576,7 @@ def sweep(cfg: RunConfig, sweep_key: str, raw_values: Sequence[str]) -> int:
         value = _parse_value(key, spec, raw)
         params = dict(cfg.parameters)
         params[key] = value
-        output = HANDLERS[cfg.command](params)
+        output = _HANDLERS[cfg.command](params)
         rows.append({key: value, **output.headline})
     summary = {
         "command": cfg.command,

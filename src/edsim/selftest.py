@@ -20,7 +20,7 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
-from . import cli, commands
+from . import cli
 from .constants import OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
 from .core import DensityMatrix, Operator, embed, hspace, validate_density
 from .engine import EvolutionSpec, evolve_analytic, evolve_stepped
@@ -212,7 +212,7 @@ def criterion_06() -> _Checks:
 def criterion_07() -> _Checks:
     """Strontium working point reproduces the design numbers."""
     c = _Checks()
-    sr = commands.SPECIES["Sr"].params
+    sr = cli.SPECIES["Sr"].params
     closed = ghz_design(sr)
     grid = ghz_design_grid(sr)
     c.add("gamma_min_closed", abs(closed.gamma_min / 1e-8 - 1.0) <= 1e-12)
@@ -235,7 +235,7 @@ def criterion_08() -> _Checks:
         p = SpeciesParams(
             gamma_sp=10.0 ** rng.uniform(-6.0, 0.0),
             delta_e=1.0,
-            mass=commands.SPECIES["Sr"].params.mass,
+            mass=cli.SPECIES["Sr"].params.mass,
             kappa=10.0 ** rng.uniform(-20.0, -14.0),
             k3=10.0 ** rng.uniform(-44.0, -38.0),
         )

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edsim import cli, commands
+from edsim import cli
 from edsim.cli import ConfigError, parse_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -209,9 +209,9 @@ class TestBadInput:
 
     def test_failed_serialization_leaves_no_files(self, tmp_path, monkeypatch, capsys):
         def nan_summary(params):
-            return commands.ExperimentOutput([{"x": 1.0}], {"x": math.nan}, {})
+            return cli.ExperimentOutput([{"x": 1.0}], {"x": math.nan}, {})
 
-        monkeypatch.setitem(commands.HANDLERS, "ghz", nan_summary)
+        monkeypatch.setitem(cli._HANDLERS, "ghz", nan_summary)
         code, _, err = _run(["ghz", "--out", str(tmp_path / "B")], capsys)
         assert code == 2
         assert len(err.splitlines()) == 1
@@ -244,13 +244,12 @@ class TestBadInput:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
 
-
     @pytest.mark.parametrize("error", [MemoryError, RuntimeError, FloatingPointError])
     def test_any_exception_is_one_json_line(self, error, monkeypatch, capsys):
         def failing(params):
             raise error("handler failed")
 
-        monkeypatch.setitem(commands.HANDLERS, "ghz", failing)
+        monkeypatch.setitem(cli._HANDLERS, "ghz", failing)
         code, out, err = _run(["ghz"], capsys)
         assert code == 2
         assert out == ""
@@ -266,9 +265,9 @@ class TestBadInput:
     def test_numpy_float_error_is_one_json_line(self, compute, monkeypatch, capsys):
         def handler(params):
             compute()
-            return commands.ExperimentOutput([], {}, {})
+            return cli.ExperimentOutput([], {}, {})
 
-        monkeypatch.setitem(commands.HANDLERS, "ghz", handler)
+        monkeypatch.setitem(cli._HANDLERS, "ghz", handler)
         code, out, err = _run(["ghz"], capsys)
         assert code == 2
         assert out == ""
@@ -279,9 +278,9 @@ class TestBadInput:
     def test_numpy_underflow_is_ignored(self, monkeypatch, capsys):
         def handler(params):
             tiny = np.float64(1e-300) * np.float64(1e-300)
-            return commands.ExperimentOutput([], {"tiny": float(tiny)}, {})
+            return cli.ExperimentOutput([], {"tiny": float(tiny)}, {})
 
-        monkeypatch.setitem(commands.HANDLERS, "ghz", handler)
+        monkeypatch.setitem(cli._HANDLERS, "ghz", handler)
         code, out, err = _run(["ghz"], capsys)
         assert (code, err) == (0, "")
         assert json.loads(out) == {"tiny": 0.0}
@@ -293,7 +292,7 @@ class TestFrontEnd:
         code, out, err = _run(argv, capsys)
         assert (code, err) == (0, "")
         assert out.startswith("usage: edsim <command>")
-        for command, schema in commands.SCHEMAS.items():
+        for command, schema in cli.SCHEMAS.items():
             assert f"\n{command}:\n" in out
             for key, spec in schema.items():
                 assert f"--{key.replace('_', '-')} " in out
@@ -341,7 +340,7 @@ class TestFrontEnd:
         assert summary["parameters"]["n_atoms"] == 4
         assert [r["sigma"] for r in summary["rows"]] == [0.0, 1e-34]
 
-    def test_rerun_rewrites_longer_files_in_place(self, tmp_path, capsys):
+    def test_rerun_over_longer_output_leaves_no_stale_tail(self, tmp_path, capsys):
         values = ",".join(f"{k}e-36" for k in range(12))
         argv = ["ghz", "--sweep", "sigma", "--sweep-values", values, "--out", str(tmp_path / "B")]
         assert _run(argv, capsys)[0] == 0
@@ -403,7 +402,7 @@ class TestSweep:
 
 class TestSpeciesTable:
     def test_strontium_entry(self):
-        entry = commands.SPECIES["Sr"]
+        entry = cli.SPECIES["Sr"]
         assert entry.params.gamma_sp == 1e-3
         assert entry.params.delta_e == 1.0
         assert entry.params.kappa == 1e-17

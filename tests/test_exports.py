@@ -12,7 +12,7 @@ import pytest
 import edsim
 from edsim import constants
 
-MODULES = ["core", "engine", "interferometry", "sensitivity", "commands", "cli", "selftest"]
+MODULES = ["core", "engine", "interferometry", "sensitivity", "cli", "selftest"]
 
 
 @pytest.mark.parametrize("name", MODULES)
