@@ -19,27 +19,19 @@ from .core import (
     HilbertSpace,
     InvariantError,
     Operator,
-    PureState,
     beamsplitter_5050,
     beamsplitter_sector,
-    coherence_weight,
     coherent_state,
     embed,
     fock_cutoff,
-    fock_state,
     hspace,
-    identity,
     mode_ops,
-    partial_trace,
-    tensor,
     validate_blocks,
     validate_density,
-    validate_state,
 )
 from .engine import (
     EvolutionSpec,
     LossChannel,
-    decoherence_rate,
     evolve_analytic,
     evolve_stepped,
     generator,

@@ -145,7 +145,6 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "kappa": ParamSpec("float", help="collisional coefficient, m^3/s"),
         "k3": ParamSpec("float", help="three-body coefficient, m^6/s"),
         "delta_e": ParamSpec("float", 1.0, help="level splitting, eV"),
-        "mass": ParamSpec("float", 0.0, help="atomic mass, kg (optional)"),
         "grid_decades": ParamSpec("float", 6.0, help="grid span for the oracle"),
         "grid_points_per_decade": ParamSpec("int", 50),
     },
@@ -392,14 +391,18 @@ def _species_from_params(params: dict) -> SpeciesParams:
         matches = [e for key, e in SPECIES.items() if key.lower() == name.lower()]
         if not matches:
             raise ConfigError(f"unknown species {name!r}; built-in: {sorted(SPECIES)}")
-        return matches[0].params
+        species = matches[0].params
+        for key in ("gamma_sp", "kappa", "k3", "delta_e"):
+            if params.get(key, getattr(species, key)) != getattr(species, key):
+                raise ConfigError(f"key {key!r} conflicts with species {name!r}; give one or the other")
+        return species
     missing = [k for k in ("gamma_sp", "kappa", "k3") if params.get(k) is None]
     if missing:
         raise ConfigError(f"missing required key(s) for design: {', '.join(missing)}")
     p = SpeciesParams(
         gamma_sp=params["gamma_sp"],
         delta_e=params["delta_e"],
-        mass=params["mass"],
+        mass=0.0,
         kappa=params["kappa"],
         k3=params["k3"],
     )
@@ -482,11 +485,16 @@ def _handle_selftest(params: dict) -> ExperimentOutput:
     from . import selftest
 
     ids = None
-    if params.get("criteria"):
+    if params.get("criteria") is not None:
         try:
             ids = {int(part) for part in params["criteria"].split(",") if part.strip()}
         except ValueError:
             raise ConfigError(f"malformed criteria list: {params['criteria']!r}") from None
+        known = sorted(cid for cid, _, _ in selftest.CRITERIA)
+        if not ids:
+            raise ConfigError(f"empty criteria list {params['criteria']!r}; known ids: {known}")
+        if not ids <= set(known):
+            raise ConfigError(f"unknown criteria ids {sorted(ids - set(known))}; known ids: {known}")
     results = selftest.run_all(ids)
     lines = tuple(
         f"{'PASS' if r.passed else 'FAIL'} {r.cid:>2}  {r.description}  "
@@ -497,7 +505,7 @@ def _handle_selftest(params: dict) -> ExperimentOutput:
         {"criterion": r.cid, "description": r.description, "passed": r.passed, "details": r.details}
         for r in results
     ]
-    all_passed = all(r.passed for r in results) and bool(results)
+    all_passed = all(r.passed for r in results)
     summary = {
         "command": "selftest",
         "results": points,

@@ -19,7 +19,6 @@ OMEGA_PER_EV = EV / HBAR    # rad/s per eV
 HERM_TOL = 1e-12     # density-matrix Hermiticity
 TRACE_TOL = 1e-10    # unit trace
 PSD_TOL = 1e-9       # allowed negative eigenvalue excursion
-OP_TOL = 1e-10       # hermitian/unitary predicates, relative Frobenius
 
 # relative spectral gap below which eigenvalues are treated as degenerate
 # (and snapped to a common value) when building a joint eigenbasis
@@ -27,3 +26,9 @@ EIG_CLUSTER_RTOL = 1e-9
 
 # pairwise commutator norm bound for the closed-form propagator
 COMMUTE_TOL = 1e-9
+
+# largest problems the experiment configs accept, refused before any
+# allocation; times are single runs on one core of a 2-vCPU x86 VM
+RAMSEY_MAX_CUTOFF = 1_000_000   # quantized Ramsey field levels: ~1.5 s, ~0.4 GB
+MICHELSON_MAX_CUTOFF = 350      # levels per arm, O(n_max^4) time: ~7 s, ~0.3 GB
+MAX_PHASE_POINTS = 1_000_000    # fringe scan points with file output: ~7 s, ~0.5 GB

@@ -1,43 +1,36 @@
 """Dense linear algebra for small composite quantum systems.
 
-States, operators, labeled tensor-product spaces, partial traces and
-the standard bosonic-mode constructors
-(Fock states, coherent states, ladder operators, a balanced two-mode
-beamsplitter). Everything is immutable after construction; invariant
-checks are explicit ``validate_*`` calls so that intermediate states of
-an integrator may transiently violate positivity without aborting.
+Labeled tensor-product spaces, operators and density matrices on them,
+the embedding of a factor's operator into a larger space, and the
+standard bosonic-mode constructors (coherent-state amplitudes, ladder
+operators, a balanced two-mode beamsplitter and its number-conserving
+blocks). Everything is immutable after construction; invariant checks
+are explicit ``validate_*`` calls so that intermediate states of an
+integrator may transiently violate positivity without aborting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .constants import HERM_TOL, OP_TOL, PSD_TOL, TRACE_TOL
+from .constants import HERM_TOL, PSD_TOL, TRACE_TOL
 
 __all__ = [
     "InvariantError",
     "HilbertSpace",
     "hspace",
     "Operator",
-    "PureState",
     "DensityMatrix",
-    "identity",
-    "basis_state",
-    "tensor",
-    "partial_trace",
     "embed",
     "fock_cutoff",
-    "fock_state",
     "coherent_state",
     "mode_ops",
     "beamsplitter_sector",
     "beamsplitter_5050",
-    "coherence_weight",
-    "validate_state",
     "validate_density",
     "validate_blocks",
 ]
@@ -74,25 +67,6 @@ class HilbertSpace:
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown factor label {label!r}") from None
-
-    def dim_of(self, label: str) -> int:
-        return self.dims[self.axis(label)]
-
-    def subspace(self, keep: Iterable[str]) -> "HilbertSpace":
-        """Sub-space of the kept factors, in the original factor order."""
-        kept = set(keep)
-        unknown = kept - set(self.labels)
-        if unknown:
-            raise KeyError(f"unknown factor labels {sorted(unknown)}")
-        if not kept:
-            raise ValueError("keep-set must be non-empty")
-        return HilbertSpace(tuple(f for f in self.factors if f[0] in kept))
-
 
 def hspace(**factors: int) -> HilbertSpace:
     """Build a HilbertSpace from keyword factors, e.g. hspace(atom=2, field=31)."""
@@ -118,49 +92,15 @@ class Operator:
         d = self.space.total_dim
         object.__setattr__(self, "entries", _frozen_array(self.entries, (d, d)))
 
-    def is_unitary(self, tol: float = OP_TOL) -> bool:
-        d = self.space.total_dim
-        gram = self.entries.conj().T @ self.entries
-        return float(np.linalg.norm(gram - np.eye(d))) <= tol * math.sqrt(d)
-
     def __add__(self, other: "Operator") -> "Operator":
-        _check_same_space(self, other)
+        if other.space != self.space:
+            raise ValueError("operands live on different spaces")
         return Operator(self.space, self.entries + other.entries)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _check_same_space(self, other)
-        return Operator(self.space, self.entries - other.entries)
 
     def __mul__(self, scalar) -> "Operator":
         return Operator(self.space, self.entries * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_same_space(self, other)
-        return Operator(self.space, self.entries @ other.entries)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """A normalized state vector on a HilbertSpace."""
-
-    space: HilbertSpace
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        d = self.space.total_dim
-        arr = np.array(self.amplitudes, dtype=complex)
-        if arr.shape != (d,):
-            raise ValueError(f"expected amplitude vector of length {d}, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -173,20 +113,6 @@ class DensityMatrix:
     def __post_init__(self):
         d = self.space.total_dim
         object.__setattr__(self, "entries", _frozen_array(self.entries, (d, d)))
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-
-def _check_same_space(a, b):
-    if a.space != b.space:
-        raise ValueError("operands live on different spaces")
-
-
-def validate_state(psi: PureState, tol: float = 1e-12) -> None:
-    """Raise InvariantError unless the vector is normalized within tol."""
-    if abs(psi.norm() - 1.0) > tol:
-        raise InvariantError(f"state norm {psi.norm()!r} deviates from 1 beyond {tol}")
 
 
 def validate_density(
@@ -239,62 +165,14 @@ def validate_blocks(
                 raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{psd_tol}") from None
 
 
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.total_dim))
-
-
-def basis_state(space: HilbertSpace, index: int) -> PureState:
-    v = np.zeros(space.total_dim, dtype=complex)
-    v[index] = 1.0
-    return PureState(space, v)
-
-
-def tensor(a, b):
-    """Kronecker product of two objects of the same kind.
-
-    Works on HilbertSpace, Operator, PureState and DensityMatrix; the
-    result lives on the concatenated space (labels must stay unique).
-    """
-    if isinstance(a, HilbertSpace) and isinstance(b, HilbertSpace):
-        return HilbertSpace(a.factors + b.factors)
-    if type(a) is not type(b):
-        raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-    space = tensor(a.space, b.space)
-    if isinstance(a, PureState):
-        return PureState(space, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator):
-        return Operator(space, np.kron(a.entries, b.entries))
-    if isinstance(a, DensityMatrix):
-        return DensityMatrix(space, np.kron(a.entries, b.entries))
-    raise TypeError(f"unsupported operand type {type(a).__name__}")
-
-
-def _ptrace_matrix(mat: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:
-    """Trace out all row/column axis pairs not listed in keep_axes."""
-    k = len(dims)
-    t = mat.reshape(tuple(dims) + tuple(dims))
-    cur = k
-    for ax in sorted(set(range(k)) - set(keep_axes), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + cur)
-        cur -= 1
-    d = int(np.prod([dims[i] for i in keep_axes])) if keep_axes else 1
-    return t.reshape(d, d)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Reduced density matrix on the kept factors (original factor order)."""
-    sub = rho.space.subspace(keep)
-    keep_axes = [rho.space.axis(lab) for lab in sub.labels]
-    return DensityMatrix(sub, _ptrace_matrix(rho.entries, rho.space.dims, keep_axes))
-
-
 def embed(op: Operator, space: HilbertSpace) -> Operator:
     """Extend an operator to a larger space, acting as identity elsewhere."""
     sub = op.space
+    dims = dict(space.factors)
     for lab, d in sub.factors:
-        if lab not in space.labels:
+        if lab not in dims:
             raise KeyError(f"factor {lab!r} not present in target space")
-        if space.dim_of(lab) != d:
+        if dims[lab] != d:
             raise ValueError(f"dimension mismatch for factor {lab!r}")
     rest = tuple(f for f in space.factors if f[0] not in sub.labels)
     rest_dim = int(np.prod([d for _, d in rest])) if rest else 1
@@ -318,14 +196,9 @@ def fock_cutoff(alpha: complex) -> int:
     return int(math.ceil(cutoff))
 
 
-def fock_state(n: int, n_max: int, label: str = "mode") -> PureState:
-    if not 0 <= n <= n_max:
-        raise ValueError(f"Fock level {n} outside truncation 0..{n_max}")
-    return basis_state(hspace(**{label: n_max + 1}), n)
-
-
-def coherent_state(alpha: complex, n_max: int, label: str = "mode") -> PureState:
-    """Truncated coherent state, renormalized after the cutoff.
+def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
+    """Fock amplitudes of |alpha> on levels 0..n_max, renormalized after
+    the cutoff, as a read-only array.
 
     The truncation must retain all but 1e-10 of the norm (the cutoff
     rule fock_cutoff guarantees this for |alpha|^2 <= 25); otherwise a
@@ -341,7 +214,9 @@ def coherent_state(alpha: complex, n_max: int, label: str = "mode") -> PureState
             f"cutoff n_max={n_max} keeps only {kept!r} of the norm for alpha={alpha!r}; "
             f"need n_max >= {fock_cutoff(alpha)}"
         )
-    return PureState(hspace(**{label: n_max + 1}), amps / math.sqrt(kept))
+    amps /= math.sqrt(kept)
+    amps.setflags(write=False)
+    return amps
 
 
 def mode_ops(n_max: int, label: str = "mode") -> tuple[Operator, Operator]:
@@ -398,14 +273,3 @@ def beamsplitter_5050(n_max: int, labels: tuple[str, str] = ("arm_c", "arm_d")) 
         idx = [nc * d + (total - nc) for nc in range(max(0, total - n_max), min(n_max, total) + 1)]
         w[np.ix_(idx, idx)] = beamsplitter_sector(n_max, total)
     return Operator(space, w)
-
-
-def coherence_weight(rho: DensityMatrix, basis: Operator) -> float:
-    """Sum of off-diagonal magnitudes of rho expressed in the given eigenbasis."""
-    if not basis.is_unitary():
-        raise ValueError("basis operator is not unitary within tolerance")
-    if basis.space.total_dim != rho.space.total_dim:
-        raise ValueError("dimension mismatch between state and basis")
-    u = basis.entries
-    x = u.conj().T @ rho.entries @ u
-    return float(np.sum(np.abs(x)) - np.sum(np.abs(np.diag(x))))

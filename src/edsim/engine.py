@@ -36,12 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import (
-    COMMUTE_TOL,
-    EIG_CLUSTER_RTOL,
-    OMEGA_PER_EV,
-    PSD_TOL,
-)
+from .constants import COMMUTE_TOL, EIG_CLUSTER_RTOL, PSD_TOL
 from .core import DensityMatrix, InvariantError, Operator
 
 __all__ = [
@@ -50,7 +45,6 @@ __all__ = [
     "generator",
     "evolve_analytic",
     "evolve_stepped",
-    "decoherence_rate",
 ]
 
 
@@ -245,11 +239,3 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     if lo < -PSD_TOL:
         raise InvariantError(f"integrated state lost positivity: min eigenvalue {lo:.3e}")
     return DensityMatrix(rho0.space, y)
-
-
-def decoherence_rate(delta_e_ev: float, sigma: float) -> float:
-    """Energy-dephasing rate sigma*(delta_e/hbar)**2 for a gap in eV."""
-    if delta_e_ev < 0.0 or sigma < 0.0:
-        raise ValueError("delta_e and sigma must be non-negative")
-    w = delta_e_ev * OMEGA_PER_EV
-    return sigma * w * w

@@ -23,10 +23,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .constants import MAX_PHASE_POINTS, MICHELSON_MAX_CUTOFF, RAMSEY_MAX_CUTOFF
 from .core import (
     DensityMatrix,
     Operator,
-    PureState,
     beamsplitter_sector,
     coherent_state,
     fock_cutoff,
@@ -153,13 +153,15 @@ class CoherentField:
         return fock_cutoff(self.alpha)
 
     def amplitudes(self, n_max: int) -> np.ndarray:
-        return coherent_state(self.alpha, n_max, label="field").amplitudes
+        return coherent_state(self.alpha, n_max)
 
 
 def default_phases(count: int = 32) -> tuple[float, ...]:
     """Uniform fringe scan over [0, 2*pi), including the extrema at 0 and pi."""
     if count < 2:
         raise ValueError("need at least two phase points")
+    if count > MAX_PHASE_POINTS:
+        raise ValueError(f"phase point count {count} exceeds the limit {MAX_PHASE_POINTS}")
     return tuple(float(p) for p in np.linspace(0.0, 2.0 * math.pi, count, endpoint=False))
 
 
@@ -190,6 +192,8 @@ class RamseyConfig:
 
     def cutoff(self) -> int:
         n_max = self.field.default_cutoff() if self.n_max is None else self.n_max
+        if n_max > RAMSEY_MAX_CUTOFF:
+            raise ValueError(f"field cutoff {n_max} exceeds the limit {RAMSEY_MAX_CUTOFF}")
         if isinstance(self.field, FockField) and self.field.n > n_max:
             raise ValueError("cutoff below the Fock level")
         if isinstance(self.field, CoherentField) and n_max < fock_cutoff(self.field.alpha):
@@ -222,6 +226,8 @@ class MichelsonConfig:
 
     def cutoff(self) -> int:
         n_max = fock_cutoff(self.alpha) if self.n_max is None else self.n_max
+        if n_max > MICHELSON_MAX_CUTOFF:
+            raise ValueError(f"arm cutoff {n_max} exceeds the limit {MICHELSON_MAX_CUTOFF}")
         if n_max < fock_cutoff(self.alpha):
             raise ValueError("cutoff below the coherent-state truncation rule")
         return n_max
@@ -381,7 +387,7 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     """
     cfg.validate()
     n_max = cfg.cutoff()
-    amps = coherent_state(cfg.alpha, n_max).amplitudes
+    amps = coherent_state(cfg.alpha, n_max)
     # arm_c gap across |j, N-j><k, N-k| is omega*(j-k); arm_d's is its negative
     shift = cfg.mode_frequency * np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
     rate = cfg.decoherence.decay_rate({"arm_c": shift, "arm_d": -shift})
@@ -427,7 +433,7 @@ def phase_average_check(alpha: complex, n_max: int, nodes: int | None = None) ->
     avg = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for k in range(nodes):
         phi = 2.0 * math.pi * k / nodes
-        amps = coherent_state(alpha * np.exp(1j * phi), n_max).amplitudes
+        amps = coherent_state(alpha * np.exp(1j * phi), n_max)
         avg += np.outer(amps, amps.conj())
     avg /= nodes
     return float(np.linalg.norm(mixture - avg))
@@ -457,22 +463,23 @@ def run_ghz(cfg: GhzConfig) -> GhzResult:
     )
 
 
-def split_pulse_ramsey_state(n_photons: int) -> PureState:
+def split_pulse_ramsey_state(n_photons: int) -> np.ndarray:
     """Joint state of two pulse modes and the atom after the first interaction.
 
     An n-photon field is split evenly onto two pulse modes, then the
     first pulse drives the atom with idealized equal-weight amplitudes.
     The resulting vector pairs |k>_pulse2 |g> with |k-1>_pulse2 |e>
     inside every pulse-1 sector, which is what makes the reduced state
-    after discarding pulse 1 block-diagonal in those pairs. Intended as
+    after discarding pulse 1 block-diagonal in those pairs. Returns the
+    normalized amplitude vector on levels 0..n_photons of each pulse mode
+    and (g, e) of the atom, in (pulse1, pulse2, atom) order. Intended as
     a validation construction for small n_photons.
     """
     if n_photons < 1:
         raise ValueError("need at least one photon to split")
     n = n_photons
     d = n + 1
-    space = hspace(pulse1=d, pulse2=d, atom=2)
-    amp = np.zeros(space.total_dim, dtype=complex)
+    amp = np.zeros(d * d * 2, dtype=complex)
     split = np.array([math.sqrt(math.comb(n, k) / 2.0**n) for k in range(d)])
 
     def put(k1: int, k2: int, atom: int, value: float) -> None:
@@ -482,4 +489,4 @@ def split_pulse_ramsey_state(n_photons: int) -> PureState:
         put(n - k, k, 0, split[k] / math.sqrt(2.0))
         if n - k - 1 >= 0:
             put(n - k - 1, k, 1, split[k] / math.sqrt(2.0))
-    return PureState(space, amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)

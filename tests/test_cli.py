@@ -12,6 +12,7 @@ import pytest
 
 from edsim import cli
 from edsim.cli import ConfigError, parse_config
+from edsim.constants import MAX_PHASE_POINTS, MICHELSON_MAX_CUTOFF, RAMSEY_MAX_CUTOFF
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -131,6 +132,31 @@ class TestRunCommands:
         assert code == 2
         assert "unknown species" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma-sp", "0.5"), ("--kappa", "3"), ("--k3", "1e-40"), ("--delta-e", "7"),
+    ])
+    def test_design_species_conflicting_key(self, flag, value, capsys):
+        code, out, err = _run(["design", "--species", "Sr", flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError"
+        assert repr(flag[2:].replace("-", "_")) in error["message"]
+
+    def test_design_species_keys_equal_to_its_own(self, capsys):
+        code, out, _ = _run(["design", "--species", "Sr", "--kappa", "1e-17", "--delta-e", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["closed_form"]["gamma_min"] == 1e-8
+
+    def test_design_has_no_mass_key(self, capsys):
+        code, _, err = _run(
+            ["design", "--mass", "1", "--gamma-sp", "1e-3", "--kappa", "1e-17", "--k3", "1e-41"], capsys
+        )
+        assert code == 2
+        assert "unknown key 'mass'" in json.loads(err)["error"]["message"]
+
     def test_design_explicit_rates(self, capsys):
         code, out, _ = _run(
             ["design", "--gamma-sp", "1e-3", "--kappa", "1e-17", "--k3", "1e-41"], capsys
@@ -193,6 +219,19 @@ class TestRunCommands:
         assert code == 0
         assert "PASS  9" in out and "PASS 11" in out
 
+    @pytest.mark.parametrize("criteria", ["99", "3,99", ",", ""])
+    def test_selftest_unknown_or_empty_criteria(self, criteria, capsys):
+        # nothing runs: a config error, not a failed suite
+        code, out, err = _run(["selftest", "--criteria", criteria], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError"
+        assert "known ids: [1, 2, 3," in error["message"]
+        assert ("[99]" in error["message"]) == ("99" in criteria)
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
@@ -243,6 +282,25 @@ class TestBadInput:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["ramsey", "--mode", "quantized", "--n-max", str(RAMSEY_MAX_CUTOFF + 1)],
+        ["ramsey", "--mode", "quantized", "--n", str(RAMSEY_MAX_CUTOFF)],
+        ["ramsey", "--phase-points", str(MAX_PHASE_POINTS + 1)],
+        ["michelson", "--n-max", str(MICHELSON_MAX_CUTOFF + 1)],
+        ["michelson", "--alpha", "15"],
+    ], ids=["ramsey-n-max", "ramsey-n", "phase-points", "michelson-n-max", "michelson-alpha"])
+    def test_oversized_problem_refused(self, argv, tmp_path, capsys):
+        # each value is just above its limit, so a missing guard costs seconds, not gigabytes
+        code, out, err = _run([*argv, "--out", str(tmp_path / "B")], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ValueError"
+        assert "exceeds the limit" in error["message"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("error", [MemoryError, RuntimeError, FloatingPointError])
     def test_any_exception_is_one_json_line(self, error, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from edsim.constants import C_LIGHT, PLANCK_TIME, YEAR_SECONDS
+from edsim.constants import C_LIGHT, PLANCK_TIME
 from edsim.sensitivity import (
     SpeciesParams,
     cosmic_bound,
@@ -54,11 +54,6 @@ class TestKappaFromScattering:
 
 
 class TestSingleAtomReach:
-    def test_millihertz_ev_value(self):
-        sigma = single_atom_reach(1e-3, 1.0)
-        assert abs(sigma / 4.33e-34 - 1.0) <= 1e-3
-        assert 1e-34 <= sigma <= 1e-32
-
     def test_linear_in_rate(self):
         assert abs(single_atom_reach(1e-1, 1.0) / single_atom_reach(1e-3, 1.0) - 100.0) <= 1e-12
 
@@ -173,10 +168,6 @@ class TestDistanceReach:
 
 
 class TestCosmicBound:
-    def test_planck_sigma_is_a_few_mev(self):
-        de = cosmic_bound(PLANCK_TIME, 1e10 * YEAR_SECONDS)
-        assert 2e-3 <= de <= 10e-3
-
     def test_age_scaling(self):
         base = cosmic_bound(PLANCK_TIME, 1e17)
         assert abs(cosmic_bound(PLANCK_TIME, 4e17) / base - 0.5) <= 1e-12
