@@ -64,7 +64,6 @@ from .sensitivity import (
     distance_reach,
     ghz_design,
     ghz_design_grid,
-    kappa_from_scattering,
     matterwave_bound,
     single_atom_reach,
 )

@@ -7,19 +7,23 @@ selftest. Every later token is a `--key value` or `--key=value` flag; a
 boolean key given without a value means true. Parameters come from an
 optional flat `key = value` config file (--config PATH) plus the flags
 (flags win); every key must be recognized for the chosen command. The
-front-end keys are --config, --out, --format, --sweep and --sweep-values.
-`-h` or `--help` anywhere prints the usage, built from SCHEMAS, and exits
-0. Units are fixed per key and listed in the schema help strings:
-seconds, rad/s, eV, kg, m, m^3/s, m^6/s. Numeric values accept
-scientific notation and never carry unit suffixes.
+front-end keys are --config, --out, --format, --sweep and --sweep-values;
+all but --config may also come from the config file. parse_config turns
+the merged keys into one RunConfig, and run executes it: one run, or one
+run per sweep value with a row each. `-h` or `--help` anywhere prints the
+usage, built from SCHEMAS, and exits 0. Units are fixed per key and
+listed in the schema help strings: seconds, rad/s, eV, kg, m, m^3/s,
+m^6/s. Numeric values accept scientific notation and never carry unit
+suffixes.
 
 When --out BASE is given, BASE.csv (per-point rows) and BASE.json
 (summary) are always written, plus BASE.meta.json with run metadata.
-The data files are deterministic: no timestamps, floats with 17
-significant digits in CSV, canonical sorted JSON, and infinities
-serialized as the string "unbounded". Any failure exits 2 with one JSON
-error line on stderr; numpy overflow, division by zero and invalid
-operations count as failures.
+Every JSON summary carries the command and its parameters. The data
+files are deterministic: no timestamps, floats with 17 significant
+digits in CSV, canonical sorted JSON, and infinities serialized as the
+string "unbounded". Any failure exits 2 with one JSON error line on
+stderr; numpy overflow, division by zero and invalid operations count
+as failures.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,7 +53,6 @@ from .interferometry import (
     run_ramsey_semiclassical,
 )
 from .sensitivity import (
-    DesignResult,
     SpeciesParams,
     cosmic_bound,
     default_design_grids,
@@ -61,7 +64,7 @@ from .sensitivity import (
     validate_species,
 )
 
-__all__ = ["ConfigError", "RunConfig", "SpeciesEntry", "SPECIES", "parse_config", "run", "sweep", "main"]
+__all__ = ["ConfigError", "RunConfig", "SpeciesEntry", "SPECIES", "parse_config", "run", "main"]
 
 
 class ConfigError(ValueError):
@@ -82,6 +85,8 @@ class RunConfig:
     parameters: dict
     output_path: str | None
     output_format: str
+    sweep_key: str | None = None    # run once per sweep value, one output row each
+    sweep_values: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -94,9 +99,7 @@ class SpeciesEntry:
 SPECIES: dict[str, SpeciesEntry] = {
     "Sr": SpeciesEntry(
         name="Sr",
-        params=SpeciesParams(
-            gamma_sp=1e-3, delta_e=1.0, mass=1.4597e-25, kappa=1e-17, k3=1e-41
-        ),
+        params=SpeciesParams(gamma_sp=1e-3, delta_e=1.0, kappa=1e-17, k3=1e-41),
         provenance=(
             "order-of-magnitude working values for the strontium clock transition; "
             "supply measured numbers via explicit keys for quantitative work"
@@ -174,8 +177,8 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
 @dataclass(frozen=True)
 class ExperimentOutput:
     points: list
-    summary: dict
-    headline: dict
+    summary: dict                   # run adds command and parameters
+    headline: dict                  # the row a sweep records for this run
     lines: tuple[str, ...] = ()
     failed: bool = False
 
@@ -222,10 +225,7 @@ def _file_pairs(file_contents: str) -> list[tuple[str, str]]:
 
 def parse_config(file_contents: str, overrides: Sequence[tuple[str, str]]) -> RunConfig:
     """Merge file entries and overrides (overrides win) into a typed RunConfig."""
-    pairs = _file_pairs(file_contents) + [(k.replace("-", "_"), v) for k, v in overrides]
-    merged: dict[str, str] = {}
-    for key, value in pairs:
-        merged[key] = value
+    merged = dict(_file_pairs(file_contents) + [(k.replace("-", "_"), v) for k, v in overrides])
 
     command = merged.pop("command", None)
     if command is None:
@@ -236,6 +236,8 @@ def parse_config(file_contents: str, overrides: Sequence[tuple[str, str]]) -> Ru
     fmt = merged.pop("format", "json")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    sweep_key = merged.pop("sweep", None)
+    raw_values = merged.pop("sweep_values", None)
 
     schema = SCHEMAS[command]
     params: dict = {}
@@ -246,7 +248,22 @@ def parse_config(file_contents: str, overrides: Sequence[tuple[str, str]]) -> Ru
     for key, spec in schema.items():
         if key not in params and spec.default is not None:
             params[key] = spec.default
-    return RunConfig(command, params, out, fmt)
+
+    sweep_values: tuple = ()
+    if sweep_key is not None or raw_values is not None:
+        if not sweep_key or raw_values is None:
+            raise ConfigError("sweeps need both --sweep KEY and --sweep-values V1,V2,...")
+        sweep_key = sweep_key.replace("-", "_")
+        raw = [v for v in raw_values.split(",") if v.strip()]
+        if not raw:
+            raise ConfigError("sweep values must be non-empty")
+        if sweep_key not in schema:
+            raise ConfigError(f"unknown sweep key {sweep_key!r} for command {command!r}")
+        spec = schema[sweep_key]
+        if spec.ptype not in ("float", "int"):
+            raise ConfigError(f"sweep target {sweep_key!r} is not numeric")
+        sweep_values = tuple(_parse_value(sweep_key, spec, v) for v in raw)
+    return RunConfig(command, params, out, fmt, sweep_key, sweep_values)
 
 
 def _fmt_cell(value) -> str:
@@ -322,8 +339,7 @@ def _handle_ramsey(params: dict) -> ExperimentOutput:
     result = runner(cfg)
     points = [{"phi": phi, "p_g": p} for phi, p in result.points]
     headline = {"visibility": result.visibility}
-    summary = {"command": "ramsey", "parameters": dict(sorted(params.items())), **headline}
-    return ExperimentOutput(points, summary, headline)
+    return ExperimentOutput(points, headline, headline)
 
 
 def _handle_michelson(params: dict) -> ExperimentOutput:
@@ -334,17 +350,9 @@ def _handle_michelson(params: dict) -> ExperimentOutput:
         decoherence=_partition(params["sigma"], params["partition"], ("arm_c", "arm_d")),
         n_max=params.get("n_max"),
     )
-    result = run_michelson(cfg)
-    headline = {
-        "mean_photons_out_a": result.mean_photons_out_a,
-        "mean_photons_out_b": result.mean_photons_out_b,
-    }
-    points = [
-        {"output_mode": "a", "mean_photons": result.mean_photons_out_a},
-        {"output_mode": "b", "mean_photons": result.mean_photons_out_b},
-    ]
-    summary = {"command": "michelson", "parameters": dict(sorted(params.items())), **headline}
-    return ExperimentOutput(points, summary, headline)
+    headline = asdict(run_michelson(cfg))
+    points = [{"output_mode": m, "mean_photons": headline[f"mean_photons_out_{m}"]} for m in "ab"]
+    return ExperimentOutput(points, headline, headline)
 
 
 def _handle_ghz(params: dict) -> ExperimentOutput:
@@ -356,33 +364,8 @@ def _handle_ghz(params: dict) -> ExperimentOutput:
         gamma_sp=params["gamma_sp"],
         three_body_rate=params["three_body_rate"],
     )
-    result = run_ghz(cfg)
-    headline = {
-        "coherence": result.coherence,
-        "survival": result.survival,
-        "effective_rate": result.effective_rate,
-    }
-    points = [{"wait": cfg.wait, **headline}]
-    summary = {"command": "ghz", "parameters": dict(sorted(params.items())), **headline}
-    return ExperimentOutput(points, summary, headline)
-
-
-def _design_dict(r: DesignResult) -> dict:
-    return {
-        "n_opt": r.n_opt,
-        "v_opt": r.v_opt,
-        "gamma_min": r.gamma_min,
-        "sigma_min": r.sigma_min,
-        "l_max": r.l_max,
-        "creation_time": r.creation_time,
-        "creation_margin": r.creation_margin,
-        "creation_constraint_ok": r.creation_constraint_ok,
-        "rates": {
-            "gravitational": r.rates.gravitational,
-            "spontaneous": r.rates.spontaneous,
-            "three_body": r.rates.three_body,
-        },
-    }
+    headline = asdict(run_ghz(cfg))
+    return ExperimentOutput([{"wait": cfg.wait, **headline}], headline, headline)
 
 
 def _species_from_params(params: dict) -> SpeciesParams:
@@ -400,11 +383,7 @@ def _species_from_params(params: dict) -> SpeciesParams:
     if missing:
         raise ConfigError(f"missing required key(s) for design: {', '.join(missing)}")
     p = SpeciesParams(
-        gamma_sp=params["gamma_sp"],
-        delta_e=params["delta_e"],
-        mass=0.0,
-        kappa=params["kappa"],
-        k3=params["k3"],
+        gamma_sp=params["gamma_sp"], delta_e=params["delta_e"], kappa=params["kappa"], k3=params["k3"]
     )
     validate_species(p)
     return p
@@ -417,23 +396,17 @@ def _handle_design(params: dict) -> ExperimentOutput:
         species, decades=params["grid_decades"], points_per_decade=params["grid_points_per_decade"]
     )
     grid = ghz_design_grid(species, n_grid, v_grid)
-    rel = {
-        "gamma_min": abs(closed.gamma_min / grid.gamma_min - 1.0),
-        "n_opt": abs(closed.n_opt / grid.n_opt - 1.0),
-        "v_opt": abs(closed.v_opt / grid.v_opt - 1.0),
+    summary: dict = {
+        method: {**asdict(r), "creation_constraint_ok": r.creation_constraint_ok}
+        for method, r in (("closed_form", closed), ("grid", grid))
+    }
+    points = [
+        {"method": method, **{k: v for k, v in d.items() if k != "rates"}} for method, d in summary.items()
+    ]
+    summary["relative_difference"] = {
+        k: abs(getattr(closed, k) / getattr(grid, k) - 1.0) for k in ("gamma_min", "n_opt", "v_opt")
     }
     headline = {"gamma_min_closed": closed.gamma_min, "gamma_min_grid": grid.gamma_min}
-    points = [
-        {"method": "closed_form", **{k: v for k, v in _design_dict(closed).items() if k != "rates"}},
-        {"method": "grid", **{k: v for k, v in _design_dict(grid).items() if k != "rates"}},
-    ]
-    summary = {
-        "command": "design",
-        "parameters": dict(sorted(params.items())),
-        "closed_form": _design_dict(closed),
-        "grid": _design_dict(grid),
-        "relative_difference": rel,
-    }
     return ExperimentOutput(points, summary, headline)
 
 
@@ -443,7 +416,7 @@ def _handle_bounds(params: dict) -> ExperimentOutput:
         raise ConfigError(
             "no bound selected; pass at least one of --single-atom --matterwave --distance --cosmic"
         )
-    summary: dict = {"command": "bounds", "parameters": dict(sorted(params.items()))}
+    summary: dict = {}
     points = []
     headline: dict = {}
 
@@ -461,20 +434,12 @@ def _handle_bounds(params: dict) -> ExperimentOutput:
             params["mass"], params["velocity"], params["path_separation"],
             params["sigma"], params["flight_path"],
         )
-        emit("matterwave", {
-            "rate": mw.rate,
-            "decoherence_length": mw.decoherence_length,
-            "excluded": mw.excluded,
-        })
+        emit("matterwave", asdict(mw))
     if "distance" in selected:
         if params.get("gamma") is None:
             raise ConfigError("missing required key for --distance: gamma")
         reach = distance_reach(params["gamma"], params["gamma_sp"], params["coherence_time"])
-        emit("distance", {
-            "l_decoherence": reach.l_decoherence,
-            "l_laser": reach.l_laser,
-            "l_max": reach.l_max,
-        })
+        emit("distance", asdict(reach))
     if "cosmic" in selected:
         de = cosmic_bound(params["sigma"], params["age_years"] * YEAR_SECONDS)
         emit("cosmic", {"delta_e_ev": de})
@@ -506,13 +471,8 @@ def _handle_selftest(params: dict) -> ExperimentOutput:
         for r in results
     ]
     all_passed = all(r.passed for r in results)
-    summary = {
-        "command": "selftest",
-        "results": points,
-        "all_passed": all_passed,
-    }
     headline = {"all_passed": all_passed}
-    return ExperimentOutput(points, summary, headline, lines=lines, failed=not all_passed)
+    return ExperimentOutput(points, {"results": points, **headline}, headline, lines, not all_passed)
 
 
 _HANDLERS: dict[str, Callable[[dict], ExperimentOutput]] = {
@@ -525,12 +485,26 @@ _HANDLERS: dict[str, Callable[[dict], ExperimentOutput]] = {
 }
 
 
-def _emit(cfg: RunConfig, output: ExperimentOutput, meta: dict) -> None:
+def run(cfg: RunConfig) -> int:
+    """Execute one command, or one run per sweep value, and emit its outputs.
+    Returns the exit status."""
+    start = time.perf_counter()
+    handler = _HANDLERS[cfg.command]
+    meta = {"command": cfg.command}
+    if cfg.sweep_key is None:
+        output = handler(cfg.parameters)
+    else:
+        key = cfg.sweep_key
+        meta["sweep_key"] = key
+        rows = [{key: v, **handler({**cfg.parameters, key: v}).headline} for v in cfg.sweep_values]
+        output = ExperimentOutput(rows, {"sweep_key": key, "rows": rows}, {})
+    summary = {"command": cfg.command, "parameters": dict(sorted(cfg.parameters.items())), **output.summary}
+    meta["elapsed_seconds"] = time.perf_counter() - start
     # serialize everything first and remove this call's files if a write
     # fails, so a failure leaves no partial BASE.* files
     texts = {
         ".csv": _csv_text(output.points),
-        ".json": _json_text(output.summary),
+        ".json": _json_text(summary),
         ".meta.json": json.dumps(meta, indent=2) + "\n",
     }
     for line in output.lines:
@@ -550,55 +524,9 @@ def _emit(cfg: RunConfig, output: ExperimentOutput, meta: dict) -> None:
                 path.unlink(missing_ok=True)
             raise
     print(texts[".csv" if cfg.output_format == "csv" else ".json"], end="")
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command and emit its outputs. Returns the exit status."""
-    start = time.perf_counter()
-    output = _HANDLERS[cfg.command](cfg.parameters)
-    meta = {
-        "command": cfg.command,
-        "elapsed_seconds": time.perf_counter() - start,
-    }
-    _emit(cfg, output, meta)
     if output.failed:
         _print_error("SelftestFailure", "one or more criteria failed")
         return 1
-    return 0
-
-
-def sweep(cfg: RunConfig, sweep_key: str, raw_values: Sequence[str]) -> int:
-    """Run the command once per value of sweep_key, one output row per value."""
-    if not raw_values:
-        raise ConfigError("sweep values must be non-empty")
-    schema = SCHEMAS[cfg.command]
-    key = sweep_key.replace("-", "_")
-    if key not in schema:
-        raise ConfigError(f"unknown sweep key {key!r} for command {cfg.command!r}")
-    spec = schema[key]
-    if spec.ptype not in ("float", "int"):
-        raise ConfigError(f"sweep target {key!r} is not numeric")
-    start = time.perf_counter()
-    rows = []
-    for raw in raw_values:
-        value = _parse_value(key, spec, raw)
-        params = dict(cfg.parameters)
-        params[key] = value
-        output = _HANDLERS[cfg.command](params)
-        rows.append({key: value, **output.headline})
-    summary = {
-        "command": cfg.command,
-        "sweep_key": key,
-        "parameters": dict(sorted(cfg.parameters.items())),
-        "rows": rows,
-    }
-    out = ExperimentOutput(rows, summary, {})
-    meta = {
-        "command": cfg.command,
-        "sweep_key": key,
-        "elapsed_seconds": time.perf_counter() - start,
-    }
-    _emit(cfg, out, meta)
     return 0
 
 
@@ -657,23 +585,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         command = tokens[0] if tokens else None
         if command not in SCHEMAS:
             raise ConfigError(f"expected a command first, one of {sorted(SCHEMAS)}; got {command!r}")
-        front = {"config": None, "sweep": None, "sweep_values": None}
-        overrides = [("command", command)]
-        for key, value in _extra_pairs(tokens[1:], command):
-            if key in front:
-                front[key] = value
-            else:
-                overrides.append((key, value))
-        file_contents = ""
-        if front["config"]:
-            file_contents = Path(front["config"]).read_text(encoding="utf-8")
+        pairs = _extra_pairs(tokens[1:], command)
+        config_path = dict(pairs).get("config")
+        file_contents = Path(config_path).read_text(encoding="utf-8") if config_path else ""
+        overrides = [("command", command), *((k, v) for k, v in pairs if k != "config")]
         cfg = parse_config(file_contents, overrides)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if front["sweep"] is not None or front["sweep_values"] is not None:
-                if not front["sweep"] or front["sweep_values"] is None:
-                    raise ConfigError("sweeps need both --sweep KEY and --sweep-values V1,V2,...")
-                values = [v for v in front["sweep_values"].split(",") if v.strip()]
-                return sweep(cfg, front["sweep"], values)
             return run(cfg)
     except Exception as exc:  # any failure is one JSON line on stderr and exit 2
         _print_error(type(exc).__name__, str(exc))

@@ -32,3 +32,4 @@ COMMUTE_TOL = 1e-9
 RAMSEY_MAX_CUTOFF = 1_000_000   # quantized Ramsey field levels: ~1.5 s, ~0.4 GB
 MICHELSON_MAX_CUTOFF = 350      # levels per arm, O(n_max^4) time: ~7 s, ~0.3 GB
 MAX_PHASE_POINTS = 1_000_000    # fringe scan points with file output: ~7 s, ~0.5 GB
+DESIGN_MAX_GRID_AXIS = 4001      # design-grid points per axis, count**2 cells: ~0.9 s, ~0.4 GB

@@ -115,34 +115,24 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _frozen_array(self.entries, (d, d)))
 
 
-def validate_density(
-    rho: DensityMatrix,
-    herm_tol: float = HERM_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> None:
+def validate_density(rho: DensityMatrix) -> None:
     """Raise InvariantError on non-finite entries, Hermiticity, trace or positivity failure."""
-    validate_blocks((rho.entries,), herm_tol, trace_tol, psd_tol)
+    validate_blocks((rho.entries,))
 
 
-def validate_blocks(
-    blocks: Iterable[np.ndarray],
-    herm_tol: float = HERM_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> None:
+def validate_blocks(blocks: Iterable[np.ndarray]) -> None:
     """validate_density for a block-diagonal state given by its diagonal blocks.
 
     Each item is one square block or a stack of equal-size blocks, shape
     (..., d, d). Non-finite entries, Hermiticity and positivity are
     tested block by block, the unit trace on the sum of all blocks, in
-    that order. Positivity means a smallest eigenvalue of at least
-    -psd_tol, which holds exactly when h + psd_tol*I is positive
-    definite (h the Hermitian part). A Cholesky factorization of that
-    shifted matrix, much cheaper than eigvalsh, accepts such blocks; only
-    when it fails is the smallest eigenvalue computed, and the decision
-    and message are the eigenvalue's. The two can differ only within
-    rounding of the threshold, O(d*eps*||rho||).
+    that order, against HERM_TOL, TRACE_TOL and PSD_TOL. Positivity means
+    a smallest eigenvalue of at least -PSD_TOL, which holds exactly when
+    h + PSD_TOL*I is positive definite (h the Hermitian part). A Cholesky
+    factorization of that shifted matrix, much cheaper than eigvalsh,
+    accepts such blocks; only when it fails is the smallest eigenvalue
+    computed, and the decision and message are the eigenvalue's. The two
+    can differ only within rounding of the threshold, O(d*eps*||rho||).
     """
     blocks = [np.asarray(m) for m in blocks]
     tr = 0.0
@@ -150,19 +140,19 @@ def validate_blocks(
         if not np.all(np.isfinite(m)):
             raise InvariantError("density matrix has non-finite entries")
         herm = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
-        if herm > herm_tol:
-            raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {herm_tol}")
+        if herm > HERM_TOL:
+            raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
         tr = tr + np.trace(m, axis1=-2, axis2=-1).sum()
-    if abs(tr - 1.0) > trace_tol:
-        raise InvariantError(f"trace {tr!r} deviates from 1 beyond {trace_tol}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvariantError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
     for m in blocks:
         h = (m + np.swapaxes(m, -1, -2).conj()) / 2.0
         try:
-            np.linalg.cholesky(h + psd_tol * np.eye(m.shape[-1]))
+            np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[-1]))
         except np.linalg.LinAlgError:
             lo = float(np.min(np.linalg.eigvalsh(h)[..., 0]))
-            if lo < -psd_tol:
-                raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{psd_tol}") from None
+            if lo < -PSD_TOL:
+                raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}") from None
 
 
 def embed(op: Operator, space: HilbertSpace) -> Operator:
@@ -200,14 +190,18 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     """Fock amplitudes of |alpha> on levels 0..n_max, renormalized after
     the cutoff, as a read-only array.
 
-    The truncation must retain all but 1e-10 of the norm (the cutoff
-    rule fock_cutoff guarantees this for |alpha|^2 <= 25); otherwise a
-    ValueError is raised.
+    The magnitudes are built from log weights,
+    n*log|alpha| - log(n!)/2 - |alpha|^2/2, so neither the vacuum weight
+    exp(-|alpha|^2/2) nor the peak |alpha|^n/sqrt(n!) leaves double range
+    for large |alpha|. The truncation must retain all but 1e-10 of the
+    norm (the cutoff rule fock_cutoff guarantees this for |alpha|^2 <= 25);
+    otherwise a ValueError is raised.
     """
-    amps = np.zeros(n_max + 1, dtype=complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(n_max):
-        amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
+    a = abs(alpha)
+    log_a = math.log(a) if a > 0.0 else -math.inf
+    steps = log_a - 0.5 * np.log(np.arange(1, n_max + 1))
+    log_mag = np.concatenate(([0.0], np.cumsum(steps))) - a * a / 2.0
+    amps = np.exp(log_mag) * np.exp(1j * np.angle(alpha) * np.arange(n_max + 1))
     kept = float(np.sum(np.abs(amps) ** 2))
     if 1.0 - kept > 1e-10:
         raise ValueError(

@@ -235,7 +235,6 @@ def criterion_08() -> _Checks:
         p = SpeciesParams(
             gamma_sp=10.0 ** rng.uniform(-6.0, 0.0),
             delta_e=1.0,
-            mass=cli.SPECIES["Sr"].params.mass,
             kappa=10.0 ** rng.uniform(-20.0, -14.0),
             k3=10.0 ** rng.uniform(-44.0, -38.0),
         )

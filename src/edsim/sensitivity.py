@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT, EV, HBAR, OMEGA_PER_EV
+from .constants import C_LIGHT, DESIGN_MAX_GRID_AXIS, EV, HBAR, OMEGA_PER_EV
 
 __all__ = [
     "SpeciesParams",
@@ -25,7 +25,6 @@ __all__ = [
     "DesignResult",
     "MatterWaveBound",
     "DistanceReach",
-    "kappa_from_scattering",
     "single_atom_reach",
     "ghz_design",
     "ghz_design_grid",
@@ -46,38 +45,23 @@ class SpeciesParams:
 
     gamma_sp:  spontaneous decay rate of the metastable state, 1/s
     delta_e:   level splitting, eV
-    mass:      atomic mass, kg (only needed to derive kappa)
     kappa:     collisional phase coefficient, m^3/s
     k3:        three-body loss coefficient, m^6/s
-    a_gg/a_ee/a_eg: optional elastic scattering lengths, m
     """
 
     gamma_sp: float
     delta_e: float
-    mass: float
     kappa: float
     k3: float
-    a_gg: float | None = None
-    a_ee: float | None = None
-    a_eg: float | None = None
 
 
 def validate_species(p: SpeciesParams) -> None:
-    """Check sign constraints and, if scattering lengths are given, that
-    kappa is consistent with them to 1e-9 relative."""
-    if min(p.gamma_sp, p.delta_e, p.mass, p.kappa, p.k3) < 0.0:
+    """Check that every species parameter is finite and non-negative."""
+    values = (p.gamma_sp, p.delta_e, p.kappa, p.k3)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("species parameters must be finite (no NaN or inf)")
+    if min(values) < 0.0:
         raise ValueError("species parameters must be non-negative")
-    lengths = (p.a_gg, p.a_ee, p.a_eg)
-    if any(a is not None for a in lengths):
-        if any(a is None for a in lengths):
-            raise ValueError("give all three scattering lengths or none")
-        if p.mass <= 0.0:
-            raise ValueError("mass must be positive to derive kappa")
-        derived = kappa_from_scattering(p.mass, p.a_gg, p.a_ee, p.a_eg)
-        if abs(derived - p.kappa) > 1e-9 * max(abs(derived), abs(p.kappa)):
-            raise ValueError(
-                f"kappa={p.kappa!r} inconsistent with scattering lengths (derived {derived!r})"
-            )
 
 
 @dataclass(frozen=True)
@@ -111,14 +95,6 @@ class DesignResult:
     @property
     def creation_constraint_ok(self) -> bool:
         return self.creation_margin >= 1.0 - _FEAS_RTOL
-
-
-def kappa_from_scattering(mass: float, a_gg: float, a_ee: float, a_eg: float) -> float:
-    """Collisional coefficient (2*pi*hbar/m)*(a_gg + a_ee - 2*a_eg); the
-    per-atom phase rate is kappa/V."""
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
-    return 2.0 * math.pi * HBAR / mass * (a_gg + a_ee - 2.0 * a_eg)
 
 
 def single_atom_reach(gamma_detectable: float, delta_e_ev: float) -> float:
@@ -171,6 +147,11 @@ def ghz_design(p: SpeciesParams) -> DesignResult:
     return _design_from_point(p, n_opt, v_opt, gamma_min)
 
 
+def _check_grid_axis(count: int) -> None:
+    if count > DESIGN_MAX_GRID_AXIS:
+        raise ValueError(f"design grid axis of {count} points exceeds the limit {DESIGN_MAX_GRID_AXIS}")
+
+
 def default_design_grids(
     p: SpeciesParams, decades: float = 6.0, points_per_decade: int = 50
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +163,7 @@ def default_design_grids(
     """
     half = decades / 2.0
     count = int(round(decades * points_per_decade)) + 1
+    _check_grid_axis(count)
     ref = ghz_design(p)
     n_grid = np.logspace(math.log10(ref.n_opt) - half, math.log10(ref.n_opt) + half, count)
     v_grid = np.logspace(math.log10(ref.v_opt) - half, math.log10(ref.v_opt) + half, count)
@@ -209,6 +191,7 @@ def ghz_design_grid(
     v = np.asarray(v_grid, dtype=float)[None, :]
     if n.size == 0 or v.size == 0:
         raise ValueError("grids must be non-empty")
+    _check_grid_axis(max(n.size, v.size))
     cost = np.maximum(p.gamma_sp / n, p.k3 * n / (v * v))
     feasible = p.kappa / (n * v) >= cost * (1.0 - _FEAS_RTOL)
     if not np.any(feasible):

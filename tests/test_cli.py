@@ -12,7 +12,12 @@ import pytest
 
 from edsim import cli
 from edsim.cli import ConfigError, parse_config
-from edsim.constants import MAX_PHASE_POINTS, MICHELSON_MAX_CUTOFF, RAMSEY_MAX_CUTOFF
+from edsim.constants import (
+    DESIGN_MAX_GRID_AXIS,
+    MAX_PHASE_POINTS,
+    MICHELSON_MAX_CUTOFF,
+    RAMSEY_MAX_CUTOFF,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,6 +68,12 @@ class TestParseConfig:
     def test_bad_format(self):
         with pytest.raises(ConfigError, match="format"):
             parse_config("command = ghz\nformat = xml\n", [])
+
+    def test_sweep_parsed_into_config(self):
+        cfg = parse_config("command = ghz\nsweep = n-atoms\nsweep_values = 2, 4\n", [])
+        assert (cfg.sweep_key, cfg.sweep_values) == ("n_atoms", (2, 4))
+        assert "sweep" not in cfg.parameters and "sweep_values" not in cfg.parameters
+        assert parse_config("command = ghz\n", []).sweep_key is None
 
 
 class TestRunCommands:
@@ -214,6 +225,31 @@ class TestRunCommands:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_coherent_field_beyond_vacuum_underflow(self, capsys):
+        # exp(-|alpha|^2/2) underflows above |alpha| ~ 38.6
+        argv = ["ramsey", "--mode", "quantized", "--field", "coherent", "--alpha", "40"]
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert 0.99 < json.loads(out)["visibility"] <= 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["ramsey"],
+        ["michelson"],
+        ["ghz", "--sigma=1e-34"],
+        ["design", "--species=Sr"],
+        ["bounds", "--cosmic=true"],
+        ["selftest", "--criteria=9"],
+        ["selftest"],
+        ["ghz", "--sweep=sigma", "--sweep-values=0,1e-34"],
+    ], ids=["ramsey", "michelson", "ghz", "design", "bounds", "selftest", "selftest-all", "sweep"])
+    def test_summary_names_command_and_parameters(self, argv, capsys):
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        summary = json.loads(out[out.index("{"):])  # after selftest's PASS lines
+        pairs = [tuple(flag[2:].split("=", 1)) for flag in argv[1:]]
+        expected = parse_config("", [("command", argv[0]), *pairs]).parameters
+        assert (summary["command"], summary["parameters"]) == (argv[0], expected)
+
     def test_selftest_subset(self, capsys):
         code, out, _ = _run(["selftest", "--criteria", "9,11"], capsys)
         assert code == 0
@@ -289,7 +325,10 @@ class TestBadInput:
         ["ramsey", "--phase-points", str(MAX_PHASE_POINTS + 1)],
         ["michelson", "--n-max", str(MICHELSON_MAX_CUTOFF + 1)],
         ["michelson", "--alpha", "15"],
-    ], ids=["ramsey-n-max", "ramsey-n", "phase-points", "michelson-n-max", "michelson-alpha"])
+        ["design", "--species", "Sr", "--grid-decades", "1",
+         "--grid-points-per-decade", str(DESIGN_MAX_GRID_AXIS)],
+    ], ids=["ramsey-n-max", "ramsey-n", "phase-points", "michelson-n-max", "michelson-alpha",
+            "design-grid"])
     def test_oversized_problem_refused(self, argv, tmp_path, capsys):
         # each value is just above its limit, so a missing guard costs seconds, not gigabytes
         code, out, err = _run([*argv, "--out", str(tmp_path / "B")], capsys)
@@ -341,7 +380,7 @@ class TestBadInput:
         monkeypatch.setitem(cli._HANDLERS, "ghz", handler)
         code, out, err = _run(["ghz"], capsys)
         assert (code, err) == (0, "")
-        assert json.loads(out) == {"tiny": 0.0}
+        assert json.loads(out)["tiny"] == 0.0
 
 
 class TestFrontEnd:
@@ -397,6 +436,29 @@ class TestFrontEnd:
         assert summary["parameters"]["wait"] == 0.5
         assert summary["parameters"]["n_atoms"] == 4
         assert [r["sigma"] for r in summary["rows"]] == [0.0, 1e-34]
+
+    def test_front_end_keys_from_config_file(self, tmp_path, capsys, monkeypatch):
+        # a file may carry every front-end key but --config itself
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(
+            "n_atoms = 4\nsweep = sigma\nsweep_values = 0,1e-36,1e-34\nformat = csv\nout = file\n"
+        )
+        from_file = _run(["ghz", "--config", "run.cfg"], capsys)
+        from_flags = _run(["ghz", "--n-atoms", "4", "--sweep", "sigma", "--sweep-values",
+                           "0,1e-36,1e-34", "--format", "csv", "--out", "flags"], capsys)
+        assert from_file == from_flags
+        assert from_file[0] == 0
+        assert from_file[1].startswith("sigma,coherence,")
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"file{suffix}").read_bytes()
+                    == (tmp_path / f"flags{suffix}").read_bytes())
+
+    def test_config_file_cannot_name_a_config_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("config = other.cfg\n")
+        code, out, err = _run(["ghz", "--config", str(cfgfile)], capsys)
+        assert (code, out) == (2, "")
+        assert "unknown key 'config'" in json.loads(err)["error"]["message"]
 
     def test_rerun_over_longer_output_leaves_no_stale_tail(self, tmp_path, capsys):
         values = ",".join(f"{k}e-36" for k in range(12))

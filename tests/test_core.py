@@ -107,6 +107,24 @@ class TestCoherentState:
     def test_norm_invariant(self):
         assert abs(np.linalg.norm(coherent_state(3.0, fock_cutoff(3.0))) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5 - 1.5j, -4.0 + 3.0j, 5.0])
+    def test_matches_product_recursion(self, alpha):
+        n_max = fock_cutoff(alpha)
+        ref = np.zeros(n_max + 1, dtype=complex)
+        ref[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+        for n in range(n_max):
+            ref[n + 1] = ref[n] * alpha / math.sqrt(n + 1)
+        ref /= np.linalg.norm(ref)
+        psi = coherent_state(alpha, n_max)
+        assert np.all(np.abs(psi - ref) <= 1e-13 * np.abs(ref))
+
+    def test_large_amplitude(self):
+        # exp(-|alpha|^2/2) underflows for |alpha| above ~38.6
+        psi = coherent_state(40.0, fock_cutoff(40.0))
+        probs = np.abs(psi) ** 2
+        assert abs(float(np.sum(probs)) - 1.0) <= 1e-12
+        assert abs(float(np.sum(probs * np.arange(probs.size))) / 1600.0 - 1.0) <= 1e-9
+
 
 class TestModeOps:
     def test_ladder_actions(self):

@@ -1,11 +1,12 @@
 """Tests for the reach calculators and the GHZ design optimizer."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from edsim.constants import C_LIGHT, PLANCK_TIME
+from edsim.constants import C_LIGHT, DESIGN_MAX_GRID_AXIS, PLANCK_TIME
 from edsim.sensitivity import (
     SpeciesParams,
     cosmic_bound,
@@ -13,44 +14,13 @@ from edsim.sensitivity import (
     distance_reach,
     ghz_design,
     ghz_design_grid,
-    kappa_from_scattering,
     matterwave_bound,
     single_atom_reach,
     validate_species,
 )
 
-SR = SpeciesParams(gamma_sp=1e-3, delta_e=1.0, mass=1.4597e-25, kappa=1e-17, k3=1e-41)
+SR = SpeciesParams(gamma_sp=1e-3, delta_e=1.0, kappa=1e-17, k3=1e-41)
 NA_MASS = 22.98976928 * 1.66053906660e-27
-
-
-class TestKappaFromScattering:
-    def test_symmetric_lengths_cancel(self):
-        assert kappa_from_scattering(1e-25, 3e-9, 3e-9, 3e-9) == 0.0
-
-    def test_linearity(self):
-        base = kappa_from_scattering(1e-25, 5e-9, 3e-9, 1e-9)
-        doubled = kappa_from_scattering(1e-25, 10e-9, 6e-9, 2e-9)
-        assert abs(doubled / base - 2.0) <= 1e-12
-
-    def test_reproduces_working_value(self):
-        # lengths chosen so the coefficient lands on the 1e-17 m^3/s scale
-        diff = 1e-17 * SR.mass / (2.0 * math.pi * 1.054571817e-34)
-        kappa = kappa_from_scattering(SR.mass, diff, 0.0, 0.0)
-        assert abs(kappa / 1e-17 - 1.0) <= 1e-12
-
-    def test_species_consistency_check(self):
-        diff = 1e-17 * SR.mass / (2.0 * math.pi * 1.054571817e-34)
-        good = SpeciesParams(
-            gamma_sp=1e-3, delta_e=1.0, mass=SR.mass, kappa=1e-17, k3=1e-41,
-            a_gg=diff, a_ee=0.0, a_eg=0.0,
-        )
-        validate_species(good)
-        bad = SpeciesParams(
-            gamma_sp=1e-3, delta_e=1.0, mass=SR.mass, kappa=2e-17, k3=1e-41,
-            a_gg=diff, a_ee=0.0, a_eg=0.0,
-        )
-        with pytest.raises(ValueError):
-            validate_species(bad)
 
 
 class TestSingleAtomReach:
@@ -84,14 +54,22 @@ class TestGhzDesign:
     def test_three_body_scaling(self):
         res = ghz_design(SR)
         worse = ghz_design(
-            SpeciesParams(SR.gamma_sp, SR.delta_e, SR.mass, SR.kappa, 100.0 * SR.k3)
+            SpeciesParams(SR.gamma_sp, SR.delta_e, SR.kappa, 100.0 * SR.k3)
         )
         assert abs(worse.gamma_min / res.gamma_min - 10.0) <= 1e-12
         assert abs(worse.n_opt / res.n_opt - 0.1) <= 1e-12
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ghz_design(SpeciesParams(0.0, 1.0, SR.mass, 1e-17, 1e-41))
+            ghz_design(SpeciesParams(0.0, 1.0, 1e-17, 1e-41))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["gamma_sp", "delta_e", "kappa", "k3"])
+    def test_rejects_non_finite(self, field, value):
+        p = dataclasses.replace(SR, **{field: value})
+        for check in (validate_species, ghz_design, ghz_design_grid):
+            with pytest.raises(ValueError, match="finite"):
+                check(p)
 
 
 class TestGhzDesignGrid:
@@ -106,7 +84,7 @@ class TestGhzDesignGrid:
         assert res.n_opt == closed.n_opt and res.v_opt == closed.v_opt
 
     def test_infeasible_grid(self):
-        tiny_kappa = SpeciesParams(1e-3, 1.0, SR.mass, 1e-30, 1e-41)
+        tiny_kappa = SpeciesParams(1e-3, 1.0, 1e-30, 1e-41)
         with pytest.raises(ValueError):
             ghz_design_grid(tiny_kappa, np.array([1e5]), np.array([1e-14]))
 
@@ -116,7 +94,6 @@ class TestGhzDesignGrid:
             p = SpeciesParams(
                 gamma_sp=10.0 ** rng.uniform(-6, 0),
                 delta_e=1.0,
-                mass=SR.mass,
                 kappa=10.0 ** rng.uniform(-20, -14),
                 k3=10.0 ** rng.uniform(-44, -38),
             )
@@ -130,6 +107,14 @@ class TestGhzDesignGrid:
         assert len(n_grid) == 301 and len(v_grid) == 301
         assert math.isclose(n_grid[150], closed.n_opt, rel_tol=1e-9)
         assert math.isclose(v_grid[-1] / v_grid[0], 1e6, rel_tol=1e-6)
+
+    def test_oversized_caller_grid_refused(self):
+        # one point over the per-axis limit, refused before any cost array
+        # (the default grids are checked through the CLI in test_cli)
+        closed = ghz_design(SR)
+        long_axis = np.full(DESIGN_MAX_GRID_AXIS + 1, closed.n_opt)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            ghz_design_grid(SR, long_axis, np.array([closed.v_opt]))
 
 
 class TestMatterWave:
@@ -182,7 +167,7 @@ class TestScaleCovariance:
         # expressing all rates in a unit s times smaller multiplies every
         # 1/time output by s and leaves the volume untouched
         s = 7.3
-        scaled = SpeciesParams(SR.gamma_sp * s, SR.delta_e, SR.mass, SR.kappa * s, SR.k3 * s)
+        scaled = SpeciesParams(SR.gamma_sp * s, SR.delta_e, SR.kappa * s, SR.k3 * s)
         base = ghz_design(SR)
         res = ghz_design(scaled)
         assert abs(res.gamma_min / (base.gamma_min * s) - 1.0) <= 1e-12
