@@ -19,13 +19,11 @@ from .core import (
     HilbertSpace,
     InvariantError,
     Operator,
-    beamsplitter_5050,
     beamsplitter_sector,
     coherent_state,
     embed,
     fock_cutoff,
     hspace,
-    mode_ops,
     validate_blocks,
     validate_density,
 )
@@ -52,7 +50,6 @@ from .interferometry import (
     run_michelson,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
-    split_pulse_ramsey_state,
     visibility,
 )
 from .sensitivity import (

@@ -128,7 +128,6 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     },
     "michelson": {
         "alpha": ParamSpec("float", 2.0, help="input coherent amplitude"),
-        "n_max": ParamSpec("int", help="per-mode cutoff level; omit for automatic"),
         "arm_time": ParamSpec("float", 1.0, help="per-arm propagation time, s"),
         "omega": ParamSpec("float", OMEGA_PER_EV, help="mode frequency, rad/s"),
         "sigma": ParamSpec("float", 0.0, help="dephasing strength, s"),
@@ -348,7 +347,6 @@ def _handle_michelson(params: dict) -> ExperimentOutput:
         arm_time=params["arm_time"],
         mode_frequency=params["omega"],
         decoherence=_partition(params["sigma"], params["partition"], ("arm_c", "arm_d")),
-        n_max=params.get("n_max"),
     )
     headline = asdict(run_michelson(cfg))
     points = [{"output_mode": m, "mean_photons": headline[f"mean_photons_out_{m}"]} for m in "ab"]

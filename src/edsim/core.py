@@ -2,10 +2,10 @@
 
 Labeled tensor-product spaces, operators and density matrices on them,
 the embedding of a factor's operator into a larger space, and the
-standard bosonic-mode constructors (coherent-state amplitudes, ladder
-operators, a balanced two-mode beamsplitter and its number-conserving
-blocks). Everything is immutable after construction; invariant checks
-are explicit ``validate_*`` calls so that intermediate states of an
+bosonic-mode constructors (coherent-state amplitudes and the
+number-conserving blocks of a balanced two-mode beamsplitter).
+Everything is immutable after construction; invariant checks are
+explicit ``validate_*`` calls so that intermediate states of an
 integrator may transiently violate positivity without aborting.
 """
 
@@ -28,9 +28,7 @@ __all__ = [
     "embed",
     "fock_cutoff",
     "coherent_state",
-    "mode_ops",
     "beamsplitter_sector",
-    "beamsplitter_5050",
     "validate_density",
     "validate_blocks",
 ]
@@ -190,18 +188,33 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     """Fock amplitudes of |alpha> on levels 0..n_max, renormalized after
     the cutoff, as a read-only array.
 
-    The magnitudes are built from log weights,
-    n*log|alpha| - log(n!)/2 - |alpha|^2/2, so neither the vacuum weight
-    exp(-|alpha|^2/2) nor the peak |alpha|^n/sqrt(n!) leaves double range
-    for large |alpha|. The truncation must retain all but 1e-10 of the
-    norm (the cutoff rule fock_cutoff guarantees this for |alpha|^2 <= 25);
-    otherwise a ValueError is raised.
+    Each Poisson log weight log p_n, lam = |alpha|^2, stands on its own,
+    so no rounding builds up along n and neither exp(-lam) nor the peak
+    leaves double range: math.lgamma for n < 16, else Loader's
+    saddle-point form -log(2*pi*n)/2 - stirlerr(n) - lam*h((n - lam)/lam),
+    h(u) = (1 + u)*log1p(u) - u, with stirlerr the Stirling series of
+    log(n!). alpha = 0 is the vacuum exactly. The truncation must keep
+    all but 1e-10 of the norm (fock_cutoff guarantees this for
+    |alpha|^2 <= 25); otherwise a ValueError is raised.
     """
     a = abs(alpha)
-    log_a = math.log(a) if a > 0.0 else -math.inf
-    steps = log_a - 0.5 * np.log(np.arange(1, n_max + 1))
-    log_mag = np.concatenate(([0.0], np.cumsum(steps))) - a * a / 2.0
-    amps = np.exp(log_mag) * np.exp(1j * np.angle(alpha) * np.arange(n_max + 1))
+    lam = a * a
+    if not math.isfinite(lam):
+        raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}")
+    log_p = np.full(n_max + 1, -math.inf)
+    if lam == 0.0:
+        log_p[0] = 0.0
+    else:
+        small = min(n_max + 1, 16)
+        log_p[:small] = [k * math.log(lam) - lam - math.lgamma(k + 1.0) for k in range(small)]
+        n = np.arange(small, n_max + 1, dtype=float)
+        x = 1.0 / (n * n)
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - x / 1188) * x) * x) * x) / n
+        with np.errstate(over="ignore"):  # u overflows only where the weight is 0
+            u = (n - lam) / lam
+            lam_h = n * np.log1p(u) - (n - lam)
+        log_p[small:] = -0.5 * np.log(2.0 * math.pi * n) - stirlerr - lam_h
+    amps = np.exp(0.5 * log_p) * np.exp(1j * np.angle(alpha) * np.arange(n_max + 1))
     kept = float(np.sum(np.abs(amps) ** 2))
     if 1.0 - kept > 1e-10:
         raise ValueError(
@@ -213,25 +226,16 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     return amps
 
 
-def mode_ops(n_max: int, label: str = "mode") -> tuple[Operator, Operator]:
-    """Truncated annihilation and number operators on levels 0..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    d = n_max + 1
-    lower = np.zeros((d, d))
-    for n in range(1, d):
-        lower[n - 1, n] = math.sqrt(n)
-    space = hspace(**{label: d})
-    return Operator(space, lower), Operator(space, np.diag(np.arange(d, dtype=float)))
-
-
 def beamsplitter_sector(n_max: int, total: int) -> np.ndarray:
-    """Block of beamsplitter_5050(n_max) on the sector n_c + n_d = total.
+    """Block on the sector n_c + n_d = total of the balanced beamsplitter
+    between two modes truncated at n_max.
 
-    Rows (arm basis) and columns (input basis) both run over the first
-    mode's photon number max(0, total - n_max) .. min(n_max, total); for
-    total <= n_max that is 0..total, and the block does not depend on
-    n_max.
+    Maps amplitudes in the input-mode basis (a, b) to the arm basis
+    (c, d) for a = (c + d)/sqrt(2) and b = (c - d)/sqrt(2); the block is
+    exactly unitary, and its dagger recombines. Rows (arm basis) and
+    columns (input basis) both run over the first mode's photon number
+    max(0, total - n_max) .. min(n_max, total); for total <= n_max that
+    is 0..total, and the block does not depend on n_max.
     """
     ncs = range(max(0, total - n_max), min(n_max, total) + 1)
     m = len(ncs)
@@ -246,24 +250,3 @@ def beamsplitter_sector(n_max: int, total: int) -> np.ndarray:
     u = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
     sign = np.array([(-1.0) ** (total - nc) for nc in ncs])  # pi phase on mode d
     return sign[:, None] * u
-
-
-def beamsplitter_5050(n_max: int, labels: tuple[str, str] = ("arm_c", "arm_d")) -> Operator:
-    """Balanced beamsplitter between two modes truncated at n_max.
-
-    Maps amplitudes written in the input-mode basis (a, b) to the arm
-    basis (c, d) for the mode relations a = (c + d)/sqrt(2) and
-    b = (c - d)/sqrt(2). The matrix is exactly unitary; it implements
-    the ideal splitter on every total-photon-number sector that fits
-    entirely below the cutoff (total <= n_max), which covers all inputs
-    respecting the fock_cutoff rule. Applying the dagger recombines.
-    The total photon number is conserved, so the matrix is assembled
-    from its beamsplitter_sector blocks.
-    """
-    d = n_max + 1
-    space = hspace(**{labels[0]: d, labels[1]: d})
-    w = np.zeros((d * d, d * d), dtype=complex)
-    for total in range(2 * n_max + 1):
-        idx = [nc * d + (total - nc) for nc in range(max(0, total - n_max), min(n_max, total) + 1)]
-        w[np.ix_(idx, idx)] = beamsplitter_sector(n_max, total)
-    return Operator(space, w)

@@ -23,16 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .constants import MAX_PHASE_POINTS, MICHELSON_MAX_CUTOFF, RAMSEY_MAX_CUTOFF
-from .core import (
-    DensityMatrix,
-    Operator,
-    beamsplitter_sector,
-    coherent_state,
-    fock_cutoff,
-    hspace,
-    validate_blocks,
-)
+from .constants import MAX_PHASE_POINTS, RAMSEY_MAX_CUTOFF
+from .core import DensityMatrix, Operator, coherent_state, fock_cutoff, hspace, validate_blocks
 from .engine import EvolutionSpec, evolve_analytic
 
 __all__ = [
@@ -52,7 +44,6 @@ __all__ = [
     "run_michelson",
     "phase_average_check",
     "run_ghz",
-    "split_pulse_ramsey_state",
 ]
 
 
@@ -217,20 +208,11 @@ class MichelsonConfig:
     arm_time: float                   # per-arm propagation time, s
     mode_frequency: float             # rad/s
     decoherence: DecoherencePartition = DecoherencePartition.none()
-    n_max: int | None = None
 
     def validate(self) -> None:
         _require_finite(self.alpha, self.arm_time, self.mode_frequency)
         if self.arm_time < 0.0:
             raise ValueError("arm_time must be non-negative")
-
-    def cutoff(self) -> int:
-        n_max = fock_cutoff(self.alpha) if self.n_max is None else self.n_max
-        if n_max > MICHELSON_MAX_CUTOFF:
-            raise ValueError(f"arm cutoff {n_max} exceeds the limit {MICHELSON_MAX_CUTOFF}")
-        if n_max < fock_cutoff(self.alpha):
-            raise ValueError("cutoff below the coherent-state truncation rule")
-        return n_max
 
 
 @dataclass(frozen=True)
@@ -373,38 +355,24 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
 def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     """Balanced Michelson interferometer with per-arm or global dephasing.
 
-    The input |alpha>_a |0>_b is rewritten in the arm basis through the
-    balanced beamsplitter, each arm evolves freely at the mode frequency
-    under the configured dephasing partition, and the recombined output
-    photon numbers are reported. The beamsplitter, the wait and the
-    photon counts all conserve the total photon number, so only the
-    diagonal blocks of the arm state over the sectors N <= n_max are
-    formed: rho_N = |c_N|^2 (w_N[:, N] w_N[:, N]^dag) * exp(-rate*t),
-    with w_N the sector's beamsplitter block and c_N the coherent-state
-    amplitude, and the output populations are diag(w_N^dag rho_N w_N).
-    The arms wait in the frame rotating at the mode frequency with the
-    total photon number, so no drive phase is left.
+    The input |alpha>_a |0>_b is split onto the arms c and d, which wait
+    under the dephasing partition in the frame rotating at the mode
+    frequency, and is recombined. The output means are
+    (<c^dag c> + <d^dag d>)/2 +- Re<c^dag d>: the wait keeps the arm
+    populations |alpha|^2/2, and every coherence behind <c^dag d> moves
+    one photon between the arms, with gaps (omega, -omega). So, exactly
+    and with no Fock cutoff, the means are |alpha|^2/2 * (1 +- exp(-rate*t))
+    with rate = decay_rate({"arm_c": omega, "arm_d": -omega}): 0 for a
+    global block, 2*sigma*omega^2 for one block per arm.
     """
     cfg.validate()
-    n_max = cfg.cutoff()
-    amps = coherent_state(cfg.alpha, n_max)
-    # arm_c gap across |j, N-j><k, N-k| is omega*(j-k); arm_d's is its negative
-    shift = cfg.mode_frequency * np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
-    rate = cfg.decoherence.decay_rate({"arm_c": shift, "arm_d": -shift})
-    with np.errstate(over="ignore"):
-        decay = np.exp(-rate * cfg.arm_time) if cfg.arm_time > 0.0 else 1.0
-    decay = np.broadcast_to(decay, shift.shape)
-    blocks, mean_a, mean_b = [], 0.0, 0.0
-    for n in range(n_max + 1):
-        w = beamsplitter_sector(n_max, n)
-        arm = amps[n] * w[:, n]
-        rho = np.outer(arm, arm.conj()) * decay[: n + 1, : n + 1]
-        blocks.append(rho)
-        populations = np.real(np.sum(w.conj() * (rho @ w), axis=0))
-        mean_a += float(populations @ np.arange(n + 1))
-        mean_b += float(populations @ np.arange(n, -1, -1))
-    validate_blocks(blocks)
-    return MichelsonResult(mean_a, mean_b)
+    a = abs(cfg.alpha)
+    mean = a * a
+    if not math.isfinite(mean):
+        raise ValueError(f"|alpha|**2 overflows for alpha={cfg.alpha!r}")
+    rate = cfg.decoherence.decay_rate({"arm_c": cfg.mode_frequency, "arm_d": -cfg.mode_frequency})
+    fringe = math.exp(-rate * cfg.arm_time) if cfg.arm_time > 0.0 else 1.0
+    return MichelsonResult(mean / 2.0 * (1.0 + fringe), mean / 2.0 * (1.0 - fringe))
 
 
 def phase_average_check(alpha: complex, n_max: int, nodes: int | None = None) -> float:
@@ -461,32 +429,3 @@ def run_ghz(cfg: GhzConfig) -> GhzResult:
         survival=math.exp(-loss * cfg.wait),
         effective_rate=rate,
     )
-
-
-def split_pulse_ramsey_state(n_photons: int) -> np.ndarray:
-    """Joint state of two pulse modes and the atom after the first interaction.
-
-    An n-photon field is split evenly onto two pulse modes, then the
-    first pulse drives the atom with idealized equal-weight amplitudes.
-    The resulting vector pairs |k>_pulse2 |g> with |k-1>_pulse2 |e>
-    inside every pulse-1 sector, which is what makes the reduced state
-    after discarding pulse 1 block-diagonal in those pairs. Returns the
-    normalized amplitude vector on levels 0..n_photons of each pulse mode
-    and (g, e) of the atom, in (pulse1, pulse2, atom) order. Intended as
-    a validation construction for small n_photons.
-    """
-    if n_photons < 1:
-        raise ValueError("need at least one photon to split")
-    n = n_photons
-    d = n + 1
-    amp = np.zeros(d * d * 2, dtype=complex)
-    split = np.array([math.sqrt(math.comb(n, k) / 2.0**n) for k in range(d)])
-
-    def put(k1: int, k2: int, atom: int, value: float) -> None:
-        amp[(k1 * d + k2) * 2 + atom] += value
-
-    for k in range(d):  # k photons assigned to pulse 2
-        put(n - k, k, 0, split[k] / math.sqrt(2.0))
-        if n - k - 1 >= 0:
-            put(n - k - 1, k, 1, split[k] / math.sqrt(2.0))
-    return amp / np.linalg.norm(amp)

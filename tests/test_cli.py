@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,13 @@ from edsim.cli import ConfigError, parse_config
 from edsim.constants import (
     DESIGN_MAX_GRID_AXIS,
     MAX_PHASE_POINTS,
-    MICHELSON_MAX_CUTOFF,
     RAMSEY_MAX_CUTOFF,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
 
 
 def _run(argv, capsys):
@@ -232,6 +235,34 @@ class TestRunCommands:
         assert (code, err) == (0, "")
         assert 0.99 < json.loads(out)["visibility"] <= 1.0
 
+    def test_coherent_field_at_alpha_130(self, capsys):
+        # log weights summed along n used to fail the cutoff's norm check here
+        argv = ["ramsey", "--mode", "quantized", "--field", "coherent", "--alpha", "130"]
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert 0.0 < json.loads(out)["visibility"] <= 1.0
+
+    def test_michelson_closed_form(self, capsys):
+        # the balanced dark port is exactly dark, not a rounding-level -3.5e-17
+        code, out, _ = _run(["michelson"], capsys)
+        summary = json.loads(out)
+        assert code == 0
+        assert (summary["mean_photons_out_a"], summary["mean_photons_out_b"]) == (4.0, 0.0)
+        # a laser-scale amplitude needs no Fock cutoff
+        argv = ["michelson", "--alpha", "1e6", "--partition", "local", "--sigma", "1e-31"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        summary = json.loads(out)
+        # the benchmark's edsim-free closed form, run apart from perfbench's own `oracle`
+        photons = runpy.run_path(str(ROOT / "perfbench" / "oracle.py"))["michelson_photons"]
+        want = photons(1e6, "local", 1e-31, summary["parameters"]["omega"], 1.0)
+        for key, value in zip(("mean_photons_out_a", "mean_photons_out_b"), want):
+            assert abs(summary[key] - value) <= 1e-12 * abs(value)
+        code, _, err = _run(["michelson", "--n-max", "5"], capsys)
+        error = json.loads(err)["error"]
+        assert (code, error["type"]) == (2, "ConfigError")
+        assert "unknown key" in error["message"]
+
     @pytest.mark.parametrize("argv", [
         ["ramsey"],
         ["michelson"],
@@ -323,12 +354,9 @@ class TestBadInput:
         ["ramsey", "--mode", "quantized", "--n-max", str(RAMSEY_MAX_CUTOFF + 1)],
         ["ramsey", "--mode", "quantized", "--n", str(RAMSEY_MAX_CUTOFF)],
         ["ramsey", "--phase-points", str(MAX_PHASE_POINTS + 1)],
-        ["michelson", "--n-max", str(MICHELSON_MAX_CUTOFF + 1)],
-        ["michelson", "--alpha", "15"],
         ["design", "--species", "Sr", "--grid-decades", "1",
          "--grid-points-per-decade", str(DESIGN_MAX_GRID_AXIS)],
-    ], ids=["ramsey-n-max", "ramsey-n", "phase-points", "michelson-n-max", "michelson-alpha",
-            "design-grid"])
+    ], ids=["ramsey-n-max", "ramsey-n", "phase-points", "design-grid"])
     def test_oversized_problem_refused(self, argv, tmp_path, capsys):
         # each value is just above its limit, so a missing guard costs seconds, not gigabytes
         code, out, err = _run([*argv, "--out", str(tmp_path / "B")], capsys)

@@ -11,14 +11,14 @@ from edsim.core import (
     HilbertSpace,
     InvariantError,
     Operator,
-    beamsplitter_5050,
     coherent_state,
     embed,
     fock_cutoff,
     hspace,
-    mode_ops,
     validate_density,
 )
+
+from dense_oracles import beamsplitter_5050, mode_ops, split_pulse_ramsey_state
 
 
 class TestHilbertSpace:
@@ -40,8 +40,6 @@ class TestPartialTrace:
     def test_split_pulse_reduction_matches_hand_built_matrix(self):
         # oracle: assemble the reduced state of the split-pulse sequence at
         # n=4 by summing the per-sector outer products by hand
-        from edsim.interferometry import split_pulse_ramsey_state
-
         n = 4
         d = n + 1
         # trace out pulse 1, the leading factor of the (pulse1, pulse2, atom) vector
@@ -124,6 +122,15 @@ class TestCoherentState:
         probs = np.abs(psi) ** 2
         assert abs(float(np.sum(probs)) - 1.0) <= 1e-12
         assert abs(float(np.sum(probs * np.arange(probs.size))) / 1600.0 - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [130.0, 300.0, *np.random.default_rng(11).uniform(40.0, 996.0, 6)])
+    def test_default_cutoff_is_accurate_at_every_amplitude(self, alpha):
+        # log weights summed along n drifted by 1e-10 at alpha=130 and
+        # failed the norm check on rounding alone; each weight now stands
+        # on its own, so the Poisson mean comes out at double precision
+        probs = np.abs(coherent_state(alpha, fock_cutoff(alpha))) ** 2
+        assert abs(float(np.sum(probs)) - 1.0) <= 1e-12
+        assert abs(float(probs @ np.arange(probs.size)) / (alpha * alpha) - 1.0) <= 1e-12
 
 
 class TestModeOps:

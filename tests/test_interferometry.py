@@ -13,16 +13,15 @@ import pytest
 import edsim.engine
 import edsim.interferometry
 
-from edsim.constants import MAX_PHASE_POINTS, MICHELSON_MAX_CUTOFF, OMEGA_PER_EV, RAMSEY_MAX_CUTOFF
+from edsim.constants import MAX_PHASE_POINTS, OMEGA_PER_EV, RAMSEY_MAX_CUTOFF
 from edsim.core import (
     DensityMatrix,
     Operator,
-    beamsplitter_5050,
     beamsplitter_sector,
     coherent_state,
     embed,
+    fock_cutoff,
     hspace,
-    mode_ops,
     validate_blocks,
     validate_density,
 )
@@ -40,9 +39,10 @@ from edsim.interferometry import (
     run_michelson,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
-    split_pulse_ramsey_state,
     visibility,
 )
+
+from dense_oracles import beamsplitter_5050, mode_ops, split_pulse_ramsey_state
 
 W0 = OMEGA_PER_EV
 
@@ -412,7 +412,7 @@ class TestMichelson:
         # oracle: average the split input over 64 independent phases per
         # arm, recombine, and read the output means explicitly
         alpha = 2.0
-        n_max = MichelsonConfig(alpha=alpha, arm_time=1.0, mode_frequency=W0).cutoff()
+        n_max = fock_cutoff(alpha)
         d = n_max + 1
         arm = np.zeros((d, d), dtype=complex)
         for k in range(64):
@@ -457,17 +457,15 @@ class TestMichelson:
         )
         assert np.linalg.norm(arm - np.diag(probs)) <= 1e-8
 
-    def test_cutoff_violation(self):
-        with pytest.raises(ValueError):
-            run_michelson(
-                MichelsonConfig(alpha=4.0, arm_time=1.0, mode_frequency=W0, n_max=12)
-            )
-
 
 def _partition_over_arms(name, sigma):
+    if name == "none":
+        return DecoherencePartition.none()
     if name == "global":
         return DecoherencePartition.global_over(sigma, "arm_c", "arm_d")
-    return DecoherencePartition.local_over(sigma, "arm_c", "arm_d")
+    if name == "local":
+        return DecoherencePartition.local_over(sigma, "arm_c", "arm_d")
+    return DecoherencePartition.local_over(sigma, name)  # one arm alone
 
 
 def _dense_michelson(cfg, partitions):
@@ -477,7 +475,7 @@ def _dense_michelson(cfg, partitions):
     element per partition block, validate_density on it, and the output
     means from the dense w^dag rho w.
     """
-    n_max = cfg.cutoff()
+    n_max = fock_cutoff(cfg.alpha)
     d = n_max + 1
     w = beamsplitter_5050(n_max).entries
     vac = np.zeros(d)
@@ -497,10 +495,12 @@ def _dense_michelson(cfg, partitions):
 
 
 class TestSectorPipelines:
-    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
-    def test_michelson_matches_dense_oracle(self, alpha):
-        cfg = MichelsonConfig(alpha=alpha, arm_time=1.0, mode_frequency=W0)
-        partitions = [_partition_over_arms(name, 0.2 / W0**2) for name in ("global", "local")]
+    @pytest.mark.parametrize("alpha,arm_time", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (2.0, 0.0)],
+                             ids=["1.0", "2.0", "3.0", "2.0-no-wait"])
+    def test_michelson_matches_dense_oracle(self, alpha, arm_time):
+        cfg = MichelsonConfig(alpha=alpha, arm_time=arm_time, mode_frequency=W0)
+        names = ("none", "global", "local", "arm_c", "arm_d")
+        partitions = [_partition_over_arms(name, 0.2 / W0**2) for name in names]
         for partition, oracle in zip(partitions, _dense_michelson(cfg, partitions)):
             res = run_michelson(dataclasses.replace(cfg, decoherence=partition))
             for got, want in zip((res.mean_photons_out_a, res.mean_photons_out_b), oracle):
@@ -513,7 +513,7 @@ class TestSectorPipelines:
         def boom(*args, **kwargs):
             raise AssertionError("dense machinery used by a pipeline")
 
-        dense = {edsim.engine: ["evolve_stepped"], edsim.core: ["embed", "mode_ops", "beamsplitter_5050"]}
+        dense = {edsim.engine: ["evolve_stepped"], edsim.core: ["embed", "beamsplitter_sector"]}
         for module, names in dense.items():
             for name in names:
                 monkeypatch.setattr(module, name, boom)
@@ -672,7 +672,7 @@ class TestClosedFormReadout:
         monkeypatch.setattr(edsim.interferometry, "validate_blocks", counting)
         run_ramsey_quantized(RamseyConfig(omega0=W0, wait=1.0, field=FockField(12)))
         run_michelson(MichelsonConfig(alpha=2.0, arm_time=1.0, mode_frequency=W0))
-        assert len(calls) == 2
+        assert len(calls) == 1  # Michelson is a closed form and forms no state
 
 
 class TestDiagonalFrame:
@@ -790,16 +790,6 @@ class TestSizeLimits:
             dataclasses.replace(at, n_max=RAMSEY_MAX_CUTOFF + 1),
             dataclasses.replace(at, n_max=None, field=FockField(100_000_000)),
             dataclasses.replace(at, n_max=None, field=CoherentField(1e4)),
-        ):
-            with pytest.raises(ValueError, match="exceeds the limit"):
-                cfg.cutoff()
-
-    def test_michelson_cutoff(self):
-        at = MichelsonConfig(alpha=2.0, arm_time=1.0, mode_frequency=W0, n_max=MICHELSON_MAX_CUTOFF)
-        assert at.cutoff() == MICHELSON_MAX_CUTOFF
-        for cfg in (
-            dataclasses.replace(at, n_max=MICHELSON_MAX_CUTOFF + 1),
-            dataclasses.replace(at, n_max=None, alpha=1e4),
         ):
             with pytest.raises(ValueError, match="exceeds the limit"):
                 cfg.cutoff()
