@@ -21,7 +21,6 @@ from .core import (
     Operator,
     beamsplitter_sector,
     coherent_state,
-    embed,
     fock_cutoff,
     hspace,
     validate_blocks,
@@ -32,7 +31,6 @@ from .engine import (
     LossChannel,
     evolve_analytic,
     evolve_stepped,
-    generator,
 )
 from .interferometry import (
     CoherentField,

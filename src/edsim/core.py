@@ -1,8 +1,7 @@
 """Dense linear algebra for small composite quantum systems.
 
 Labeled tensor-product spaces, operators and density matrices on them,
-the embedding of a factor's operator into a larger space, and the
-bosonic-mode constructors (coherent-state amplitudes and the
+and the bosonic-mode constructors (coherent-state amplitudes and the
 number-conserving blocks of a balanced two-mode beamsplitter).
 Everything is immutable after construction; invariant checks are
 explicit ``validate_*`` calls so that intermediate states of an
@@ -25,7 +24,6 @@ __all__ = [
     "hspace",
     "Operator",
     "DensityMatrix",
-    "embed",
     "fock_cutoff",
     "coherent_state",
     "beamsplitter_sector",
@@ -52,10 +50,6 @@ class HilbertSpace:
             raise ValueError("factor labels must be unique and non-empty")
         if any(int(d) < 1 for _, d in self.factors):
             raise ValueError("factor dimensions must be positive")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -94,11 +88,6 @@ class Operator:
         if other.space != self.space:
             raise ValueError("operands live on different spaces")
         return Operator(self.space, self.entries + other.entries)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.space, self.entries * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -151,28 +140,6 @@ def validate_blocks(blocks: Iterable[np.ndarray]) -> None:
             lo = float(np.min(np.linalg.eigvalsh(h)[..., 0]))
             if lo < -PSD_TOL:
                 raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}") from None
-
-
-def embed(op: Operator, space: HilbertSpace) -> Operator:
-    """Extend an operator to a larger space, acting as identity elsewhere."""
-    sub = op.space
-    dims = dict(space.factors)
-    for lab, d in sub.factors:
-        if lab not in dims:
-            raise KeyError(f"factor {lab!r} not present in target space")
-        if dims[lab] != d:
-            raise ValueError(f"dimension mismatch for factor {lab!r}")
-    rest = tuple(f for f in space.factors if f[0] not in sub.labels)
-    rest_dim = int(np.prod([d for _, d in rest])) if rest else 1
-    big = np.kron(op.entries, np.eye(rest_dim))
-    cur_labels = sub.labels + tuple(lab for lab, _ in rest)
-    cur_dims = sub.dims + tuple(d for _, d in rest)
-    perm = [cur_labels.index(lab) for lab in space.labels]
-    k = len(cur_dims)
-    t = big.reshape(cur_dims + cur_dims)
-    t = t.transpose(perm + [k + p for p in perm])
-    d = space.total_dim
-    return Operator(space, np.ascontiguousarray(t.reshape(d, d)))
 
 
 def fock_cutoff(alpha: complex) -> int:

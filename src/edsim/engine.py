@@ -20,29 +20,29 @@ call the engine only for the semiclassical Ramsey wait, on the bare
 atom's 2x2 state; otherwise the engine serves the acceptance suite and
 the tests as an independent dense oracle.
 
-Two propagators are provided: a closed-form eigenbasis propagator for
-mutually commuting Hamiltonians without losses, and a fixed-step
-classical 4th-order integrator for the general case (fixed step keeps
-repeated runs bit-stable). Diagonal inputs take an exact path: the
-diagonal entries are the spectra, so there is no commutation check, no
-eigensolver and no eigenvalue snapping.
+Two propagators are provided: a closed-form propagator for diagonal
+Hamiltonians without losses, and a fixed-step classical 4th-order
+integrator for the general case (fixed step keeps repeated runs
+bit-stable). The closed form reads the spectra off the diagonal, so
+there is no eigensolver, commutation check or eigenvalue snapping; a
+caller with non-diagonal commuting Hamiltonians and a known eigenbasis
+rotates the state into that basis and back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .constants import COMMUTE_TOL, EIG_CLUSTER_RTOL, PSD_TOL
+from .constants import PSD_TOL
 from .core import DensityMatrix, InvariantError, Operator
 
 __all__ = [
     "LossChannel",
     "EvolutionSpec",
-    "generator",
     "evolve_analytic",
     "evolve_stepped",
 ]
@@ -54,6 +54,10 @@ class LossChannel:
 
     rate: float
     lowering: Operator
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rate) and self.rate >= 0.0):
+            raise ValueError("loss rate must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,6 @@ def _rhs(spec: EvolutionSpec) -> Callable[[np.ndarray], np.ndarray]:
     blocks = [b.entries for b in spec.blocks] if sigma > 0.0 else []
     loss_terms = []
     for ch in spec.losses:
-        if ch.rate < 0.0:
-            raise ValueError("loss rates must be non-negative")
         l = ch.lowering.entries
         loss_terms.append((ch.rate, l, l.conj().T, l.conj().T @ l))
 
@@ -101,89 +103,25 @@ def _rhs(spec: EvolutionSpec) -> Callable[[np.ndarray], np.ndarray]:
     return rhs
 
 
-def generator(rho: DensityMatrix, spec: EvolutionSpec) -> np.ndarray:
-    """Right-hand side drho/dt for the given state; traceless and Hermitian."""
-    if spec.hamiltonian.space.total_dim != rho.space.total_dim:
-        raise ValueError("Hamiltonian and state dimensions differ")
-    return _rhs(spec)(rho.entries)
-
-
-def _cluster_and_snap(w: np.ndarray, block_indices: list[np.ndarray], atol: float):
-    """Group near-degenerate eigenvalues inside each block and snap each
-    group to its mean, so exactly degenerate gaps come out as exactly zero."""
-    new_blocks: list[np.ndarray] = []
-    snapped = w.copy()
-    for idx in block_indices:
-        order = idx[np.argsort(w[idx], kind="stable")]
-        start = 0
-        vals = w[order]
-        for i in range(1, len(order) + 1):
-            if i == len(order) or vals[i] - vals[i - 1] > atol:
-                group = order[start:i]
-                snapped[group] = float(np.mean(w[group]))
-                new_blocks.append(group)
-                start = i
-    return snapped, new_blocks
-
-
-def _joint_eigbasis(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Common eigenbasis of mutually commuting Hermitian matrices.
-
-    Refines eigenspaces matrix by matrix; returns the unitary and one
-    (snapped) eigenvalue array per input matrix.
-    """
-    dim = mats[0].shape[0]
-    u = np.eye(dim, dtype=complex)
-    blocks = [np.arange(dim)]
-    all_evals: list[np.ndarray] = []
-    for m in mats:
-        w = np.empty(dim)
-        for idx in blocks:
-            if len(idx) == 1:
-                w[idx] = float((u[:, idx].conj().T @ m @ u[:, idx]).real[0, 0])
-                continue
-            sub = u[:, idx]
-            a = sub.conj().T @ m @ sub
-            wv, vv = np.linalg.eigh((a + a.conj().T) / 2.0)
-            u[:, idx] = sub @ vv
-            w[idx] = wv
-        scale = max(1.0, float(np.max(w) - np.min(w)))
-        w, blocks = _cluster_and_snap(w, blocks, EIG_CLUSTER_RTOL * scale)
-        all_evals.append(w)
-    return u, all_evals
-
-
-def _check_commuting(mats: Sequence[np.ndarray]) -> None:
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            a, b = mats[i], mats[j]
-            scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-            if float(np.linalg.norm(a @ b - b @ a)) > COMMUTE_TOL * scale:
-                raise ValueError("Hamiltonians do not commute; use evolve_stepped")
-
-
 def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
-    """Closed-form propagation in the joint eigenbasis.
+    """Closed-form propagation of diagonal Hamiltonians.
 
-    Requires the drive and every block Hamiltonian to commute pairwise
-    and forbids loss channels. In the joint basis each coherence picks
-    up exp(-i*gap*t) from the drive and exp(-sigma*gap_b**2*t) from each
-    block; coherences between states degenerate in every block are
-    exactly invariant under the dephasing. When every matrix is diagonal
-    the basis is the given one and the gaps are differences of diagonal
-    entries: no commutation check, eigensolver or eigenvalue snapping.
+    The drive and every block Hamiltonian must be diagonal in the basis
+    of rho0 (a ValueError otherwise), and loss channels are forbidden.
+    The diagonal entries are the spectra: each coherence picks up
+    exp(-i*gap*t) from the drive and exp(-sigma*gap_b**2*t) from each
+    block, so coherences between states degenerate in every block are
+    exactly invariant under the dephasing. A caller that knows an
+    eigenbasis of non-diagonal Hamiltonians rotates into it first.
     """
     if spec.losses:
         raise ValueError("the analytic propagator does not support loss channels")
     t = spec.duration
     mats = [spec.hamiltonian.entries] + [b.entries for b in spec.blocks]
     # O(d^2) test: every nonzero entry lies on the diagonal
-    diagonal = all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)) for m in mats)
-    if diagonal:
-        evals = [np.diagonal(m).real for m in mats]
-    else:
-        _check_commuting(mats)
-        u, evals = _joint_eigbasis(mats)
+    if any(np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)) for m in mats):
+        raise ValueError("the analytic propagator takes diagonal Hamiltonians only")
+    evals = [np.diagonal(m).real for m in mats]
     # build the phase factor as an outer product of per-state phases so the
     # Hadamard multiplier stays exactly rank-1 positive even when the
     # absolute phases w*t are far beyond double-precision resolution
@@ -197,10 +135,7 @@ def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
                 db = wb[:, None] - wb[None, :]
                 decay = decay + db * db
             mult = mult * np.exp(-spec.sigma * decay * t)
-    if diagonal:
-        out = rho0.entries * mult
-    else:
-        out = u @ ((u.conj().T @ rho0.entries @ u) * mult) @ u.conj().T
+    out = rho0.entries * mult
     # in place: one dense temporary fewer at the memory peak
     out += out.conj().T
     out /= 2.0
@@ -212,7 +147,7 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
 
     The final state is re-Hermitized and trace-renormalized; it must
     stay positive within PSD_TOL or an InvariantError is raised. Step
-    size is rejected unless ||generator(rho0)|| * step <= 0.1.
+    size is rejected unless ||drho/dt at rho0|| * step <= 0.1.
     """
     if spec.duration == 0.0:
         return DensityMatrix(rho0.space, rho0.entries.copy())

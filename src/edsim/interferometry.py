@@ -388,7 +388,10 @@ def phase_average_check(alpha: complex, n_max: int, nodes: int | None = None) ->
     if nodes < 4 * n_max:
         raise ValueError(f"need at least {4 * n_max} quadrature nodes, got {nodes}")
     ns = np.arange(n_max + 1, dtype=float)
-    mean = abs(alpha) ** 2
+    a = abs(alpha)
+    mean = a * a
+    if not math.isfinite(mean):
+        raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}")
     if mean == 0.0:
         weights = np.zeros(n_max + 1)
         weights[0] = 1.0

@@ -10,9 +10,7 @@ from edsim.core import (
     DensityMatrix,
     HilbertSpace,
     InvariantError,
-    Operator,
     coherent_state,
-    embed,
     fock_cutoff,
     hspace,
     validate_density,
@@ -25,7 +23,7 @@ class TestHilbertSpace:
     def test_total_dim_is_product(self):
         space = hspace(atom=2, field=31)
         assert space.total_dim == 62
-        assert space.labels == ("atom", "field")
+        assert space.factors == (("atom", 2), ("field", 31))
         assert space.dims == (2, 31)
 
     def test_duplicate_labels_rejected(self):
@@ -168,23 +166,6 @@ class TestBeamsplitter:
         half = coherent_state(2.0 / math.sqrt(2.0), n_max)
         overlap = abs(np.vdot(np.kron(half, half), w.entries @ v_in))
         assert overlap >= 1.0 - 1e-8
-
-
-class TestEmbed:
-    def test_first_factor(self):
-        op = Operator(hspace(a=2), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        big = embed(op, hspace(a=2, b=3))
-        assert np.allclose(big.entries, np.kron(op.entries, np.eye(3)))
-
-    def test_second_factor_permuted(self):
-        op = Operator(hspace(b=3), np.diag([1.0, 2.0, 3.0]))
-        big = embed(op, hspace(a=2, b=3))
-        assert np.allclose(big.entries, np.kron(np.eye(2), op.entries))
-
-    def test_missing_label(self):
-        op = Operator(hspace(z=2), np.eye(2))
-        with pytest.raises(KeyError):
-            embed(op, hspace(a=2, b=3))
 
 
 class TestValidation:

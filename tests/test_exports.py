@@ -1,11 +1,14 @@
-"""Every public name a module declares must exist.
+"""Every public name a module declares must exist, and every constant is read.
 
 Tools that walk `__all__` (tracers, star imports, docs) fail on a stale
-entry, so a removed function must leave `__all__` with it.
+entry, so a removed function must leave `__all__` with it; likewise a
+tolerance must leave `edsim.constants` with the check that read it.
 """
 
 import importlib
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,12 @@ def test_package_root_exports_declared_names():
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert exported and exported <= declared
+
+
+def test_every_constant_is_read_by_a_module():
+    package = Path(edsim.__file__).parent
+    sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))
+               if p.name not in ("constants.py", "__init__.py")]
+    unread = [n for n in vars(constants)
+              if n.isupper() and not any(re.search(rf"\b{n}\b", src) for src in sources)]
+    assert unread == []

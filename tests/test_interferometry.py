@@ -19,7 +19,6 @@ from edsim.core import (
     Operator,
     beamsplitter_sector,
     coherent_state,
-    embed,
     fock_cutoff,
     hspace,
     validate_blocks,
@@ -286,10 +285,7 @@ class TestRamseyQuantized:
         psi = np.zeros(space.total_dim, dtype=complex)
         psi[0 * (n_max + 1) + n] = 1.0  # |g, N>
         rho = np.outer(psi, psi.conj())
-        h_free = W0 * (
-            embed(Operator(hspace(atom=2), np.diag([0.0, 1.0])), space).entries
-            + embed(num_op, space).entries
-        )
+        h_free = W0 * (np.kron(np.diag([0.0, 1.0]), np.eye(n_max + 1)) + np.kron(np.eye(2), num_op.entries))
         rho = pulse @ rho @ pulse.conj().T
         drive = Operator(space, h_free)
         rho = evolve_analytic(
@@ -344,11 +340,12 @@ class TestRamseyQuantized:
             decoherence=partition, spontaneous_rate=0.4,
         )
         space = hspace(atom=2, field=4)
-        excited = embed(Operator(hspace(atom=2), np.diag([0.0, 1.0])), space)
-        lower = embed(Operator(hspace(atom=2), _S_MINUS), space)
-        free = {"atom": 3.0 * excited, "field": 1.7 * embed(mode_ops(3, label="field")[1], space)}
+        excited = np.kron(np.diag([0.0, 1.0]), np.eye(4))
+        lower = Operator(space, np.kron(_S_MINUS, np.eye(4)))
+        free = {"atom": Operator(space, 3.0 * excited),
+                "field": Operator(space, 1.7 * np.kron(np.eye(2), mode_ops(3)[1].entries))}
         pulse, rho0 = _dense_first_pulse(cfg)
-        spec = EvolutionSpec(1.3 * excited, 1.0, partition.sigma, _block_hamiltonians(partition, free),
+        spec = EvolutionSpec(Operator(space, 1.3 * excited), 1.0, partition.sigma, _block_hamiltonians(partition, free),
                              (LossChannel(0.4, lower),), step=1e-3)
         stepped = evolve_stepped(DensityMatrix(space, rho0), spec)
         reference = _dense_readout(pulse, stepped.entries, cfg.phases)
@@ -445,9 +442,8 @@ class TestMichelson:
         space = hspace(arm_c=d, arm_d=d)
         half = coherent_state(alpha / math.sqrt(2.0), n_max)
         rho = DensityMatrix(space, np.outer(np.kron(half, half), np.kron(half, half).conj()))
-        _, num_c = mode_ops(n_max, label="arm_c")
-        _, num_d = mode_ops(n_max, label="arm_d")
-        h = W0 * (embed(num_c, space) + embed(num_d, space))
+        _, num = mode_ops(n_max)
+        h = Operator(space, W0 * (np.kron(num.entries, np.eye(d)) + np.kron(np.eye(d), num.entries)))
         sigma = 50.0 / (W0 * W0)
         evolved = evolve_analytic(rho, EvolutionSpec(h, 1.0, sigma, (h,)))
         arm = np.einsum("ikjk->ij", evolved.entries.reshape(d, d, d, d))  # trace out arm_d
@@ -513,7 +509,7 @@ class TestSectorPipelines:
         def boom(*args, **kwargs):
             raise AssertionError("dense machinery used by a pipeline")
 
-        dense = {edsim.engine: ["evolve_stepped"], edsim.core: ["embed", "beamsplitter_sector"]}
+        dense = {edsim.engine: ["evolve_stepped"], edsim.core: ["beamsplitter_sector"]}
         for module, names in dense.items():
             for name in names:
                 monkeypatch.setattr(module, name, boom)
@@ -545,6 +541,10 @@ class TestPhaseAverage:
     def test_insufficient_nodes(self):
         with pytest.raises(ValueError):
             phase_average_check(2.0, 40, nodes=100)
+
+    def test_overflowing_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            phase_average_check(1e200, 10)
 
 
 class TestGhz:
@@ -679,12 +679,10 @@ class TestDiagonalFrame:
     def test_pipelines_never_diagonalize(self, monkeypatch):
         # every wait Hamiltonian is diagonal in the atom-Fock basis and
         # decay is a closed-form channel, so the pipelines must reach
-        # neither the eigenbasis machinery nor the stepped integrator
+        # neither an eigensolver nor the stepped integrator
         def boom(*args, **kwargs):
-            raise AssertionError("eigenbasis or stepped path used by a pipeline")
+            raise AssertionError("eigensolver or stepped path used by a pipeline")
 
-        monkeypatch.setattr(edsim.engine, "_check_commuting", boom)
-        monkeypatch.setattr(edsim.engine, "_joint_eigbasis", boom)
         monkeypatch.setattr(edsim.engine, "_rhs", boom)
         # valid states pass the positivity check by factorization alone
         monkeypatch.setattr(np.linalg, "eigvalsh", boom)
