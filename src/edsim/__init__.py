@@ -16,13 +16,10 @@ from .constants import (
 )
 from .core import (
     DensityMatrix,
-    HilbertSpace,
     InvariantError,
-    Operator,
     beamsplitter_sector,
     coherent_state,
     fock_cutoff,
-    hspace,
     validate_blocks,
     validate_density,
 )

@@ -64,7 +64,7 @@ from .sensitivity import (
     validate_species,
 )
 
-__all__ = ["ConfigError", "RunConfig", "SpeciesEntry", "SPECIES", "parse_config", "run", "main"]
+__all__ = ["ConfigError", "RunConfig", "SPECIES", "parse_config", "run", "main"]
 
 
 class ConfigError(ValueError):
@@ -89,22 +89,10 @@ class RunConfig:
     sweep_values: tuple = ()
 
 
-@dataclass(frozen=True)
-class SpeciesEntry:
-    name: str
-    params: SpeciesParams
-    provenance: str
-
-
-SPECIES: dict[str, SpeciesEntry] = {
-    "Sr": SpeciesEntry(
-        name="Sr",
-        params=SpeciesParams(gamma_sp=1e-3, delta_e=1.0, kappa=1e-17, k3=1e-41),
-        provenance=(
-            "order-of-magnitude working values for the strontium clock transition; "
-            "supply measured numbers via explicit keys for quantitative work"
-        ),
-    ),
+# order-of-magnitude working values for the strontium clock transition;
+# supply measured numbers via explicit keys for quantitative work
+SPECIES: dict[str, SpeciesParams] = {
+    "Sr": SpeciesParams(gamma_sp=1e-3, delta_e=1.0, kappa=1e-17, k3=1e-41),
 }
 
 _PARTITIONS = ("global", "local", "atom", "field", "none")
@@ -369,10 +357,10 @@ def _handle_ghz(params: dict) -> ExperimentOutput:
 def _species_from_params(params: dict) -> SpeciesParams:
     name = params.get("species")
     if name:
-        matches = [e for key, e in SPECIES.items() if key.lower() == name.lower()]
+        matches = [p for key, p in SPECIES.items() if key.lower() == name.lower()]
         if not matches:
             raise ConfigError(f"unknown species {name!r}; built-in: {sorted(SPECIES)}")
-        species = matches[0].params
+        species = matches[0]
         for key in ("gamma_sp", "kappa", "k3", "delta_e"):
             if params.get(key, getattr(species, key)) != getattr(species, key):
                 raise ConfigError(f"key {key!r} conflicts with species {name!r}; give one or the other")

@@ -1,8 +1,8 @@
 """Dense linear algebra for small composite quantum systems.
 
-Labeled tensor-product spaces, operators and density matrices on them,
-and the bosonic-mode constructors (coherent-state amplitudes and the
-number-conserving blocks of a balanced two-mode beamsplitter).
+Density matrices as read-only square complex arrays, their invariant
+checks, and the bosonic-mode constructors (coherent-state amplitudes
+and the number-conserving blocks of a balanced two-mode beamsplitter).
 Everything is immutable after construction; invariant checks are
 explicit ``validate_*`` calls so that intermediate states of an
 integrator may transiently violate positivity without aborting.
@@ -20,9 +20,6 @@ from .constants import HERM_TOL, PSD_TOL, TRACE_TOL
 
 __all__ = [
     "InvariantError",
-    "HilbertSpace",
-    "hspace",
-    "Operator",
     "DensityMatrix",
     "fock_cutoff",
     "coherent_state",
@@ -36,70 +33,23 @@ class InvariantError(ValueError):
     """A state or operator failed one of its structural invariants."""
 
 
-@dataclass(frozen=True)
-class HilbertSpace:
-    """Ordered tensor-product structure: a tuple of (label, dim) factors."""
-
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        labels = [lab for lab, _ in self.factors]
-        if not self.factors:
-            raise ValueError("a HilbertSpace needs at least one factor")
-        if len(set(labels)) != len(labels) or any(not lab for lab in labels):
-            raise ValueError("factor labels must be unique and non-empty")
-        if any(int(d) < 1 for _, d in self.factors):
-            raise ValueError("factor dimensions must be positive")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(int(d) for _, d in self.factors)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
-
-def hspace(**factors: int) -> HilbertSpace:
-    """Build a HilbertSpace from keyword factors, e.g. hspace(atom=2, field=31)."""
-    return HilbertSpace(tuple((lab, int(d)) for lab, d in factors.items()))
-
-
-def _frozen_array(values, shape) -> np.ndarray:
+def _frozen_square(values) -> np.ndarray:
+    """Read-only complex copy of a non-empty square matrix (ValueError otherwise)."""
     arr = np.array(values, dtype=complex)
-    if arr.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
-class Operator:
-    """A square complex matrix living on a HilbertSpace."""
-
-    space: HilbertSpace
-    entries: np.ndarray
-
-    def __post_init__(self):
-        d = self.space.total_dim
-        object.__setattr__(self, "entries", _frozen_array(self.entries, (d, d)))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if other.space != self.space:
-            raise ValueError("operands live on different spaces")
-        return Operator(self.space, self.entries + other.entries)
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix on a HilbertSpace. Use validate_density for checks."""
+    """A density matrix as a square complex array. Use validate_density for checks."""
 
-    space: HilbertSpace
     entries: np.ndarray
 
     def __post_init__(self):
-        d = self.space.total_dim
-        object.__setattr__(self, "entries", _frozen_array(self.entries, (d, d)))
+        object.__setattr__(self, "entries", _frozen_square(self.entries))
 
 
 def validate_density(rho: DensityMatrix) -> None:

@@ -13,12 +13,14 @@ holding the total Hamiltonian is "global" dephasing, one block per
 subsystem is "local".
 
 An `EvolutionSpec(hamiltonian, duration, sigma, blocks, losses, step)`
-holds the block Hamiltonians as plain operators on the full space; the
-engine never sees subsystem labels. The experiment pipelines in
-`interferometry` work on number-conserving sectors in closed form and
-call the engine only for the semiclassical Ramsey wait, on the bare
-atom's 2x2 state; otherwise the engine serves the acceptance suite and
-the tests as an independent dense oracle.
+holds the drive, the block Hamiltonians and the lowering operators as
+read-only square arrays; the engine never sees subsystem labels, and
+both propagators raise ValueError unless every one of them has the
+state's shape. The experiment pipelines in `interferometry` work on
+number-conserving sectors in closed form and call the engine only for
+the semiclassical Ramsey wait, on the bare atom's 2x2 state; otherwise
+the engine serves the acceptance suite and the tests as an independent
+dense oracle.
 
 Two propagators are provided: a closed-form propagator for diagonal
 Hamiltonians without losses, and a fixed-step classical 4th-order
@@ -38,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import PSD_TOL
-from .core import DensityMatrix, InvariantError, Operator
+from .core import DensityMatrix, InvariantError, _frozen_square
 
 __all__ = [
     "LossChannel",
@@ -53,9 +55,10 @@ class LossChannel:
     """Amplitude-damping dissipator at the given rate with lowering operator."""
 
     rate: float
-    lowering: Operator
+    lowering: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "lowering", _frozen_square(self.lowering))
         if not (math.isfinite(self.rate) and self.rate >= 0.0):
             raise ValueError("loss rate must be finite and non-negative")
 
@@ -68,27 +71,36 @@ class EvolutionSpec:
     sigma; `step` is the fixed step of the stepped integrator.
     """
 
-    hamiltonian: Operator
+    hamiltonian: np.ndarray
     duration: float
     sigma: float = 0.0
-    blocks: tuple[Operator, ...] = ()
+    blocks: tuple[np.ndarray, ...] = ()
     losses: tuple[LossChannel, ...] = ()
     step: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "hamiltonian", _frozen_square(self.hamiltonian))
+        object.__setattr__(self, "blocks", tuple(_frozen_square(b) for b in self.blocks))
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and non-negative")
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise ValueError("duration must be finite and non-negative")
 
 
+def _check_shapes(rho0: DensityMatrix, spec: EvolutionSpec) -> None:
+    shape = rho0.entries.shape
+    mats = [spec.hamiltonian, *spec.blocks, *(ch.lowering for ch in spec.losses)]
+    if any(m.shape != shape for m in mats):
+        raise ValueError(f"drive, blocks and lowering operators must have the state's shape {shape}")
+
+
 def _rhs(spec: EvolutionSpec) -> Callable[[np.ndarray], np.ndarray]:
-    h = spec.hamiltonian.entries
+    h = spec.hamiltonian
     sigma = spec.sigma
-    blocks = [b.entries for b in spec.blocks] if sigma > 0.0 else []
+    blocks = spec.blocks if sigma > 0.0 else ()
     loss_terms = []
     for ch in spec.losses:
-        l = ch.lowering.entries
+        l = ch.lowering
         loss_terms.append((ch.rate, l, l.conj().T, l.conj().T @ l))
 
     def rhs(rho: np.ndarray) -> np.ndarray:
@@ -106,18 +118,19 @@ def _rhs(spec: EvolutionSpec) -> Callable[[np.ndarray], np.ndarray]:
 def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     """Closed-form propagation of diagonal Hamiltonians.
 
-    The drive and every block Hamiltonian must be diagonal in the basis
-    of rho0 (a ValueError otherwise), and loss channels are forbidden.
-    The diagonal entries are the spectra: each coherence picks up
+    The drive and every block Hamiltonian must have rho0's shape and be
+    diagonal in its basis (a ValueError otherwise), and loss channels
+    are forbidden. The diagonal entries are the spectra: each coherence picks up
     exp(-i*gap*t) from the drive and exp(-sigma*gap_b**2*t) from each
     block, so coherences between states degenerate in every block are
     exactly invariant under the dephasing. A caller that knows an
     eigenbasis of non-diagonal Hamiltonians rotates into it first.
     """
+    _check_shapes(rho0, spec)
     if spec.losses:
         raise ValueError("the analytic propagator does not support loss channels")
     t = spec.duration
-    mats = [spec.hamiltonian.entries] + [b.entries for b in spec.blocks]
+    mats = [spec.hamiltonian, *spec.blocks]
     # O(d^2) test: every nonzero entry lies on the diagonal
     if any(np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)) for m in mats):
         raise ValueError("the analytic propagator takes diagonal Hamiltonians only")
@@ -139,7 +152,7 @@ def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     # in place: one dense temporary fewer at the memory peak
     out += out.conj().T
     out /= 2.0
-    return DensityMatrix(rho0.space, out)
+    return DensityMatrix(out)
 
 
 def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
@@ -149,8 +162,9 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     stay positive within PSD_TOL or an InvariantError is raised. Step
     size is rejected unless ||drho/dt at rho0|| * step <= 0.1.
     """
+    _check_shapes(rho0, spec)
     if spec.duration == 0.0:
-        return DensityMatrix(rho0.space, rho0.entries.copy())
+        return DensityMatrix(rho0.entries)
     if spec.step is None or spec.step <= 0.0:
         raise ValueError("stepped method needs a positive step")
     if spec.step > spec.duration * (1.0 + 1e-12):
@@ -161,7 +175,7 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
         raise ValueError("step too large: ||generator||*step must not exceed 0.1")
     n = max(1, int(math.ceil(spec.duration / spec.step - 1e-9)))
     h = spec.duration / n
-    y = rho0.entries.astype(complex).copy()
+    y = rho0.entries.copy()
     for _ in range(n):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
@@ -173,4 +187,4 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     lo = float(np.linalg.eigvalsh(y)[0])
     if lo < -PSD_TOL:
         raise InvariantError(f"integrated state lost positivity: min eigenvalue {lo:.3e}")
-    return DensityMatrix(rho0.space, y)
+    return DensityMatrix(y)

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constants import MAX_PHASE_POINTS, RAMSEY_MAX_CUTOFF
-from .core import DensityMatrix, Operator, coherent_state, fock_cutoff, hspace, validate_blocks
+from .core import DensityMatrix, coherent_state, fock_cutoff, validate_blocks
 from .engine import EvolutionSpec, evolve_analytic
 
 __all__ = [
@@ -299,18 +299,17 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     V = exp(-sigma*omega0^2*wait) * exp(-gamma_sp*wait/2).
     """
     cfg.validate()
-    space = hspace(atom=2)
     # raises unless every block is {atom}, whose Hamiltonian is omega0*|e><e|
     cfg.decoherence.decay_rate({"atom": cfg.omega0})
-    blocks = tuple(Operator(space, np.diag([0.0, cfg.omega0])) for _ in cfg.decoherence.blocks)
+    blocks = tuple(np.diag([0.0, cfg.omega0]) for _ in cfg.decoherence.blocks)
     c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
     lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
     kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
     rho = np.array([[c * c + lost * s * s, 1j * c * s * kept],
                     [-1j * c * s * kept, kept * kept * s * s]])
     rho = evolve_analytic(
-        DensityMatrix(space, rho),
-        EvolutionSpec(Operator(space, np.zeros((2, 2))), cfg.wait, cfg.decoherence.sigma, blocks),
+        DensityMatrix(rho),
+        EvolutionSpec(np.zeros((2, 2)), cfg.wait, cfg.decoherence.sigma, blocks),
     ).entries
     return _fringe(rho[0, 0], rho[1, 1], rho[1, 0], c, 1j * s, cfg.phases)
 

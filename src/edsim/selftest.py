@@ -22,8 +22,8 @@ import numpy as np
 
 from . import cli
 from .constants import OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
-from .core import (DensityMatrix, Operator, beamsplitter_sector, coherent_state, fock_cutoff, hspace,
-                   validate_blocks, validate_density)
+from .core import (DensityMatrix, beamsplitter_sector, coherent_state, fock_cutoff, validate_blocks,
+                   validate_density)
 from .engine import EvolutionSpec, evolve_analytic, evolve_stepped
 from .interferometry import (
     DecoherencePartition,
@@ -101,21 +101,20 @@ def criterion_01() -> _Checks:
     c = _Checks()
     rng = np.random.default_rng(20260811)
     for da, db in ((3, 4), (8, 8)):
-        space = hspace(left=da, right=db)
         a, b = _random_hermitian(rng, da), _random_hermitian(rng, db)
-        h_left = Operator(space, np.kron(a, np.eye(db)))
-        h_right = Operator(space, np.kron(np.eye(da), b))
+        h_left = np.kron(a, np.eye(db))
+        h_right = np.kron(np.eye(da), b)
         drive = h_left + h_right
-        rho0 = DensityMatrix(space, _random_density(rng, da * db))
+        rho0 = DensityMatrix(_random_density(rng, da * db))
         (wa, ua), (wb, ub) = np.linalg.eigh(a), np.linalg.eigh(b)
         u = np.kron(ua, ub)
-        d_left = Operator(space, np.diag(np.repeat(wa, db)))
-        d_right = Operator(space, np.diag(np.tile(wb, da)))
+        d_left = np.diag(np.repeat(wa, db))
+        d_right = np.diag(np.tile(wb, da))
         d_drive = d_left + d_right
-        rho0_eig = DensityMatrix(space, u.conj().T @ rho0.entries @ u)
+        rho0_eig = DensityMatrix(u.conj().T @ rho0.entries @ u)
         for blocks, d_blocks in (((h_left, h_right), (d_left, d_right)), ((drive,), (d_drive,))):
             rotated = evolve_analytic(rho0_eig, EvolutionSpec(d_drive, 1.0, 0.1, d_blocks))
-            exact = DensityMatrix(space, u @ rotated.entries @ u.conj().T)
+            exact = DensityMatrix(u @ rotated.entries @ u.conj().T)
             stepped = evolve_stepped(rho0, EvolutionSpec(drive, 1.0, 0.1, blocks, step=1e-3))
             dist = float(np.linalg.norm(exact.entries - stepped.entries))
             c.add(f"dim{da * db}_frobenius_{dist:.1e}", dist <= 1e-8)
@@ -133,9 +132,8 @@ def criterion_02() -> _Checks:
     c = _Checks()
     omega0 = OMEGA_PER_EV
     sigma = 1e-33
-    space = hspace(atom=2)
-    h = Operator(space, np.diag([0.0, omega0]))
-    rho0 = DensityMatrix(space, np.full((2, 2), 0.5, dtype=complex))
+    h = np.diag([0.0, omega0])
+    rho0 = DensityMatrix(np.full((2, 2), 0.5))
     worst = 0.0
     for x in np.linspace(0.0, 10.0, 21):
         t = x / (sigma * omega0 * omega0)
@@ -243,13 +241,11 @@ def criterion_06() -> _Checks:
     omega0 = 1.5e15
     sigma = 1e-32
     for n in (2, 3, 4):
-        labels = {f"atom{i}": 2 for i in range(n)}
-        space = hspace(**labels)
         # each excited atom adds omega0: the drive is omega0 * popcount(k)
-        h = Operator(space, np.diag([omega0 * k.bit_count() for k in range(space.total_dim)]))
-        psi = np.zeros(space.total_dim, dtype=complex)
+        h = np.diag([omega0 * k.bit_count() for k in range(2**n)])
+        psi = np.zeros(2**n, dtype=complex)
         psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
-        rho0 = DensityMatrix(space, np.outer(psi, psi.conj()))
+        rho0 = DensityMatrix(np.outer(psi, psi.conj()))
         out = evolve_analytic(rho0, EvolutionSpec(h, 1.0, sigma, (h,)))
         validate_density(out)
         sim = abs(out.entries[0, -1])
@@ -261,7 +257,7 @@ def criterion_06() -> _Checks:
 def criterion_07() -> _Checks:
     """Strontium working point reproduces the design numbers."""
     c = _Checks()
-    sr = cli.SPECIES["Sr"].params
+    sr = cli.SPECIES["Sr"]
     closed = ghz_design(sr)
     grid = ghz_design_grid(sr)
     c.add("gamma_min_closed", abs(closed.gamma_min / 1e-8 - 1.0) <= 1e-12)

@@ -550,9 +550,8 @@ class TestSweep:
 
 class TestSpeciesTable:
     def test_strontium_entry(self):
-        entry = cli.SPECIES["Sr"]
-        assert entry.params.gamma_sp == 1e-3
-        assert entry.params.delta_e == 1.0
-        assert entry.params.kappa == 1e-17
-        assert entry.params.k3 == 1e-41
-        assert "order-of-magnitude" in entry.provenance
+        sr = cli.SPECIES["Sr"]
+        assert sr.gamma_sp == 1e-3
+        assert sr.delta_e == 1.0
+        assert sr.kappa == 1e-17
+        assert sr.k3 == 1e-41

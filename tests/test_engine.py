@@ -6,12 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from edsim.core import (
-    DensityMatrix,
-    Operator,
-    hspace,
-    validate_density,
-)
+from edsim.core import DensityMatrix, validate_density
 from edsim.engine import (
     EvolutionSpec,
     LossChannel,
@@ -20,9 +15,8 @@ from edsim.engine import (
     evolve_stepped,
 )
 
-SPACE2 = hspace(atom=2)
-ZERO2 = Operator(SPACE2, np.zeros((2, 2)))
-LOWER2 = Operator(SPACE2, np.array([[0.0, 1.0], [0.0, 0.0]]))
+ZERO2 = np.zeros((2, 2))
+LOWER2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 def _rand_hermitian(rng, dim):
@@ -38,13 +32,13 @@ def _rand_density(rng, dim):
 
 
 def _superposition():
-    return DensityMatrix(SPACE2, np.full((2, 2), 0.5, dtype=complex))
+    return DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
 
 
 class TestGenerator:
     def test_eigenprojector_is_stationary(self):
-        h = Operator(SPACE2, np.diag([0.0, 3.0]))
-        rho = DensityMatrix(SPACE2, np.diag([1.0, 0.0]).astype(complex))
+        h = np.diag([0.0, 3.0])
+        rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         g = _rhs(EvolutionSpec(h, 1.0, 0.5, (h,)))(rho.entries)
         assert np.linalg.norm(g) == 0.0
 
@@ -52,18 +46,17 @@ class TestGenerator:
         # oracle: expand -i[H, rho] - sigma [H, [H, rho]] by hand for
         # H = diag(0, w); the |e><g| element evolves at (-i*w - sigma*w^2)
         w, sigma = 5.0, 0.02
-        h = Operator(SPACE2, np.diag([0.0, w]))
+        h = np.diag([0.0, w])
         r = 0.3 + 0.1j
-        rho = DensityMatrix(SPACE2, np.array([[0.6, np.conj(r)], [r, 0.4]]))
+        rho = DensityMatrix(np.array([[0.6, np.conj(r)], [r, 0.4]]))
         g = _rhs(EvolutionSpec(h, 1.0, sigma, (h,)))(rho.entries)
         assert abs(g[1, 0] - (-1j * w - sigma * w * w) * r) <= 1e-15
 
     def test_traceless_and_hermitian_with_losses(self):
         rng = np.random.default_rng(11)
-        space = hspace(sys=4)
-        h = Operator(space, _rand_hermitian(rng, 4))
-        lower = Operator(space, rng.normal(size=(4, 4)))
-        rho = DensityMatrix(space, _rand_density(rng, 4))
+        h = _rand_hermitian(rng, 4)
+        lower = rng.normal(size=(4, 4))
+        rho = DensityMatrix(_rand_density(rng, 4))
         spec = EvolutionSpec(h, 1.0, 0.3, (h,), losses=(LossChannel(0.4, lower),))
         g = _rhs(spec)(rho.entries)
         assert abs(np.trace(g)) <= 1e-12
@@ -73,7 +66,7 @@ class TestGenerator:
 class TestEvolveAnalytic:
     def test_pure_phase_at_sigma_zero(self):
         w0, t = 2.0, 0.7
-        h = Operator(SPACE2, np.diag([0.0, w0]))
+        h = np.diag([0.0, w0])
         out = evolve_analytic(_superposition(), EvolutionSpec(h, t))
         assert abs(out.entries[1, 0] - 0.5 * np.exp(-1j * w0 * t)) <= 1e-12
 
@@ -81,14 +74,14 @@ class TestEvolveAnalytic:
         # closed form: |rho_ge| = 0.5*exp(-sigma*w^2*t) = 0.25 at sigma*w^2*t = ln 2
         w0 = 3.0
         sigma = math.log(2.0) / (w0 * w0)
-        h = Operator(SPACE2, np.diag([0.0, w0]))
+        h = np.diag([0.0, w0])
         out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
         assert abs(abs(out.entries[0, 1]) - 0.25) <= 1e-12
 
     def test_complete_dephasing_gives_equal_mixture(self):
         w0 = 3.0
         sigma = 50.0 / (w0 * w0)
-        h = Operator(SPACE2, np.diag([0.0, w0]))
+        h = np.diag([0.0, w0])
         out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
         assert abs(out.entries[0, 1]) <= 1e-10
         assert np.allclose(np.diag(out.entries).real, [0.5, 0.5], atol=1e-12)
@@ -97,7 +90,7 @@ class TestEvolveAnalytic:
     def test_gap_squared_beyond_double_range(self):
         # the squared gap 1e400 overflows: full decay, no warning, and a
         # zero duration still returns the initial state (not inf*0 = NaN)
-        h = Operator(SPACE2, np.diag([0.0, 1e200]))
+        h = np.diag([0.0, 1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, 1e-31, (h,)))
@@ -108,8 +101,8 @@ class TestEvolveAnalytic:
 
     @pytest.mark.parametrize("drive_diagonal", [False, True], ids=["drive", "block"])
     def test_non_diagonal_rejected(self, drive_diagonal):
-        diag = Operator(SPACE2, np.diag([0.0, 1.0]))
-        flip = Operator(SPACE2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        diag = np.diag([0.0, 1.0])
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         drive, block = (diag, flip) if drive_diagonal else (flip, diag)
         with pytest.raises(ValueError, match="diagonal"):
             evolve_analytic(_superposition(), EvolutionSpec(drive, 1.0, 1.0, (block,)))
@@ -122,12 +115,11 @@ class TestEvolveAnalytic:
     def test_degenerate_coherence_exactly_invariant(self):
         # states |0,1> and |1,0> share every block eigenvalue, so the
         # dephasing strength must not touch their coherence at all
-        space = hspace(a=2, b=2)
         p_e = np.diag([0.0, 1.0])
-        h = Operator(space, 1.5e15 * (np.kron(p_e, np.eye(2)) + np.kron(np.eye(2), p_e)))
+        h = 1.5e15 * (np.kron(p_e, np.eye(2)) + np.kron(np.eye(2), p_e))
         psi = np.zeros(4, dtype=complex)
         psi[1] = psi[2] = 1.0 / math.sqrt(2.0)
-        rho = DensityMatrix(space, np.outer(psi, psi.conj()))
+        rho = DensityMatrix(np.outer(psi, psi.conj()))
         out_none = evolve_analytic(rho, EvolutionSpec(h, 1.0, 0.0, (h,)))
         out_huge = evolve_analytic(rho, EvolutionSpec(h, 1.0, 1e-2, (h,)))
         assert np.array_equal(out_none.entries, out_huge.entries)
@@ -135,9 +127,8 @@ class TestEvolveAnalytic:
 
     def test_coherence_weight_monotone(self):
         rng = np.random.default_rng(3)
-        space = hspace(sys=4)
-        h = Operator(space, np.diag([0.0, 1.0, 2.5, 4.0]))
-        rho0 = DensityMatrix(space, _rand_density(rng, 4))
+        h = np.diag([0.0, 1.0, 2.5, 4.0])
+        rho0 = DensityMatrix(_rand_density(rng, 4))
         weights = []
         for t in np.linspace(0.0, 4.0, 9):
             # the diagonal h's eigenbasis is the given one: sum the off-diagonal magnitudes
@@ -147,9 +138,8 @@ class TestEvolveAnalytic:
 
     def test_trace_hermiticity_positivity_preserved(self):
         rng = np.random.default_rng(4)
-        space = hspace(sys=6)
-        h = Operator(space, np.diag(rng.normal(scale=2.0, size=6)))
-        rho0 = DensityMatrix(space, _rand_density(rng, 6))
+        h = np.diag(rng.normal(scale=2.0, size=6))
+        rho0 = DensityMatrix(_rand_density(rng, 6))
         out = evolve_analytic(rho0, EvolutionSpec(h, 3.0, 0.7, (h,)))
         validate_density(out)
 
@@ -164,7 +154,7 @@ class TestEvolveStepped:
     def test_matches_analytic_two_level(self):
         w0 = 3.0
         sigma = math.log(2.0) / (w0 * w0)
-        h = Operator(SPACE2, np.diag([0.0, w0]))
+        h = np.diag([0.0, w0])
         exact = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
         stepped = evolve_stepped(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,), step=1e-3))
         assert np.linalg.norm(exact.entries - stepped.entries) <= 1e-8
@@ -172,7 +162,7 @@ class TestEvolveStepped:
     def test_amplitude_damping_closed_form(self):
         # oracle: excited population decays exactly as exp(-rate*t)
         rate, t = 0.7, 2.0
-        rho = DensityMatrix(SPACE2, np.diag([0.0, 1.0]).astype(complex))
+        rho = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
         spec = EvolutionSpec(ZERO2, t, losses=(LossChannel(rate, LOWER2),), step=t / 2000.0)
         out = evolve_stepped(rho, spec)
         assert abs(out.entries[1, 1].real - math.exp(-rate * t)) <= 1e-8
@@ -184,7 +174,7 @@ class TestEvolveStepped:
             evolve_stepped(_superposition(), spec)
 
     def test_step_size_generator_bound(self):
-        h = Operator(SPACE2, np.diag([0.0, 100.0]))
+        h = np.diag([0.0, 100.0])
         spec = EvolutionSpec(h, 1.0, step=0.1)
         with pytest.raises(ValueError):
             evolve_stepped(_superposition(), spec)
@@ -206,16 +196,49 @@ class TestEvolutionSpec:
             EvolutionSpec(ZERO2, duration, sigma)
 
 
+class TestShapes:
+    ONE = np.zeros((1, 1))
+    CASES = {
+        "drive-1x1": (EvolutionSpec(ONE, 1.0, step=1e-3), (evolve_analytic, evolve_stepped)),
+        "block-1x1": (EvolutionSpec(ZERO2, 1.0, 1.0, (ONE,), step=1e-3), (evolve_analytic, evolve_stepped)),
+        "lowering-3x3": (EvolutionSpec(ZERO2, 1.0, losses=(LossChannel(0.1, np.eye(3, k=1)),), step=1e-3),
+                         (evolve_stepped,)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_shape_mismatch_rejected(self, case):
+        # a 1x1 operator used to broadcast against the 2x2 state and
+        # leave it silently unevolved
+        spec, propagators = self.CASES[case]
+        for propagate in propagators:
+            with pytest.raises(ValueError, match="shape"):
+                propagate(_superposition(), spec)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,)], ids=["non-square", "empty", "vector"])
+    def test_non_square_rejected(self, shape):
+        for build in (DensityMatrix, lambda m: EvolutionSpec(m, 1.0), lambda m: LossChannel(0.1, m)):
+            with pytest.raises(ValueError, match="square"):
+                build(np.zeros(shape))
+
+    def test_spec_arrays_are_frozen(self):
+        h = np.diag([0.0, 1.0])
+        spec = EvolutionSpec(h, 1.0, 0.1, (h,), (LossChannel(0.1, LOWER2),))
+        h[1, 1] = 9.0  # the spec holds its own copies
+        assert spec.hamiltonian[1, 1] == 1.0
+        for m in (spec.hamiltonian, spec.blocks[0], spec.losses[0].lowering):
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+
 class TestDiagonalPath:
     """Diagonal inputs are propagated in closed form; RK4 is their oracle."""
 
     def test_matches_stepped(self):
         rng = np.random.default_rng(6)
-        space = hspace(left=3, right=3)
-        h_left = Operator(space, np.kron(np.diag(rng.normal(size=3)), np.eye(3)))
-        h_right = Operator(space, np.kron(np.eye(3), np.diag(rng.normal(size=3))))
+        h_left = np.kron(np.diag(rng.normal(size=3)), np.eye(3))
+        h_right = np.kron(np.eye(3), np.diag(rng.normal(size=3)))
         drive, blocks = h_left + h_right, (h_left, h_right)
-        rho0 = DensityMatrix(space, _rand_density(rng, 9))
+        rho0 = DensityMatrix(_rand_density(rng, 9))
         exact = evolve_analytic(rho0, EvolutionSpec(drive, 1.0, 0.15, blocks))
         stepped = evolve_stepped(rho0, EvolutionSpec(drive, 1.0, 0.15, blocks, step=1e-3))
         assert np.linalg.norm(exact.entries - stepped.entries) <= 1e-8

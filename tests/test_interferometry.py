@@ -16,11 +16,9 @@ import edsim.interferometry
 from edsim.constants import MAX_PHASE_POINTS, OMEGA_PER_EV, RAMSEY_MAX_CUTOFF
 from edsim.core import (
     DensityMatrix,
-    Operator,
     beamsplitter_sector,
     coherent_state,
     fock_cutoff,
-    hspace,
     validate_blocks,
     validate_density,
 )
@@ -41,7 +39,7 @@ from edsim.interferometry import (
     visibility,
 )
 
-from dense_oracles import beamsplitter_5050, mode_ops, split_pulse_ramsey_state
+from dense_oracles import beamsplitter_5050, mode_ops
 
 W0 = OMEGA_PER_EV
 
@@ -66,8 +64,8 @@ def _dense_first_pulse(cfg):
     """Eigendecomposed Jaynes-Cummings pulse on the full atom x field space,
     and the state |g> x field after it."""
     n_max = cfg.cutoff()
-    a_op, _ = mode_ops(n_max, label="field")
-    h_jc = cfg.coupling * (np.kron(_S_MINUS.T, a_op.entries) + np.kron(_S_MINUS, a_op.entries.T))
+    a_op, _ = mode_ops(n_max)
+    h_jc = cfg.coupling * (np.kron(_S_MINUS.T, a_op) + np.kron(_S_MINUS, a_op.T))
     w, v = np.linalg.eigh(h_jc)
     t_pulse = cfg.pulse_area / (2.0 * cfg.coupling * math.sqrt(cfg.field.dominant_n))
     pulse = (v * np.exp(-1j * w * t_pulse)) @ v.conj().T
@@ -275,23 +273,18 @@ class TestRamseyQuantized:
         # sequence from primitives and bound the leakage
         n = 12
         n_max = 13
-        space = hspace(atom=2, field=n_max + 1)
-        a_op, num_op = mode_ops(n_max, label="field")
+        a_op, num_op = mode_ops(n_max)
         sm = np.array([[0.0, 1.0], [0.0, 0.0]])
-        h_jc = np.kron(sm.conj().T, a_op.entries) + np.kron(sm, a_op.entries.conj().T)
+        h_jc = np.kron(sm.conj().T, a_op) + np.kron(sm, a_op.conj().T)
         w, v = np.linalg.eigh(h_jc)
         t_pulse = (math.pi / 2.0) / (2.0 * math.sqrt(n))
         pulse = (v * np.exp(-1j * w * t_pulse)) @ v.conj().T
-        psi = np.zeros(space.total_dim, dtype=complex)
+        psi = np.zeros(2 * (n_max + 1), dtype=complex)
         psi[0 * (n_max + 1) + n] = 1.0  # |g, N>
         rho = np.outer(psi, psi.conj())
-        h_free = W0 * (np.kron(np.diag([0.0, 1.0]), np.eye(n_max + 1)) + np.kron(np.eye(2), num_op.entries))
+        h_free = W0 * (np.kron(np.diag([0.0, 1.0]), np.eye(n_max + 1)) + np.kron(np.eye(2), num_op))
         rho = pulse @ rho @ pulse.conj().T
-        drive = Operator(space, h_free)
-        rho = evolve_analytic(
-            DensityMatrix(space, rho),
-            EvolutionSpec(drive, 1.0, 1e-30, (drive,)),
-        ).entries
+        rho = evolve_analytic(DensityMatrix(rho), EvolutionSpec(h_free, 1.0, 1e-30, (h_free,))).entries
         rho = pulse @ rho @ pulse.conj().T
         populations = np.real(np.diag(rho))
         allowed = {0 * (n_max + 1) + n, 1 * (n_max + 1) + n - 1}
@@ -339,15 +332,14 @@ class TestRamseyQuantized:
             omega0=3.0, wait=1.0, field=FockField(2), n_max=3, detuning=1.3,
             decoherence=partition, spontaneous_rate=0.4,
         )
-        space = hspace(atom=2, field=4)
         excited = np.kron(np.diag([0.0, 1.0]), np.eye(4))
-        lower = Operator(space, np.kron(_S_MINUS, np.eye(4)))
-        free = {"atom": Operator(space, 3.0 * excited),
-                "field": Operator(space, 1.7 * np.kron(np.eye(2), mode_ops(3)[1].entries))}
+        lower = np.kron(_S_MINUS, np.eye(4))
+        free = {"atom": 3.0 * excited,
+                "field": 1.7 * np.kron(np.eye(2), mode_ops(3)[1])}
         pulse, rho0 = _dense_first_pulse(cfg)
-        spec = EvolutionSpec(Operator(space, 1.3 * excited), 1.0, partition.sigma, _block_hamiltonians(partition, free),
+        spec = EvolutionSpec(1.3 * excited, 1.0, partition.sigma, _block_hamiltonians(partition, free),
                              (LossChannel(0.4, lower),), step=1e-3)
-        stepped = evolve_stepped(DensityMatrix(space, rho0), spec)
+        stepped = evolve_stepped(DensityMatrix(rho0), spec)
         reference = _dense_readout(pulse, stepped.entries, cfg.phases)
         result = run_ramsey_quantized(cfg)
         assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-8
@@ -416,7 +408,7 @@ class TestMichelson:
             amps = coherent_state(alpha / math.sqrt(2.0) * np.exp(2j * math.pi * k / 64), n_max)
             arm += np.outer(amps, amps.conj())
         arm /= 64.0
-        w = beamsplitter_5050(n_max).entries
+        w = beamsplitter_5050(n_max)
         rho_out = w.conj().T @ np.kron(arm, arm) @ w
         number = np.diag(np.arange(d, dtype=float))
         oracle_a = float(np.real(np.trace(np.kron(number, np.eye(d)) @ rho_out)))
@@ -439,11 +431,10 @@ class TestMichelson:
         alpha = 2.0
         n_max = 30
         d = n_max + 1
-        space = hspace(arm_c=d, arm_d=d)
         half = coherent_state(alpha / math.sqrt(2.0), n_max)
-        rho = DensityMatrix(space, np.outer(np.kron(half, half), np.kron(half, half).conj()))
+        rho = DensityMatrix(np.outer(np.kron(half, half), np.kron(half, half).conj()))
         _, num = mode_ops(n_max)
-        h = Operator(space, W0 * (np.kron(num.entries, np.eye(d)) + np.kron(np.eye(d), num.entries)))
+        h = W0 * (np.kron(num, np.eye(d)) + np.kron(np.eye(d), num))
         sigma = 50.0 / (W0 * W0)
         evolved = evolve_analytic(rho, EvolutionSpec(h, 1.0, sigma, (h,)))
         arm = np.einsum("ikjk->ij", evolved.entries.reshape(d, d, d, d))  # trace out arm_d
@@ -473,7 +464,7 @@ def _dense_michelson(cfg, partitions):
     """
     n_max = fock_cutoff(cfg.alpha)
     d = n_max + 1
-    w = beamsplitter_5050(n_max).entries
+    w = beamsplitter_5050(n_max)
     vac = np.zeros(d)
     vac[0] = 1.0
     v = w @ np.kron(coherent_state(cfg.alpha, n_max), vac)
@@ -484,7 +475,7 @@ def _dense_michelson(cfg, partitions):
         rho = np.outer(v, v.conj())
         for e in _block_hamiltonians(partition, free):
             rho *= np.exp(-partition.sigma * np.subtract.outer(e, e) ** 2 * cfg.arm_time)
-        validate_density(DensityMatrix(hspace(arm_c=d, arm_d=d), rho))
+        validate_density(DensityMatrix(rho))
         populations = np.real(np.sum(w.conj() * (rho @ w), axis=0)).reshape(d, d)
         means.append((float(populations.sum(axis=1) @ n), float(populations.sum(axis=0) @ n)))
     return means
@@ -586,16 +577,6 @@ class TestGhz:
             run_ghz(GhzConfig(n_atoms=2, omega0=1.0, sigma=-1.0, wait=1.0))
 
 
-class TestSplitPulseState:
-    def test_normalized(self):
-        for n in (1, 3, 6):
-            assert abs(np.linalg.norm(split_pulse_ramsey_state(n)) - 1.0) <= 1e-12
-
-    def test_needs_a_photon(self):
-        with pytest.raises(ValueError):
-            split_pulse_ramsey_state(0)
-
-
 def _fringe_phase(result):
     """Phase of the fringe's e^{i*phi} Fourier coefficient: pi on resonance,
     pi - detuning*wait (mod 2*pi) with a detuning."""
@@ -657,7 +638,7 @@ class TestClosedFormReadout:
                 )
                 d = cfg.cutoff() + 1
                 reference, rho = _dense_ramsey(cfg, np.repeat([0.0, detuning], d))
-                validate_density(DensityMatrix(hspace(atom=2, field=d), rho))
+                validate_density(DensityMatrix(rho))
                 result = run_ramsey_quantized(cfg)
                 assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-13
                 assert abs(result.visibility - visibility(list(zip(cfg.phases, reference)))) <= 1e-13
@@ -719,7 +700,7 @@ class TestNumberSectors:
         # so each sector of w^dag rho w needs only that sector's blocks
         rng = np.random.default_rng(n_max)
         d = n_max + 1
-        w = beamsplitter_5050(n_max).entries
+        w = beamsplitter_5050(n_max)
         rho = _rand_hermitian(rng, d * d)
         dense = w.conj().T @ rho @ w
         inside = np.zeros(w.shape, dtype=bool)
