@@ -11,7 +11,8 @@ The dephasing partition decides which subsystems lose energy coherence
 jointly: a single block over all labels (global) only touches the total
 phase and leaves every interference observable unchanged, while
 per-subsystem blocks (local) damp the observable fringes at the summed
-block rate.
+block rate. Every config and field checks its values when it is built,
+and holds only inputs that change a result.
 """
 
 from __future__ import annotations
@@ -122,10 +123,8 @@ class FockField:
     def default_cutoff(self) -> int:
         return self.n + 1
 
-    def amplitudes(self, n_max: int) -> np.ndarray:
-        if self.n > n_max:
-            raise ValueError(f"Fock level {self.n} exceeds cutoff {n_max}")
-        v = np.zeros(n_max + 1, dtype=complex)
+    def amplitudes(self, cutoff: int) -> np.ndarray:
+        v = np.zeros(cutoff + 1, dtype=complex)
         v[self.n] = 1.0
         return v
 
@@ -136,6 +135,9 @@ class CoherentField:
 
     alpha: complex
 
+    def __post_init__(self):
+        _require_finite(self.alpha)
+
     @property
     def dominant_n(self) -> int:
         return max(1, int(round(abs(self.alpha) ** 2)))
@@ -143,8 +145,8 @@ class CoherentField:
     def default_cutoff(self) -> int:
         return fock_cutoff(self.alpha)
 
-    def amplitudes(self, n_max: int) -> np.ndarray:
-        return coherent_state(self.alpha, n_max)
+    def amplitudes(self, cutoff: int) -> np.ndarray:
+        return coherent_state(self.alpha, cutoff)
 
 
 def default_phases(count: int = 32) -> tuple[float, ...]:
@@ -164,32 +166,27 @@ class RamseyConfig:
     wait: float                       # free-evolution time, s
     decoherence: DecoherencePartition = DecoherencePartition.none()
     field: FockField | CoherentField = FockField(12)
-    n_max: int | None = None          # field cutoff; None picks a safe default
-    coupling: float = 1.0             # atom-field coupling, rad/s
     pulse_area: float = math.pi / 2.0
     detuning: float = 0.0             # atomic minus field frequency, rad/s
     phases: tuple[float, ...] = dc_field(default_factory=default_phases)
     spontaneous_rate: float = 0.0     # amplitude-damping rate on the atom, 1/s
 
-    def validate(self) -> None:
-        _require_finite(self.omega0, self.wait, self.coupling, self.pulse_area, self.detuning,
-                        self.spontaneous_rate, getattr(self.field, "alpha", 0.0), *self.phases)
+    def __post_init__(self):
+        _require_finite(self.omega0, self.wait, self.pulse_area, self.detuning,
+                        self.spontaneous_rate, *self.phases)
         if not 0.0 < self.pulse_area <= math.pi:
             raise ValueError("pulse_area must lie in (0, pi]")
-        if self.wait < 0.0 or self.spontaneous_rate < 0.0 or self.coupling <= 0.0:
-            raise ValueError("wait and rates must be non-negative, coupling positive")
+        if self.wait < 0.0 or self.spontaneous_rate < 0.0:
+            raise ValueError("wait and spontaneous_rate must be non-negative")
         if not self.phases:
             raise ValueError("phase scan must be non-empty")
 
     def cutoff(self) -> int:
-        n_max = self.field.default_cutoff() if self.n_max is None else self.n_max
-        if n_max > RAMSEY_MAX_CUTOFF:
-            raise ValueError(f"field cutoff {n_max} exceeds the limit {RAMSEY_MAX_CUTOFF}")
-        if isinstance(self.field, FockField) and self.field.n > n_max:
-            raise ValueError("cutoff below the Fock level")
-        if isinstance(self.field, CoherentField) and n_max < fock_cutoff(self.field.alpha):
-            raise ValueError("cutoff below the coherent-state truncation rule")
-        return n_max
+        """The field's own Fock cutoff, refused above RAMSEY_MAX_CUTOFF."""
+        cutoff = self.field.default_cutoff()
+        if cutoff > RAMSEY_MAX_CUTOFF:
+            raise ValueError(f"field cutoff {cutoff} exceeds the limit {RAMSEY_MAX_CUTOFF}")
+        return cutoff
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ class MichelsonConfig:
     mode_frequency: float             # rad/s
     decoherence: DecoherencePartition = DecoherencePartition.none()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_finite(self.alpha, self.arm_time, self.mode_frequency)
         if self.arm_time < 0.0:
             raise ValueError("arm_time must be non-negative")
@@ -234,7 +231,7 @@ class GhzConfig:
     gamma_sp: float = 0.0             # per-atom spontaneous loss rate, 1/s
     three_body_rate: float = 0.0      # precomputed k3*N^3/V^2 event rate, 1/s
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_finite(self.omega0, self.sigma, self.wait, self.gamma_sp, self.three_body_rate)
         if self.n_atoms < 1:
             raise ValueError("need at least one atom")
@@ -293,12 +290,13 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     pulse is the inverse rotation, so a zero accumulated phase returns
     the atom to the ground state). Spontaneous decay during the wait is
     the exact amplitude-damping channel, which stays on the atom's one
-    pair (|g>, |e>). The wait runs in the frame rotating at the atomic
-    frequency: the drive is zero while the dephasing block keeps the
-    laboratory gap omega0, giving p_g(phi) = (1 + V cos phi)/2 with
-    V = exp(-sigma*omega0^2*wait) * exp(-gamma_sp*wait/2).
+    pair (|g>, |e>). The wait runs in the frame rotating at the field
+    frequency omega0 - detuning: the drive is detuning*|e><e| while the
+    dephasing block keeps the laboratory gap omega0, giving
+    p_g(phi) = (1 + V cos(phi - detuning*wait))/2 with
+    V = exp(-sigma*omega0^2*wait) * exp(-gamma_sp*wait/2). The classical
+    field is not part of the state: only {atom} blocks are supported.
     """
-    cfg.validate()
     # raises unless every block is {atom}, whose Hamiltonian is omega0*|e><e|
     cfg.decoherence.decay_rate({"atom": cfg.omega0})
     blocks = tuple(np.diag([0.0, cfg.omega0]) for _ in cfg.decoherence.blocks)
@@ -309,7 +307,7 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
                     [-1j * c * s * kept, kept * kept * s * s]])
     rho = evolve_analytic(
         DensityMatrix(rho),
-        EvolutionSpec(np.zeros((2, 2)), cfg.wait, cfg.decoherence.sigma, blocks),
+        EvolutionSpec(np.diag([0.0, cfg.detuning]), cfg.wait, cfg.decoherence.sigma, blocks),
     ).entries
     return _fringe(rho[0, 0], rho[1, 1], rho[1, 0], c, 1j * s, cfg.phases)
 
@@ -318,27 +316,24 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     """Ramsey fringe with the driving field kept as a quantized mode.
 
     The pulses apply the excitation-exchange unitary generated by
-    coupling*(a |e><g| + a^dag |g><e|), with the duration chosen so the
-    rotation angle at the field's dominant photon number equals
-    pulse_area. The free Hamiltonian omega0*|e><e| + omega*n, with
-    omega = omega0 - detuning, dephases the wait according to the
-    partition. The pulses, the wait, the phase shift (injected on |e>
-    before the second, identical pulse) and the readout all conserve
-    |e><e| + n, so only the 2x2 blocks on the pairs (|g,k>, |e,k-1>),
-    k = 0..n_max, are ever formed: the pulse rotates pair k by
-    theta_k = coupling*sqrt(k)*t_pulse, spontaneous decay moves the
-    |e,k-1> population onto |g,k-1> and scales the pair's coherence by
-    exp(-gamma_sp*t/2), and the wait, in the frame rotating at omega,
-    multiplies that coherence by exp(-i*detuning*t) and its decay.
+    a |e><g| + a^dag |g><e|, held until the rotation angle at the field's
+    dominant photon number equals pulse_area; the exchange strength only
+    sets that duration and cancels from the result. The free Hamiltonian
+    omega0*|e><e| + omega*n, with omega = omega0 - detuning, dephases the
+    wait according to the partition. The pulses, the wait, the phase
+    shift (injected on |e> before the second, identical pulse) and the
+    readout all conserve |e><e| + n, so only the 2x2 blocks on the pairs
+    (|g,k>, |e,k-1>), k = 0..cutoff(), are ever formed: the pulse rotates
+    pair k by theta_k = sqrt(k) * pulse_area / (2*sqrt(dominant_n)),
+    spontaneous decay moves the |e,k-1> population onto |g,k-1> and
+    scales the pair's coherence by exp(-gamma_sp*t/2), and the wait, in
+    the frame rotating at omega, multiplies that coherence by
+    exp(-i*detuning*t) and its decay.
     """
-    cfg.validate()
-    n_max = cfg.cutoff()
-    t_pulse = cfg.pulse_area / (2.0 * cfg.coupling * math.sqrt(cfg.field.dominant_n))
-    if not math.isfinite(t_pulse):
-        raise ValueError(f"pulse duration overflows at coupling {cfg.coupling!r}")
-    theta = cfg.coupling * np.sqrt(np.arange(n_max + 1)) * t_pulse
+    cutoff = cfg.cutoff()
+    theta = np.sqrt(np.arange(cutoff + 1)) * (cfg.pulse_area / (2.0 * math.sqrt(cfg.field.dominant_n)))
     c, s = np.cos(theta), np.sin(theta)
-    weights = np.abs(cfg.field.amplitudes(n_max)) ** 2
+    weights = np.abs(cfg.field.amplitudes(cutoff)) ** 2
     gg, ee, eg = weights * c * c, weights * s * s, -1j * weights * s * c
     # gaps across |e,k-1><g,k|: omega0 on the atom, -omega on the field, for every k
     rate = cfg.decoherence.decay_rate({"atom": cfg.omega0, "field": -(cfg.omega0 - cfg.detuning)})
@@ -364,7 +359,6 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     with rate = decay_rate({"arm_c": omega, "arm_d": -omega}): 0 for a
     global block, 2*sigma*omega^2 for one block per arm.
     """
-    cfg.validate()
     a = abs(cfg.alpha)
     mean = a * a
     if not math.isfinite(mean):
@@ -374,18 +368,16 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     return MichelsonResult(mean / 2.0 * (1.0 + fringe), mean / 2.0 * (1.0 - fringe))
 
 
-def phase_average_check(alpha: complex, n_max: int, nodes: int | None = None) -> float:
+def phase_average_check(alpha: complex, n_max: int) -> float:
     """Distance between the dephased-coherent-state mixture and its phase average.
 
     Compares the diagonal Poissonian Fock mixture against the uniform
     average of |alpha e^{i phi}> projectors over the phase circle,
-    computed by quadrature with at least 4*n_max nodes. Returns the
-    Frobenius distance (identically zero up to rounding).
+    computed by quadrature with 4*n_max nodes (at least one), which is
+    exact for the Fock coherences up to n_max. Returns the Frobenius
+    distance (identically zero up to rounding).
     """
-    if nodes is None:
-        nodes = max(1, 4 * n_max)
-    if nodes < 4 * n_max:
-        raise ValueError(f"need at least {4 * n_max} quadrature nodes, got {nodes}")
+    nodes = max(1, 4 * n_max)
     ns = np.arange(n_max + 1, dtype=float)
     a = abs(alpha)
     mean = a * a
@@ -421,7 +413,6 @@ def run_ghz(cfg: GhzConfig) -> GhzResult:
         coherence(t)   = 0.5 * exp(-effective_rate * t)
         survival(t)    = exp(-(N*gamma_sp + three_body_rate) * t)
     """
-    cfg.validate()
     n = cfg.n_atoms
     grav = cfg.sigma * (cfg.omega0 * cfg.omega0) * (n * n)
     loss = n * cfg.gamma_sp + cfg.three_body_rate

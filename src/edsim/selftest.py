@@ -225,7 +225,7 @@ def criterion_04() -> _Checks:
 def criterion_05() -> _Checks:
     """Dephased coherent state equals its uniform phase average."""
     c = _Checks()
-    dist = phase_average_check(2.0, 40, nodes=160)
+    dist = phase_average_check(2.0, 40)
     c.add(f"phase_diffusion_distance_{dist:.1e}", dist <= 1e-8)
     return c
 

@@ -20,7 +20,6 @@ from .constants import C_LIGHT, DESIGN_MAX_GRID_AXIS, EV, HBAR, OMEGA_PER_EV
 
 __all__ = [
     "SpeciesParams",
-    "validate_species",
     "DesignRates",
     "DesignResult",
     "MatterWaveBound",
@@ -47,6 +46,8 @@ class SpeciesParams:
     delta_e:   level splitting, eV
     kappa:     collisional phase coefficient, m^3/s
     k3:        three-body loss coefficient, m^6/s
+
+    Every value must be finite and non-negative (ValueError otherwise).
     """
 
     gamma_sp: float
@@ -54,14 +55,12 @@ class SpeciesParams:
     kappa: float
     k3: float
 
-
-def validate_species(p: SpeciesParams) -> None:
-    """Check that every species parameter is finite and non-negative."""
-    values = (p.gamma_sp, p.delta_e, p.kappa, p.k3)
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("species parameters must be finite (no NaN or inf)")
-    if min(values) < 0.0:
-        raise ValueError("species parameters must be non-negative")
+    def __post_init__(self):
+        values = (self.gamma_sp, self.delta_e, self.kappa, self.k3)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("species parameters must be finite (no NaN or inf)")
+        if min(values) < 0.0:
+            raise ValueError("species parameters must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,6 @@ def ghz_design(p: SpeciesParams) -> DesignResult:
 
     with both competing rates equal to gamma at the optimum.
     """
-    validate_species(p)
     if min(p.gamma_sp, p.kappa, p.k3, p.delta_e) <= 0.0:
         raise ValueError("gamma_sp, kappa, k3 and delta_e must be positive")
     v_opt = p.kappa / p.gamma_sp
@@ -182,7 +180,6 @@ def ghz_design_grid(
     relative slack, since the continuous optimum sits exactly on the
     boundary). Raises if no grid point is feasible.
     """
-    validate_species(p)
     if n_grid is None or v_grid is None:
         default_n, default_v = default_design_grids(p)
         n_grid = default_n if n_grid is None else n_grid

@@ -1,11 +1,13 @@
 """Tests for config parsing, command dispatch, sweeps and file output."""
 
+import cmath
 import json
 import math
 import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,9 @@ from edsim.constants import (
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+
+# 2*pi to 50 digits: reduces phases of 1e12 rad well below 1e-9
+TWO_PI = Fraction("6.28318530717958647692528676655900576839433879875021")
 
 
 
@@ -66,7 +71,8 @@ class TestParseConfig:
         cfg = parse_config("command = ramsey\n", [])
         assert cfg.parameters["mode"] == "semiclassical"
         assert cfg.parameters["wait"] == 1.0
-        assert "n_max" not in cfg.parameters  # no default: stays absent
+        # a key without a default stays absent
+        assert "gamma" not in parse_config("command = bounds\n", []).parameters
 
     def test_bad_format(self):
         with pytest.raises(ConfigError, match="format"):
@@ -330,12 +336,19 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["B.json"]
 
-    def test_overflowing_pulse_duration_rejected(self, capsys):
-        code, _, err = _run(["ramsey", "--mode", "quantized", "--coupling", "1e-320"], capsys)
-        assert code == 2
+    @pytest.mark.parametrize("argv", [
+        ["ramsey", "--coupling", "1"],
+        ["ramsey", "--n-max", "13"],
+    ], ids=["coupling", "n-max"])
+    def test_removed_ramsey_keys_are_unknown(self, argv, capsys):
+        # the pulse strength cancels and the cutoff is the field's own
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "")
         lines = err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["type"] == "ValueError"
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError"
+        assert "unknown key" in error["message"]
 
     @pytest.mark.parametrize("argv", [
         ["michelson", "--alpha", "1e200"],
@@ -351,12 +364,11 @@ class TestBadInput:
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize("argv", [
-        ["ramsey", "--mode", "quantized", "--n-max", str(RAMSEY_MAX_CUTOFF + 1)],
         ["ramsey", "--mode", "quantized", "--n", str(RAMSEY_MAX_CUTOFF)],
         ["ramsey", "--phase-points", str(MAX_PHASE_POINTS + 1)],
         ["design", "--species", "Sr", "--grid-decades", "1",
          "--grid-points-per-decade", str(DESIGN_MAX_GRID_AXIS)],
-    ], ids=["ramsey-n-max", "ramsey-n", "phase-points", "design-grid"])
+    ], ids=["ramsey-n", "phase-points", "design-grid"])
     def test_oversized_problem_refused(self, argv, tmp_path, capsys):
         # each value is just above its limit, so a missing guard costs seconds, not gigabytes
         code, out, err = _run([*argv, "--out", str(tmp_path / "B")], capsys)
@@ -555,3 +567,75 @@ class TestSpeciesTable:
         assert sr.delta_e == 1.0
         assert sr.kappa == 1e-17
         assert sr.k3 == 1e-41
+
+
+# numeric ramsey keys each (mode, field) pair leaves unread: the
+# semiclassical drive is classical, and each quantized field reads only
+# its own parameter
+UNREAD = {
+    ("semiclassical", "fock"): {"n", "alpha"},
+    ("quantized", "fock"): {"alpha"},
+    ("quantized", "coherent"): {"n"},
+}
+
+
+class TestRamseyInputs:
+    @pytest.mark.parametrize("mode,field", UNREAD, ids=["-".join(k) for k in UNREAD])
+    def test_every_read_key_changes_the_fringe(self, mode, field, capsys):
+        # from a detuned, lossy, dephased base, every numeric key the mode
+        # reads must move the CSV, and no other key may
+        base = {"mode": mode, "field": field, "n": "5", "alpha": "2", "partition": "local",
+                "sigma": "1e-31", "gamma_sp": "0.3", "detuning": "1000", "wait": "0.8",
+                "pulse_area": "1.2", "phase_points": "8"}
+        params = parse_config("", [("command", "ramsey"), *base.items()]).parameters
+
+        def csv(**change):
+            flags = [f"--{k}={v}" for k, v in {**base, **change}.items()]
+            code, out, err = _run(["ramsey", *flags, "--format", "csv"], capsys)
+            assert (code, err) == (0, "")
+            return out
+
+        reference = csv()
+        wrong = []
+        for key, spec in cli.SCHEMAS["ramsey"].items():
+            if spec.ptype not in ("float", "int"):
+                continue
+            value = params.get(key)
+            if value is None:  # a key with no default can do nothing by default
+                wrong.append(key)
+                continue
+            moved = csv(**{key: value + 1 if isinstance(value, int) else value * 1.1})
+            if (moved != reference) != (key not in UNREAD[mode, field]):
+                wrong.append(key)
+        assert wrong == []
+
+    @pytest.mark.parametrize("detuning,wait", [(1.0, 1.0), (2.0, 1.0), (12345.0, 0.75),
+                                               (float(round(1e-3 * cli.OMEGA_PER_EV)), 1.0)])
+    def test_semiclassical_fringe_follows_detuning(self, detuning, wait, capsys):
+        # p_g(phi) = (1 + V cos(phi - detuning*wait))/2: the maximum of the
+        # fringe's e^{i*phi} component sits at detuning*wait mod 2*pi
+        argv = ["ramsey", "--mode", "semiclassical", "--detuning", repr(detuning),
+                "--wait", repr(wait), "--phase-points", "4", "--partition", "atom",
+                "--sigma", "1e-31"]
+        code, out, _ = _run(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        peak = -cmath.phase(sum(float(p) * cmath.exp(-1j * float(phi)) for phi, p in rows))
+        x = Fraction(detuning) * Fraction(wait)
+        expected = float(x - math.floor(x / TWO_PI) * TWO_PI)
+        assert abs(cmath.phase(cmath.exp(1j * (peak - expected)))) <= 1e-9
+
+    def test_semiclassical_field_block_rejected(self, capsys):
+        # the classical field has no quantum state to dephase
+        argv = ["ramsey", "--mode", "semiclassical", "--partition", "field", "--sigma", "1e-31"]
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ValueError"
+        assert "unsupported dephasing block ['field']" in error["message"]
+        # every partition over the atom alone gives the same fringe
+        outs = [_run([*argv[:4], name, *argv[5:], "--format", "csv"], capsys)[:2]
+                for name in ("atom", "local", "global")]
+        assert outs[0][0] == 0 and outs.count(outs[0]) == 3

@@ -16,7 +16,6 @@ from edsim.sensitivity import (
     ghz_design_grid,
     matterwave_bound,
     single_atom_reach,
-    validate_species,
 )
 
 SR = SpeciesParams(gamma_sp=1e-3, delta_e=1.0, kappa=1e-17, k3=1e-41)
@@ -66,10 +65,14 @@ class TestGhzDesign:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["gamma_sp", "delta_e", "kappa", "k3"])
     def test_rejects_non_finite(self, field, value):
-        p = dataclasses.replace(SR, **{field: value})
-        for check in (validate_species, ghz_design, ghz_design_grid):
-            with pytest.raises(ValueError, match="finite"):
-                check(p)
+        # the species is checked when built, before any design can use it
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(SR, **{field: value})
+
+    @pytest.mark.parametrize("field", ["gamma_sp", "delta_e", "kappa", "k3"])
+    def test_rejects_negative(self, field):
+        with pytest.raises(ValueError, match="non-negative"):
+            dataclasses.replace(SR, **{field: -1.0})
 
 
 class TestGhzDesignGrid:
