@@ -64,12 +64,12 @@ def validate_blocks(blocks: Iterable[np.ndarray]) -> None:
     (..., d, d). Non-finite entries, Hermiticity and positivity are
     tested block by block, the unit trace on the sum of all blocks, in
     that order, against HERM_TOL, TRACE_TOL and PSD_TOL. Positivity means
-    a smallest eigenvalue of at least -PSD_TOL, which holds exactly when
-    h + PSD_TOL*I is positive definite (h the Hermitian part). A Cholesky
-    factorization of that shifted matrix, much cheaper than eigvalsh,
-    accepts such blocks; only when it fails is the smallest eigenvalue
-    computed, and the decision and message are the eigenvalue's. The two
-    can differ only within rounding of the threshold, O(d*eps*||rho||).
+    a smallest eigenvalue of at least -PSD_TOL: for 2x2 blocks the exact
+    (a+b)/2 - hypot((a-b)/2, |c|) of the Hermitian part [[a, c*], [c, b]];
+    larger ones pass a Cholesky factorization of h + PSD_TOL*I (h the
+    Hermitian part), far cheaper than eigvalsh, which only a failure
+    calls. The decision and message are the eigenvalue's, for d > 2 up
+    to rounding of the threshold, O(d*eps*||rho||).
     """
     blocks = [np.asarray(m) for m in blocks]
     tr = 0.0
@@ -83,22 +83,32 @@ def validate_blocks(blocks: Iterable[np.ndarray]) -> None:
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
     for m in blocks:
-        h = (m + np.swapaxes(m, -1, -2).conj()) / 2.0
-        try:
-            np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[-1]))
-        except np.linalg.LinAlgError:
-            lo = float(np.min(np.linalg.eigvalsh(h)[..., 0]))
-            if lo < -PSD_TOL:
-                raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}") from None
+        if m.shape[-1] == 2:
+            a, b = m[..., 0, 0].real, m[..., 1, 1].real
+            c = np.abs(m[..., 1, 0] + np.conj(m[..., 0, 1])) / 2.0
+            lo = float(np.min((a + b) / 2.0 - np.hypot((a - b) / 2.0, c)))
+        else:
+            h = (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+            try:
+                np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[-1]))
+                continue
+            except np.linalg.LinAlgError:
+                lo = float(np.min(np.linalg.eigvalsh(h)[..., 0]))
+        if lo < -PSD_TOL:
+            raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
+
+
+def _mean_photons(alpha: complex) -> float:
+    """|alpha|**2, or ValueError where it overflows."""
+    a = abs(alpha)
+    if not math.isfinite(a * a):
+        raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}")
+    return a * a
 
 
 def fock_cutoff(alpha: complex) -> int:
     """Fock truncation that keeps the norm deficit of |alpha> below 1e-10."""
-    a = abs(alpha)
-    cutoff = a * a + 8.0 * a + 10.0
-    if not math.isfinite(cutoff):
-        raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}: no Fock cutoff")
-    return int(math.ceil(cutoff))
+    return int(math.ceil(_mean_photons(alpha) + 8.0 * abs(alpha) + 10.0))
 
 
 def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
@@ -114,10 +124,7 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     all but 1e-10 of the norm (fock_cutoff guarantees this for
     |alpha|^2 <= 25); otherwise a ValueError is raised.
     """
-    a = abs(alpha)
-    lam = a * a
-    if not math.isfinite(lam):
-        raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}")
+    lam = _mean_photons(alpha)
     log_p = np.full(n_max + 1, -math.inf)
     if lam == 0.0:
         log_p[0] = 0.0

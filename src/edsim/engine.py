@@ -39,8 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import PSD_TOL
-from .core import DensityMatrix, InvariantError, _frozen_square
+from .core import DensityMatrix, _frozen_square, validate_density
 
 __all__ = [
     "LossChannel",
@@ -159,7 +158,7 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     """Fixed-step 4th-order integration of the full generator.
 
     The final state is re-Hermitized and trace-renormalized; it must
-    stay positive within PSD_TOL or an InvariantError is raised. Step
+    pass validate_density or an InvariantError is raised. Step
     size is rejected unless ||drho/dt at rho0|| * step <= 0.1.
     """
     _check_shapes(rho0, spec)
@@ -183,8 +182,6 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     y = (y + y.conj().T) / 2.0
-    y = y / np.trace(y).real
-    lo = float(np.linalg.eigvalsh(y)[0])
-    if lo < -PSD_TOL:
-        raise InvariantError(f"integrated state lost positivity: min eigenvalue {lo:.3e}")
-    return DensityMatrix(y)
+    rho = DensityMatrix(y / np.trace(y).real)
+    validate_density(rho)
+    return rho

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constants import MAX_PHASE_POINTS, RAMSEY_MAX_CUTOFF
-from .core import DensityMatrix, coherent_state, fock_cutoff, validate_blocks
+from .core import DensityMatrix, _mean_photons, coherent_state, fock_cutoff, validate_blocks
 from .engine import EvolutionSpec, evolve_analytic
 
 __all__ = [
@@ -140,7 +140,7 @@ class CoherentField:
 
     @property
     def dominant_n(self) -> int:
-        return max(1, int(round(abs(self.alpha) ** 2)))
+        return max(1, int(round(_mean_photons(self.alpha))))
 
     def default_cutoff(self) -> int:
         return fock_cutoff(self.alpha)
@@ -155,7 +155,7 @@ def default_phases(count: int = 32) -> tuple[float, ...]:
         raise ValueError("need at least two phase points")
     if count > MAX_PHASE_POINTS:
         raise ValueError(f"phase point count {count} exceeds the limit {MAX_PHASE_POINTS}")
-    return tuple(float(p) for p in np.linspace(0.0, 2.0 * math.pi, count, endpoint=False))
+    return tuple(np.linspace(0.0, 2.0 * math.pi, count, endpoint=False).tolist())
 
 
 @dataclass(frozen=True)
@@ -246,21 +246,13 @@ class GhzResult:
     effective_rate: float
 
 
-def visibility(points: Sequence[tuple[float, float]]) -> float:
+def visibility(points: Sequence[tuple[float, float]] | np.ndarray) -> float:
     """(max - min) / (max + min) of the scanned probabilities; 0 for an all-zero scan."""
     if len(points) < 2:
         raise ValueError("need at least two fringe points")
-    values = [p for _, p in points]
-    hi, lo = max(values), min(values)
-    if hi + lo == 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
-
-
-def _clamp_probability(p: float) -> float:
-    if p < -1e-10 or p > 1.0 + 1e-10:
-        raise ValueError(f"probability {p!r} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, p))
+    values = np.asarray(points, dtype=float)[:, 1]
+    hi, lo = float(values.max()), float(values.min())
+    return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
 
 
 def _fringe(gg, ee, eg, u_g, u_e, phases) -> FringeResult:
@@ -273,14 +265,20 @@ def _fringe(gg, ee, eg, u_g, u_e, phases) -> FringeResult:
     p_g(phi) = A + 2*Re(B*e^{i*phi}) with
     A = sum(|u_g|^2 gg + |u_e|^2 ee) and B = sum(u_e conj(u_g) eg).
     Unitaries keep trace and spectrum: one validation of the blocks
-    covers every phase.
+    covers every phase. A p_g up to 1e-10 outside [0, 1] is clamped.
     """
-    validate_blocks((np.stack([np.stack([gg, np.conj(eg)], -1), np.stack([eg, ee], -1)], -2),))
+    blocks = np.empty(np.shape(gg) + (2, 2), dtype=complex)
+    blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1] = gg, np.conj(eg), eg, ee
+    validate_blocks((blocks,))
     a = float(np.real(np.sum(np.abs(u_g) ** 2 * gg + np.abs(u_e) ** 2 * ee)))
     b = complex(np.sum(u_e * np.conj(u_g) * eg))
-    p_g = a + 2.0 * np.real(b * np.exp(1j * np.asarray(phases, dtype=float)))
-    pts = tuple((float(phi), _clamp_probability(float(p))) for phi, p in zip(phases, p_g))
-    return FringeResult(pts, visibility(pts))
+    phi = np.asarray(phases, dtype=float)
+    p_g = a + 2.0 * np.real(b * np.exp(1j * phi))
+    bad = p_g[(p_g < -1e-10) | (p_g > 1.0 + 1e-10)]
+    if bad.size:
+        raise ValueError(f"probability {float(bad[0])!r} outside [0, 1] beyond tolerance")
+    pts = np.stack((phi, np.minimum(1.0, np.maximum(0.0, p_g))), -1)
+    return FringeResult(tuple(map(tuple, pts.tolist())), visibility(pts))
 
 
 def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
@@ -339,10 +337,10 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     rate = cfg.decoherence.decay_rate({"atom": cfg.omega0, "field": -(cfg.omega0 - cfg.detuning)})
     if cfg.wait > 0.0:
         lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
-        gg = gg + lost * np.append(ee[1:], 0.0)
-        ee = ee * math.exp(-cfg.spontaneous_rate * cfg.wait)
-        eg = eg * (math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait - rate * cfg.wait)
-                   * cmath.exp(-1j * cfg.detuning * cfg.wait))
+        gg[:-1] += lost * ee[1:]
+        ee *= math.exp(-cfg.spontaneous_rate * cfg.wait)
+        eg *= (math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait - rate * cfg.wait)
+               * cmath.exp(-1j * cfg.detuning * cfg.wait))
     return _fringe(gg, ee, eg, c, -1j * s, cfg.phases)
 
 
@@ -359,10 +357,7 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     with rate = decay_rate({"arm_c": omega, "arm_d": -omega}): 0 for a
     global block, 2*sigma*omega^2 for one block per arm.
     """
-    a = abs(cfg.alpha)
-    mean = a * a
-    if not math.isfinite(mean):
-        raise ValueError(f"|alpha|**2 overflows for alpha={cfg.alpha!r}")
+    mean = _mean_photons(cfg.alpha)
     rate = cfg.decoherence.decay_rate({"arm_c": cfg.mode_frequency, "arm_d": -cfg.mode_frequency})
     fringe = math.exp(-rate * cfg.arm_time) if cfg.arm_time > 0.0 else 1.0
     return MichelsonResult(mean / 2.0 * (1.0 + fringe), mean / 2.0 * (1.0 - fringe))
@@ -379,10 +374,7 @@ def phase_average_check(alpha: complex, n_max: int) -> float:
     """
     nodes = max(1, 4 * n_max)
     ns = np.arange(n_max + 1, dtype=float)
-    a = abs(alpha)
-    mean = a * a
-    if not math.isfinite(mean):
-        raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}")
+    mean = _mean_photons(alpha)
     if mean == 0.0:
         weights = np.zeros(n_max + 1)
         weights[0] = 1.0

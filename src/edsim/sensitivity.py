@@ -99,8 +99,8 @@ class DesignResult:
 def single_atom_reach(gamma_detectable: float, delta_e_ev: float) -> float:
     """Smallest dephasing strength sigma a single-atom experiment resolves:
     sigma = gamma / (delta_e/hbar)**2."""
-    if gamma_detectable <= 0.0 or delta_e_ev <= 0.0:
-        raise ValueError("inputs must be positive")
+    if not (0.0 < gamma_detectable < math.inf and 0.0 < delta_e_ev < math.inf):
+        raise ValueError("inputs must be positive and finite")
     w = delta_e_ev * OMEGA_PER_EV
     return gamma_detectable / (w * w)
 
@@ -230,8 +230,9 @@ def matterwave_bound(
     flown through the instrument (flight_path, 1 m by default for a
     laboratory beam machine).
     """
-    if min(mass, velocity, path_separation) <= 0.0 or sigma < 0.0 or flight_path <= 0.0:
-        raise ValueError("mass, velocity, separation and flight path must be positive")
+    if not (all(0.0 < v < math.inf for v in (mass, velocity, path_separation, flight_path))
+            and 0.0 <= sigma < math.inf):
+        raise ValueError("inputs must be finite, sigma non-negative and the rest positive")
     w = mass * C_LIGHT * C_LIGHT / HBAR
     rate = sigma * w * w
     length = velocity / rate if rate > 0.0 else math.inf
@@ -258,8 +259,8 @@ def distance_reach(gamma: float, gamma_sp: float, coherence_time: float) -> Dist
     laser limits the wait to its coherence time, i.e. a distance
     c*coherence_time. The overall reach is the smaller applicable limit.
     """
-    if min(gamma, gamma_sp, coherence_time) < 0.0:
-        raise ValueError("inputs must be non-negative")
+    if not all(0.0 <= v < math.inf for v in (gamma, gamma_sp, coherence_time)):
+        raise ValueError("inputs must be non-negative and finite")
     l_laser = C_LIGHT * coherence_time
     if gamma > 0.0 and gamma_sp > 0.0:
         l_dec = C_LIGHT * gamma / (gamma_sp * gamma_sp)
@@ -271,6 +272,6 @@ def distance_reach(gamma: float, gamma_sp: float, coherence_time: float) -> Dist
 def cosmic_bound(sigma: float, age: float) -> float:
     """Level splitting (eV) whose coherence would have decayed exactly once
     over the given age: sigma*(dE/hbar)**2*age = 1."""
-    if sigma <= 0.0 or age <= 0.0:
-        raise ValueError("sigma and age must be positive")
+    if not (0.0 < sigma < math.inf and 0.0 < age < math.inf):
+        raise ValueError("sigma and age must be positive and finite")
     return HBAR / math.sqrt(sigma * age) / EV

@@ -537,6 +537,22 @@ class TestSweep:
         vis = [r["visibility"] for r in rows]
         assert vis[0] >= vis[1] >= vis[2]
 
+    @pytest.mark.parametrize("key, values", [
+        ("sigma", "0,1e-31,3e-31,1e-30"), ("detuning", "0,1,1000,123456789"),
+    ])
+    @pytest.mark.parametrize("mode", ["semiclassical", "quantized"])
+    def test_ramsey_sweep_rows_match_runs(self, mode, key, values, capsys):
+        base = ["ramsey", "--mode", mode, "--partition", "local", "--sigma", "2e-31",
+                "--gamma-sp", "0.2", "--phase-points", "17"]
+        code, out, _ = _run([*base, "--sweep", key, "--sweep-values", values], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == len(values.split(","))
+        for row, value in zip(rows, values.split(",")):
+            code, out, _ = _run([*base, f"--{key}", value], capsys)
+            assert code == 0
+            assert row == {key: float(value), "visibility": json.loads(out)["visibility"]}
+
     def test_single_element_sweep_matches_run(self, capsys):
         code, out, _ = _run(["ghz", "--sweep", "sigma", "--sweep-values", "1e-34"], capsys)
         assert code == 0

@@ -11,6 +11,7 @@ from edsim.core import (
     InvariantError,
     coherent_state,
     fock_cutoff,
+    validate_blocks,
     validate_density,
 )
 
@@ -161,6 +162,26 @@ def _density_with_spectrum(rng, lowest, dim):
     return DensityMatrix((rho + rho.conj().T) / 2.0)
 
 
+def _pair_stack(rng, lowest):
+    """Seeded stack of 2x2 blocks with unit total trace: rank-1 Fock pulse
+    pairs w*(c, -i*s)(c, -i*s)^dag, random mixed pairs, and one pair with
+    smallest eigenvalue `lowest`, shuffled, plus an anti-Hermitian part of
+    1e-13 that only the Hermitian part may ignore."""
+    theta = rng.uniform(0.0, math.pi, 24)
+    v = np.stack([np.cos(theta), -1j * np.sin(theta)], -1)
+    pure = rng.uniform(0.1, 1.0, 24)[:, None, None] * (v[:, :, None] * v[:, None, :].conj())
+    u, _ = np.linalg.qr(rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2)))
+    spectra = rng.uniform(0.0, 1.0, (7, 2))
+    mixed = (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    rest = np.concatenate([pure, mixed])
+    rest *= 0.5 / np.trace(rest, axis1=-2, axis2=-1).real.sum()
+    special = (u[0] * [lowest, 0.5 - lowest]) @ u[0].conj().T
+    stack = np.concatenate([rest, special[None]])
+    g = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+    stack = stack + 1e-13 * (g - g.conj().swapaxes(-1, -2)) / 2.0
+    return stack[rng.permutation(len(stack))]
+
+
 class TestPositivityDecision:
     # the factorization passes exactly the states whose smallest
     # eigenvalue is at least -PSD_TOL; failures keep the eigenvalue message
@@ -186,6 +207,32 @@ class TestPositivityDecision:
         rho[0, 1] += 1e-6
         with pytest.raises(InvariantError, match=r"Hermiticity defect 1\.000e-06 exceeds"):
             validate_density(DensityMatrix(rho))
+
+    @pytest.mark.parametrize("lowest", [-3e-9, -2e-9, -1.1e-9, -9e-10, -5e-10, 0.0, 1e-3])
+    def test_pair_stacks_match_eigvalsh(self, lowest):
+        # 2x2 blocks are decided by their closed-form smallest eigenvalue:
+        # the same decision, and the same message, as eigvalsh of the
+        # Hermitian parts
+        for seed in range(10):
+            stack = _pair_stack(np.random.default_rng(seed), lowest)
+            lo = float(np.min(np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)))
+            assert abs(lo - min(lowest, 0.0)) <= 1e-12
+            if lo < -PSD_TOL:
+                with pytest.raises(InvariantError, match=f"smallest eigenvalue {lo:.3e} below"):
+                    validate_blocks((stack,))
+            else:
+                validate_blocks((stack,))
+
+    @pytest.mark.parametrize("lowest, ok", [(-2e-9, False), (-5e-10, True)])
+    def test_pair_threshold(self, lowest, ok):
+        # one 2x2 block with the other eigenvalue 1 - lowest: unit trace
+        u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))
+        block = (u * [lowest, 1.0 - lowest]) @ u.conj().T
+        if ok:
+            validate_blocks((block[None],))
+        else:
+            with pytest.raises(InvariantError, match="smallest eigenvalue -2.000e-09 below"):
+                validate_blocks((block[None],))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_trace_failure_unchanged(self, dim):

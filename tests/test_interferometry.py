@@ -24,6 +24,7 @@ from edsim.core import (
 )
 from edsim.engine import EvolutionSpec, LossChannel, evolve_analytic, evolve_stepped
 from edsim.interferometry import (
+    _fringe,
     CoherentField,
     DecoherencePartition,
     FockField,
@@ -648,6 +649,37 @@ class TestClosedFormReadout:
         run_michelson(MichelsonConfig(alpha=2.0, arm_time=1.0, mode_frequency=W0))
         assert len(calls) == 1  # Michelson is a closed form and forms no state
 
+    @pytest.mark.parametrize("u_g", [1.1, math.sqrt(1.0 + 2e-10)])
+    def test_non_unitary_row_raises(self, u_g):
+        # a pure |g> block read out through a row of norm u_g**2 > 1 + 1e-10
+        with pytest.raises(ValueError, match=r"outside \[0, 1\] beyond tolerance"):
+            _fringe(np.array([1.0]), np.array([0.0]), np.array([0j]), u_g, 0.0, (0.0, math.pi))
+
+    @pytest.mark.parametrize("u_g, u_e, edge", [(1.0, 0.0, 1.0), (0.0, 1.0, 0.0)])
+    def test_probability_slack_is_clamped(self, u_g, u_e, edge):
+        # the block diag(1 + 4e-11, -4e-11) passes validation (smallest
+        # eigenvalue above -PSD_TOL); its p_g of 1 + 4e-11 or -4e-11 lies
+        # within the 1e-10 slack and is clamped onto the edge
+        result = _fringe(np.array([1.0 + 4e-11]), np.array([-4e-11]), np.array([0j]),
+                         u_g, u_e, (0.0, 1.0, 2.0))
+        assert result.points == ((0.0, edge), (1.0, edge), (2.0, edge))
+        assert result.visibility == 0.0
+
+    @pytest.mark.parametrize("mode", ["quantized", "semiclassical"])
+    def test_visibility_is_that_of_the_points(self, mode):
+        # the runners take the visibility from the clamped array; it must
+        # be exactly visibility() of the points they return
+        rng = np.random.default_rng(41 if mode == "quantized" else 42)
+        runner = run_ramsey_quantized if mode == "quantized" else run_ramsey_semiclassical
+        for _ in range(30):
+            cfg, d = _random_ramsey(rng, mode)
+            sigma = float(rng.uniform(0.0, 2.0)) / (d * cfg.wait) if d > 0.0 else 0.0
+            blocks = cfg.decoherence.blocks
+            result = runner(dataclasses.replace(cfg, decoherence=DecoherencePartition(sigma, blocks)))
+            assert [phi for phi, _ in result.points] == list(cfg.phases)
+            assert all(type(phi) is float and type(p) is float for phi, p in result.points)
+            assert result.visibility == visibility(result.points)
+
 
 class TestDiagonalFrame:
     def test_pipelines_never_diagonalize(self, monkeypatch):
@@ -658,8 +690,9 @@ class TestDiagonalFrame:
             raise AssertionError("eigensolver or stepped path used by a pipeline")
 
         monkeypatch.setattr(edsim.engine, "_rhs", boom)
-        # valid states pass the positivity check by factorization alone
+        # every block a pipeline validates is 2x2, decided in closed form
         monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        monkeypatch.setattr(np.linalg, "cholesky", boom)
         for partition in (DecoherencePartition.local_over(1e-31, "arm_c", "arm_d"),
                           DecoherencePartition.global_over(1e-31, "arm_c", "arm_d")):
             run_michelson(MichelsonConfig(
@@ -769,6 +802,11 @@ class TestSizeLimits:
     def test_phase_points(self):
         with pytest.raises(ValueError, match="exceeds the limit"):
             default_phases(MAX_PHASE_POINTS + 1)
+
+    def test_overflowing_dominant_n(self):
+        # |alpha|**2 overflows: a ValueError, like fock_cutoff's, not an OverflowError
+        with pytest.raises(ValueError, match="overflows"):
+            CoherentField(1e200).dominant_n
 
 
 def _random_blocks(rng, labels):

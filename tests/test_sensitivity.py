@@ -20,6 +20,7 @@ from edsim.sensitivity import (
 
 SR = SpeciesParams(gamma_sp=1e-3, delta_e=1.0, kappa=1e-17, k3=1e-41)
 NA_MASS = 22.98976928 * 1.66053906660e-27
+NON_FINITE = [math.nan, math.inf]
 
 
 class TestSingleAtomReach:
@@ -32,6 +33,14 @@ class TestSingleAtomReach:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             single_atom_reach(0.0, 1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", range(2))
+    def test_rejects_non_finite(self, at, value):
+        args = [1e-3, 1.0]
+        args[at] = value
+        with pytest.raises(ValueError, match="finite"):
+            single_atom_reach(*args)
 
 
 class TestGhzDesign:
@@ -137,6 +146,15 @@ class TestMatterWave:
         res = matterwave_bound(NA_MASS, 3000.0, 20e-6, PLANCK_TIME, flight_path=1e-5)
         assert not res.excluded
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", range(5))
+    def test_rejects_non_finite(self, at, value):
+        # a NaN sigma used to give excluded=False, an infinite one excluded=True
+        args = [NA_MASS, 3000.0, 20e-6, PLANCK_TIME, 1.0]
+        args[at] = value
+        with pytest.raises(ValueError, match="finite"):
+            matterwave_bound(*args)
+
 
 class TestDistanceReach:
     def test_laser_limited(self):
@@ -154,6 +172,15 @@ class TestDistanceReach:
     def test_one_second_coherence(self):
         assert abs(distance_reach(0.0, 0.0, 1.0).l_laser / 2.998e8 - 1.0) <= 1e-3
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", range(3))
+    def test_rejects_non_finite(self, at, value):
+        # a NaN gamma used to fall through to the laser limit
+        args = [1e-8, 1e-3, 1.0]
+        args[at] = value
+        with pytest.raises(ValueError, match="finite"):
+            distance_reach(*args)
+
 
 class TestCosmicBound:
     def test_age_scaling(self):
@@ -163,6 +190,15 @@ class TestCosmicBound:
     def test_sigma_scaling(self):
         base = cosmic_bound(1e-44, 1e17)
         assert abs(cosmic_bound(1e-42, 1e17) / base - 0.1) <= 1e-12
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", range(2))
+    def test_rejects_non_finite(self, at, value):
+        # an infinite sigma or age used to give a 0 eV bound
+        args = [PLANCK_TIME, 1e17]
+        args[at] = value
+        with pytest.raises(ValueError, match="finite"):
+            cosmic_bound(*args)
 
 
 class TestScaleCovariance:
