@@ -22,6 +22,7 @@ from .core import (
     fock_cutoff,
     validate_blocks,
     validate_density,
+    validate_pairs,
 )
 from .engine import (
     EvolutionSpec,

@@ -26,6 +26,7 @@ __all__ = [
     "beamsplitter_sector",
     "validate_density",
     "validate_blocks",
+    "validate_pairs",
 ]
 
 
@@ -60,42 +61,64 @@ def validate_density(rho: DensityMatrix) -> None:
 def validate_blocks(blocks: Iterable[np.ndarray]) -> None:
     """validate_density for a block-diagonal state given by its diagonal blocks.
 
-    Each item is one square block or a stack of equal-size blocks, shape
-    (..., d, d). Non-finite entries, Hermiticity and positivity are
-    tested block by block, the unit trace on the sum of all blocks, in
-    that order, against HERM_TOL, TRACE_TOL and PSD_TOL. Positivity means
-    a smallest eigenvalue of at least -PSD_TOL: for 2x2 blocks the exact
-    (a+b)/2 - hypot((a-b)/2, |c|) of the Hermitian part [[a, c*], [c, b]];
-    larger ones pass a Cholesky factorization of h + PSD_TOL*I (h the
-    Hermitian part), far cheaper than eigvalsh, which only a failure
-    calls. The decision and message are the eigenvalue's, for d > 2 up
-    to rounding of the threshold, O(d*eps*||rho||).
+    Each item is one non-empty 2-D square block (ValueError otherwise).
+    Non-finite entries and Hermiticity are tested block by block, then
+    the unit trace on the sum of all blocks, then positivity, against
+    HERM_TOL, TRACE_TOL and PSD_TOL. Positivity means a smallest
+    eigenvalue of at least -PSD_TOL: a block passes when a Cholesky
+    factorization of h + PSD_TOL*I (h the Hermitian part) succeeds, far
+    cheaper than eigvalsh, which only a failure calls. The decision and
+    message are the eigenvalue's up to rounding of the threshold,
+    O(d*eps*||rho||).
     """
     blocks = [np.asarray(m) for m in blocks]
     tr = 0.0
     for m in blocks:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"expected a non-empty square block, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvariantError("density matrix has non-finite entries")
-        herm = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
+        herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > HERM_TOL:
             raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
-        tr = tr + np.trace(m, axis1=-2, axis2=-1).sum()
+        tr = tr + np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
     for m in blocks:
-        if m.shape[-1] == 2:
-            a, b = m[..., 0, 0].real, m[..., 1, 1].real
-            c = np.abs(m[..., 1, 0] + np.conj(m[..., 0, 1])) / 2.0
-            lo = float(np.min((a + b) / 2.0 - np.hypot((a - b) / 2.0, c)))
-        else:
-            h = (m + np.swapaxes(m, -1, -2).conj()) / 2.0
-            try:
-                np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[-1]))
-                continue
-            except np.linalg.LinAlgError:
-                lo = float(np.min(np.linalg.eigvalsh(h)[..., 0]))
+        h = (m + m.conj().T) / 2.0
+        try:
+            np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[0]))
+            continue
+        except np.linalg.LinAlgError:
+            lo = float(np.linalg.eigvalsh(h)[0])
         if lo < -PSD_TOL:
             raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
+
+
+def validate_pairs(gg, ee, eg) -> None:
+    """validate_blocks for the 2x2 blocks [[gg, conj(eg)], [eg, ee]], one per
+    entry of three equal-shape arrays (ValueError otherwise), with no block formed.
+
+    Same checks, order, tolerances and messages. The off-diagonal pair is
+    Hermitian by construction, so the Hermiticity defect is
+    2*max(|imag gg|, |imag ee|), and the smallest eigenvalue is exact:
+    (a+b)/2 - hypot((a-b)/2, |eg|) with a, b the real parts of gg, ee.
+    """
+    gg, ee, eg = np.asarray(gg), np.asarray(ee), np.asarray(eg)
+    if not gg.shape == ee.shape == eg.shape:
+        raise ValueError(f"pair arrays differ in shape: {gg.shape}, {ee.shape}, {eg.shape}")
+    if not (np.isfinite(gg).all() and np.isfinite(ee).all() and np.isfinite(eg).all()):
+        raise InvariantError("density matrix has non-finite entries")
+    herm = 2.0 * float(max(np.abs(gg.imag).max(), np.abs(ee.imag).max()))
+    if herm > HERM_TOL:
+        raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
+    tr = (gg + ee).sum()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvariantError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+    a, b = gg.real, ee.real
+    lo = float(((a + b) / 2.0 - np.hypot((a - b) / 2.0, np.abs(eg))).min())
+    if lo < -PSD_TOL:
+        raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
 
 
 def _mean_photons(alpha: complex) -> float:

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .constants import MAX_PHASE_POINTS, RAMSEY_MAX_CUTOFF
-from .core import DensityMatrix, _mean_photons, coherent_state, fock_cutoff, validate_blocks
+from .core import DensityMatrix, _mean_photons, coherent_state, fock_cutoff, validate_pairs
 from .engine import EvolutionSpec, evolve_analytic
 
 __all__ = [
@@ -113,6 +114,9 @@ class FockField:
     n: int
 
     def __post_init__(self):
+        # bool is an Integral too, but FockField(True) would index as a mask
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"photon number must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError("photon number must be non-negative")
 
@@ -178,8 +182,8 @@ class RamseyConfig:
             raise ValueError("pulse_area must lie in (0, pi]")
         if self.wait < 0.0 or self.spontaneous_rate < 0.0:
             raise ValueError("wait and spontaneous_rate must be non-negative")
-        if not self.phases:
-            raise ValueError("phase scan must be non-empty")
+        if len(self.phases) < 2:
+            raise ValueError("need at least two phase points")
 
     def cutoff(self) -> int:
         """The field's own Fock cutoff, refused above RAMSEY_MAX_CUTOFF."""
@@ -233,6 +237,8 @@ class GhzConfig:
 
     def __post_init__(self):
         _require_finite(self.omega0, self.sigma, self.wait, self.gamma_sp, self.three_body_rate)
+        if isinstance(self.n_atoms, bool) or not isinstance(self.n_atoms, numbers.Integral):
+            raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
         if self.n_atoms < 1:
             raise ValueError("need at least one atom")
         if min(self.sigma, self.wait, self.gamma_sp, self.three_body_rate) < 0.0:
@@ -264,12 +270,11 @@ def _fringe(gg, ee, eg, u_g, u_e, phases) -> FringeResult:
     (u_g, u_e) is the |g> row of the second pulse on each pair, so
     p_g(phi) = A + 2*Re(B*e^{i*phi}) with
     A = sum(|u_g|^2 gg + |u_e|^2 ee) and B = sum(u_e conj(u_g) eg).
-    Unitaries keep trace and spectrum: one validation of the blocks
-    covers every phase. A p_g up to 1e-10 outside [0, 1] is clamped.
+    Unitaries keep trace and spectrum: one validate_pairs call on the
+    three arrays covers every phase, and no block is ever formed. A p_g
+    up to 1e-10 outside [0, 1] is clamped.
     """
-    blocks = np.empty(np.shape(gg) + (2, 2), dtype=complex)
-    blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1] = gg, np.conj(eg), eg, ee
-    validate_blocks((blocks,))
+    validate_pairs(gg, ee, eg)
     a = float(np.real(np.sum(np.abs(u_g) ** 2 * gg + np.abs(u_e) ** 2 * ee)))
     b = complex(np.sum(u_e * np.conj(u_g) * eg))
     phi = np.asarray(phases, dtype=float)
@@ -321,7 +326,8 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     wait according to the partition. The pulses, the wait, the phase
     shift (injected on |e> before the second, identical pulse) and the
     readout all conserve |e><e| + n, so only the 2x2 blocks on the pairs
-    (|g,k>, |e,k-1>), k = 0..cutoff(), are ever formed: the pulse rotates
+    (|g,k>, |e,k-1>), k = 0..cutoff(), are kept, as the arrays gg, ee
+    and eg of their entries: the pulse rotates
     pair k by theta_k = sqrt(k) * pulse_area / (2*sqrt(dominant_n)),
     spontaneous decay moves the |e,k-1> population onto |g,k-1> and
     scales the pair's coherence by exp(-gamma_sp*t/2), and the wait, in
@@ -405,7 +411,7 @@ def run_ghz(cfg: GhzConfig) -> GhzResult:
         coherence(t)   = 0.5 * exp(-effective_rate * t)
         survival(t)    = exp(-(N*gamma_sp + three_body_rate) * t)
     """
-    n = cfg.n_atoms
+    n = int(cfg.n_atoms)  # a numpy integer would overflow in n * n
     grav = cfg.sigma * (cfg.omega0 * cfg.omega0) * (n * n)
     loss = n * cfg.gamma_sp + cfg.three_body_rate
     rate = grav + loss

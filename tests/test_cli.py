@@ -276,9 +276,8 @@ class TestRunCommands:
         ["design", "--species=Sr"],
         ["bounds", "--cosmic=true"],
         ["selftest", "--criteria=9"],
-        ["selftest"],
         ["ghz", "--sweep=sigma", "--sweep-values=0,1e-34"],
-    ], ids=["ramsey", "michelson", "ghz", "design", "bounds", "selftest", "selftest-all", "sweep"])
+    ], ids=["ramsey", "michelson", "ghz", "design", "bounds", "selftest", "sweep"])
     def test_summary_names_command_and_parameters(self, argv, capsys):
         code, out, _ = _run(argv, capsys)
         assert code == 0
@@ -511,9 +510,14 @@ class TestFrontEnd:
                     == (tmp_path / f"fresh{suffix}").read_bytes())
 
     def test_full_selftest_through_main(self, capsys):
+        # also the full-suite case of test_summary_names_command_and_parameters,
+        # so the 13 criteria run once here
         code, out, err = _run(["selftest"], capsys)
         assert (code, err) == (0, "")
         assert sum(line.startswith("PASS") for line in out.splitlines()) == 13
+        summary = json.loads(out[out.index("{"):])
+        expected = parse_config("", [("command", "selftest")]).parameters
+        assert (summary["command"], summary["parameters"]) == ("selftest", expected)
 
     def test_python_dash_m_process(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -13,6 +13,7 @@ from edsim.core import (
     fock_cutoff,
     validate_blocks,
     validate_density,
+    validate_pairs,
 )
 
 from dense_oracles import beamsplitter_5050, mode_ops
@@ -182,6 +183,11 @@ def _pair_stack(rng, lowest):
     return stack[rng.permutation(len(stack))]
 
 
+def _pairs(stack):
+    """(gg, ee, eg) of 2x2 blocks, eg from their Hermitian part."""
+    return stack[:, 0, 0], stack[:, 1, 1], (stack[:, 1, 0] + stack[:, 0, 1].conj()) / 2.0
+
+
 class TestPositivityDecision:
     # the factorization passes exactly the states whose smallest
     # eigenvalue is at least -PSD_TOL; failures keep the eigenvalue message
@@ -210,18 +216,18 @@ class TestPositivityDecision:
 
     @pytest.mark.parametrize("lowest", [-3e-9, -2e-9, -1.1e-9, -9e-10, -5e-10, 0.0, 1e-3])
     def test_pair_stacks_match_eigvalsh(self, lowest):
-        # 2x2 blocks are decided by their closed-form smallest eigenvalue:
-        # the same decision, and the same message, as eigvalsh of the
-        # Hermitian parts
+        # validate_pairs decides each 2x2 block by its closed-form smallest
+        # eigenvalue: the same decision, and the same message, as eigvalsh
+        # of the Hermitian parts
         for seed in range(10):
             stack = _pair_stack(np.random.default_rng(seed), lowest)
             lo = float(np.min(np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)))
             assert abs(lo - min(lowest, 0.0)) <= 1e-12
             if lo < -PSD_TOL:
                 with pytest.raises(InvariantError, match=f"smallest eigenvalue {lo:.3e} below"):
-                    validate_blocks((stack,))
+                    validate_pairs(*_pairs(stack))
             else:
-                validate_blocks((stack,))
+                validate_pairs(*_pairs(stack))
 
     @pytest.mark.parametrize("lowest, ok", [(-2e-9, False), (-5e-10, True)])
     def test_pair_threshold(self, lowest, ok):
@@ -229,13 +235,57 @@ class TestPositivityDecision:
         u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))
         block = (u * [lowest, 1.0 - lowest]) @ u.conj().T
         if ok:
-            validate_blocks((block[None],))
+            validate_pairs(*_pairs(block[None]))
         else:
             with pytest.raises(InvariantError, match="smallest eigenvalue -2.000e-09 below"):
-                validate_blocks((block[None],))
+                validate_pairs(*_pairs(block[None]))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_trace_failure_unchanged(self, dim):
         rho = _density_with_spectrum(np.random.default_rng(dim), 0.0, dim).entries * 1.001
         with pytest.raises(InvariantError, match="trace .* deviates from 1 beyond"):
             validate_density(DensityMatrix(rho))
+
+
+class TestBlockShapes:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (4,), (0, 0)])
+    def test_blocks_must_be_square_matrices(self, shape):
+        # a stack or a non-square block is a caller error, not a bad state
+        block = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match="square block") as info:
+            validate_blocks((np.eye(2) / 2.0, block))
+        assert not isinstance(info.value, InvariantError)
+
+    def test_pair_arrays_must_match(self):
+        with pytest.raises(ValueError, match="differ in shape") as info:
+            validate_pairs(np.full(3, 1 / 6), np.full(3, 1 / 6), np.zeros(2, dtype=complex))
+        assert not isinstance(info.value, InvariantError)
+
+
+def _both_messages(block):
+    """The InvariantError text of validate_blocks and validate_pairs on one 2x2 block."""
+    texts = []
+    for check in (lambda: validate_blocks((block,)),
+                  lambda: validate_pairs(block[:1, 0], block[1:, 1], block[1:, 0])):
+        with pytest.raises(InvariantError) as info:
+            check()
+        texts.append(str(info.value))
+    return texts
+
+
+class TestPairsMatchBlocks:
+    """validate_pairs is validate_blocks on [[gg, conj(eg)], [eg, ee]]: same order, same text."""
+
+    @pytest.mark.parametrize("block, text", [
+        ([[math.nan, 0.0], [0.0, 0.5 + 1j]], "non-finite"),
+        ([[0.5, 0.0], [complex(0.0, math.inf), 0.5]], "non-finite"),
+        ([[0.5 + 3e-12j, 0.1j], [-0.1j, 0.5]], "Hermiticity defect 6.000e-12 exceeds 1e-12"),
+        ([[0.5 + 1e-9j, 0.0], [0.0, 0.6]], "Hermiticity"),
+        ([[0.5, 0.2], [0.2, 0.6]], "trace"),
+        ([[0.5, 0.6j], [-0.6j, 0.5]], "smallest eigenvalue -1.000e-01"),
+    ], ids=["nan", "inf-coherence", "imag-gg", "hermiticity-before-trace",
+            "trace-before-positivity", "positivity"])
+    def test_first_failure_and_message_agree(self, block, text):
+        first, second = _both_messages(np.array(block, dtype=complex))
+        assert first == second
+        assert text in first

@@ -19,8 +19,8 @@ from edsim.core import (
     beamsplitter_sector,
     coherent_state,
     fock_cutoff,
-    validate_blocks,
     validate_density,
+    validate_pairs,
 )
 from edsim.engine import EvolutionSpec, LossChannel, evolve_analytic, evolve_stepped
 from edsim.interferometry import (
@@ -640,11 +640,11 @@ class TestClosedFormReadout:
     def test_validates_the_waited_state_once(self, monkeypatch):
         calls = []
 
-        def counting(blocks, *args, **kwargs):
-            calls.append(blocks)
-            return validate_blocks(blocks, *args, **kwargs)
+        def counting(*pairs):
+            calls.append(pairs)
+            return validate_pairs(*pairs)
 
-        monkeypatch.setattr(edsim.interferometry, "validate_blocks", counting)
+        monkeypatch.setattr(edsim.interferometry, "validate_pairs", counting)
         run_ramsey_quantized(RamseyConfig(omega0=W0, wait=1.0, field=FockField(12)))
         run_michelson(MichelsonConfig(alpha=2.0, arm_time=1.0, mode_frequency=W0))
         assert len(calls) == 1  # Michelson is a closed form and forms no state
@@ -690,7 +690,8 @@ class TestDiagonalFrame:
             raise AssertionError("eigensolver or stepped path used by a pipeline")
 
         monkeypatch.setattr(edsim.engine, "_rhs", boom)
-        # every block a pipeline validates is 2x2, decided in closed form
+        # every state a pipeline validates is its pair arrays, decided by
+        # validate_pairs in closed form
         monkeypatch.setattr(np.linalg, "eigvalsh", boom)
         monkeypatch.setattr(np.linalg, "cholesky", boom)
         for partition in (DecoherencePartition.local_over(1e-31, "arm_c", "arm_d"),
@@ -782,6 +783,39 @@ class TestNonFiniteConfig:
     def test_ghz(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             GhzConfig(**{"n_atoms": 2, "omega0": 1.0, "sigma": 0.0, "wait": 1.0, name: value})
+
+
+class TestConfigTypes:
+    """Counts are integers, and a fringe scan has two points, when the config is built."""
+
+    @pytest.mark.parametrize("n", [True, False, np.bool_(True)], ids=["True", "False", "np.True_"])
+    def test_fock_rejects_bool(self, n):
+        # numpy would read v[True] as a mask, not as level 1
+        with pytest.raises(ValueError, match="photon number must be an integer"):
+            FockField(n)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+    def test_fock_rejects_non_integer(self, n):
+        with pytest.raises(ValueError, match="photon number must be an integer"):
+            FockField(n)
+
+    @pytest.mark.parametrize("n", [True, 2.5, 2.0, np.float64(2.0)], ids=str)
+    def test_ghz_rejects_non_integer(self, n):
+        with pytest.raises(ValueError, match="n_atoms must be an integer"):
+            GhzConfig(n_atoms=n, omega0=1.0, sigma=0.0, wait=1.0)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = RamseyConfig(omega0=W0, wait=1.0, field=FockField(np.int64(3)))
+        assert run_ramsey_quantized(cfg) == run_ramsey_quantized(
+            dataclasses.replace(cfg, field=FockField(3)))
+        # np.int32 squared would wrap at 50000 atoms
+        big = run_ghz(GhzConfig(n_atoms=np.int32(50_000), omega0=1.0, sigma=1.0, wait=0.0))
+        assert big == run_ghz(GhzConfig(n_atoms=50_000, omega0=1.0, sigma=1.0, wait=0.0))
+
+    @pytest.mark.parametrize("phases", [(), (0.0,)], ids=["none", "one"])
+    def test_ramsey_needs_two_phase_points(self, phases):
+        with pytest.raises(ValueError, match="need at least two phase points"):
+            RamseyConfig(omega0=1.0, wait=1.0, phases=phases)
 
 
 class TestSizeLimits:
