@@ -17,10 +17,8 @@ from .constants import (
 from .core import (
     DensityMatrix,
     InvariantError,
-    beamsplitter_sector,
-    coherent_state,
     fock_cutoff,
-    validate_blocks,
+    poisson_weights,
     validate_density,
     validate_pairs,
 )
@@ -41,7 +39,6 @@ from .interferometry import (
     MichelsonResult,
     RamseyConfig,
     default_phases,
-    phase_average_check,
     run_ghz,
     run_michelson,
     run_ramsey_quantized,

@@ -1,8 +1,7 @@
 """Dense linear algebra for small composite quantum systems.
 
 Density matrices as read-only square complex arrays, their invariant
-checks, and the bosonic-mode constructors (coherent-state amplitudes
-and the number-conserving blocks of a balanced two-mode beamsplitter).
+checks, and the photon-number weights of a coherent state.
 Everything is immutable after construction; invariant checks are
 explicit ``validate_*`` calls so that intermediate states of an
 integrator may transiently violate positivity without aborting.
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -22,10 +20,8 @@ __all__ = [
     "InvariantError",
     "DensityMatrix",
     "fock_cutoff",
-    "coherent_state",
-    "beamsplitter_sector",
+    "poisson_weights",
     "validate_density",
-    "validate_blocks",
     "validate_pairs",
 ]
 
@@ -54,49 +50,36 @@ class DensityMatrix:
 
 
 def validate_density(rho: DensityMatrix) -> None:
-    """Raise InvariantError on non-finite entries, Hermiticity, trace or positivity failure."""
-    validate_blocks((rho.entries,))
+    """Raise InvariantError on non-finite entries, Hermiticity, trace or positivity failure.
 
-
-def validate_blocks(blocks: Iterable[np.ndarray]) -> None:
-    """validate_density for a block-diagonal state given by its diagonal blocks.
-
-    Each item is one non-empty 2-D square block (ValueError otherwise).
-    Non-finite entries and Hermiticity are tested block by block, then
-    the unit trace on the sum of all blocks, then positivity, against
-    HERM_TOL, TRACE_TOL and PSD_TOL. Positivity means a smallest
-    eigenvalue of at least -PSD_TOL: a block passes when a Cholesky
-    factorization of h + PSD_TOL*I (h the Hermitian part) succeeds, far
-    cheaper than eigvalsh, which only a failure calls. The decision and
-    message are the eigenvalue's up to rounding of the threshold,
-    O(d*eps*||rho||).
+    The checks run in that order, against HERM_TOL, TRACE_TOL and
+    PSD_TOL. Positivity means a smallest eigenvalue of at least -PSD_TOL:
+    the state passes when a Cholesky factorization of h + PSD_TOL*I
+    (h the Hermitian part) succeeds, far cheaper than eigvalsh, which
+    only a failure calls. The decision and message are the eigenvalue's
+    up to rounding of the threshold, O(d*eps*||rho||).
     """
-    blocks = [np.asarray(m) for m in blocks]
-    tr = 0.0
-    for m in blocks:
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-            raise ValueError(f"expected a non-empty square block, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvariantError("density matrix has non-finite entries")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERM_TOL:
-            raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
-        tr = tr + np.trace(m)
+    m = rho.entries
+    if not np.all(np.isfinite(m)):
+        raise InvariantError("density matrix has non-finite entries")
+    herm = float(np.max(np.abs(m - m.conj().T)))
+    if herm > HERM_TOL:
+        raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
+    tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-    for m in blocks:
-        h = (m + m.conj().T) / 2.0
-        try:
-            np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[0]))
-            continue
-        except np.linalg.LinAlgError:
-            lo = float(np.linalg.eigvalsh(h)[0])
-        if lo < -PSD_TOL:
-            raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
+    h = (m + m.conj().T) / 2.0
+    try:
+        np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[0]))
+        return
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh(h)[0])
+    if lo < -PSD_TOL:
+        raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
 
 
 def validate_pairs(gg, ee, eg) -> None:
-    """validate_blocks for the 2x2 blocks [[gg, conj(eg)], [eg, ee]], one per
+    """validate_density for the 2x2 blocks [[gg, conj(eg)], [eg, ee]], one per
     entry of three equal-shape arrays (ValueError otherwise), with no block formed.
 
     Same checks, order, tolerances and messages. The off-diagonal pair is
@@ -134,9 +117,9 @@ def fock_cutoff(alpha: complex) -> int:
     return int(math.ceil(_mean_photons(alpha) + 8.0 * abs(alpha) + 10.0))
 
 
-def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
-    """Fock amplitudes of |alpha> on levels 0..n_max, renormalized after
-    the cutoff, as a read-only array.
+def poisson_weights(alpha: complex, n_max: int) -> np.ndarray:
+    """Fock weights |<n|alpha>|**2 on levels 0..n_max, renormalized after
+    the cutoff, as a read-only real array that sums to 1.
 
     Each Poisson log weight log p_n, lam = |alpha|^2, stands on its own,
     so no rounding builds up along n and neither exp(-lam) nor the peak
@@ -161,39 +144,13 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
             u = (n - lam) / lam
             lam_h = n * np.log1p(u) - (n - lam)
         log_p[small:] = -0.5 * np.log(2.0 * math.pi * n) - stirlerr - lam_h
-    amps = np.exp(0.5 * log_p) * np.exp(1j * np.angle(alpha) * np.arange(n_max + 1))
-    kept = float(np.sum(np.abs(amps) ** 2))
+    weights = np.exp(log_p, out=log_p)
+    kept = float(np.sum(weights))
     if 1.0 - kept > 1e-10:
         raise ValueError(
             f"cutoff n_max={n_max} keeps only {kept!r} of the norm for alpha={alpha!r}; "
             f"need n_max >= {fock_cutoff(alpha)}"
         )
-    amps /= math.sqrt(kept)
-    amps.setflags(write=False)
-    return amps
-
-
-def beamsplitter_sector(n_max: int, total: int) -> np.ndarray:
-    """Block on the sector n_c + n_d = total of the balanced beamsplitter
-    between two modes truncated at n_max.
-
-    Maps amplitudes in the input-mode basis (a, b) to the arm basis
-    (c, d) for a = (c + d)/sqrt(2) and b = (c - d)/sqrt(2); the block is
-    exactly unitary, and its dagger recombines. Rows (arm basis) and
-    columns (input basis) both run over the first mode's photon number
-    max(0, total - n_max) .. min(n_max, total); for total <= n_max that
-    is 0..total, and the block does not depend on n_max.
-    """
-    ncs = range(max(0, total - n_max), min(n_max, total) + 1)
-    m = len(ncs)
-    gen = np.zeros((m, m))
-    for j, nc in enumerate(ncs):
-        nd = total - nc
-        if nc + 1 <= n_max and nd - 1 >= 0:
-            gen[j + 1, j] = math.sqrt((nc + 1) * nd)  # c^dag d amplitude
-    gen = gen - gen.T
-    theta = math.pi / 4.0
-    lam, vec = np.linalg.eigh(1j * gen)  # exp(theta*gen) = exp(-i*theta*(i*gen))
-    u = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
-    sign = np.array([(-1.0) ** (total - nc) for nc in ncs])  # pi phase on mode d
-    return sign[:, None] * u
+    weights /= kept
+    weights.setflags(write=False)
+    return weights

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constants import MAX_PHASE_POINTS, RAMSEY_MAX_CUTOFF
-from .core import DensityMatrix, _mean_photons, coherent_state, fock_cutoff, validate_pairs
+from .core import DensityMatrix, _mean_photons, fock_cutoff, poisson_weights, validate_pairs
 from .engine import EvolutionSpec, evolve_analytic
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "run_ramsey_semiclassical",
     "run_ramsey_quantized",
     "run_michelson",
-    "phase_average_check",
     "run_ghz",
 ]
 
@@ -127,10 +126,10 @@ class FockField:
     def default_cutoff(self) -> int:
         return self.n + 1
 
-    def amplitudes(self, cutoff: int) -> np.ndarray:
-        v = np.zeros(cutoff + 1, dtype=complex)
-        v[self.n] = 1.0
-        return v
+    def weights(self, cutoff: int) -> np.ndarray:
+        w = np.zeros(cutoff + 1)
+        w[self.n] = 1.0
+        return w
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,8 @@ class CoherentField:
     def default_cutoff(self) -> int:
         return fock_cutoff(self.alpha)
 
-    def amplitudes(self, cutoff: int) -> np.ndarray:
-        return coherent_state(self.alpha, cutoff)
+    def weights(self, cutoff: int) -> np.ndarray:
+        return poisson_weights(self.alpha, cutoff)
 
 
 def default_phases(count: int = 32) -> tuple[float, ...]:
@@ -184,6 +183,8 @@ class RamseyConfig:
             raise ValueError("wait and spontaneous_rate must be non-negative")
         if len(self.phases) < 2:
             raise ValueError("need at least two phase points")
+        if not math.isfinite(self.detuning * self.wait):
+            raise ValueError(f"detuning*wait overflows for detuning={self.detuning!r}, wait={self.wait!r}")
 
     def cutoff(self) -> int:
         """The field's own Fock cutoff, refused above RAMSEY_MAX_CUTOFF."""
@@ -327,8 +328,10 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     shift (injected on |e> before the second, identical pulse) and the
     readout all conserve |e><e| + n, so only the 2x2 blocks on the pairs
     (|g,k>, |e,k-1>), k = 0..cutoff(), are kept, as the arrays gg, ee
-    and eg of their entries: the pulse rotates
-    pair k by theta_k = sqrt(k) * pulse_area / (2*sqrt(dominant_n)),
+    and eg of their entries. No step forms a coherence between two
+    pairs, so the field enters only through its photon-number weights,
+    and its phase drops out. The pulse rotates pair k by
+    theta_k = sqrt(k) * pulse_area / (2*sqrt(dominant_n)),
     spontaneous decay moves the |e,k-1> population onto |g,k-1> and
     scales the pair's coherence by exp(-gamma_sp*t/2), and the wait, in
     the frame rotating at omega, multiplies that coherence by
@@ -337,7 +340,7 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     cutoff = cfg.cutoff()
     theta = np.sqrt(np.arange(cutoff + 1)) * (cfg.pulse_area / (2.0 * math.sqrt(cfg.field.dominant_n)))
     c, s = np.cos(theta), np.sin(theta)
-    weights = np.abs(cfg.field.amplitudes(cutoff)) ** 2
+    weights = cfg.field.weights(cutoff)
     gg, ee, eg = weights * c * c, weights * s * s, -1j * weights * s * c
     # gaps across |e,k-1><g,k|: omega0 on the atom, -omega on the field, for every k
     rate = cfg.decoherence.decay_rate({"atom": cfg.omega0, "field": -(cfg.omega0 - cfg.detuning)})
@@ -367,36 +370,6 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     rate = cfg.decoherence.decay_rate({"arm_c": cfg.mode_frequency, "arm_d": -cfg.mode_frequency})
     fringe = math.exp(-rate * cfg.arm_time) if cfg.arm_time > 0.0 else 1.0
     return MichelsonResult(mean / 2.0 * (1.0 + fringe), mean / 2.0 * (1.0 - fringe))
-
-
-def phase_average_check(alpha: complex, n_max: int) -> float:
-    """Distance between the dephased-coherent-state mixture and its phase average.
-
-    Compares the diagonal Poissonian Fock mixture against the uniform
-    average of |alpha e^{i phi}> projectors over the phase circle,
-    computed by quadrature with 4*n_max nodes (at least one), which is
-    exact for the Fock coherences up to n_max. Returns the Frobenius
-    distance (identically zero up to rounding).
-    """
-    nodes = max(1, 4 * n_max)
-    ns = np.arange(n_max + 1, dtype=float)
-    mean = _mean_photons(alpha)
-    if mean == 0.0:
-        weights = np.zeros(n_max + 1)
-        weights[0] = 1.0
-    else:
-        logs = -mean + ns * math.log(mean) - np.array([math.lgamma(n + 1.0) for n in ns])
-        weights = np.exp(logs)
-        weights = weights / float(np.sum(weights))
-    mixture = np.diag(weights).astype(complex)
-
-    avg = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for k in range(nodes):
-        phi = 2.0 * math.pi * k / nodes
-        amps = coherent_state(alpha * np.exp(1j * phi), n_max)
-        avg += np.outer(amps, amps.conj())
-    avg /= nodes
-    return float(np.linalg.norm(mixture - avg))
 
 
 def run_ghz(cfg: GhzConfig) -> GhzResult:

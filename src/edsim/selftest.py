@@ -22,8 +22,7 @@ import numpy as np
 
 from . import cli
 from .constants import OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
-from .core import (DensityMatrix, beamsplitter_sector, coherent_state, fock_cutoff, validate_blocks,
-                   validate_density)
+from .core import DensityMatrix, _mean_photons, fock_cutoff, poisson_weights, validate_density
 from .engine import EvolutionSpec, evolve_analytic, evolve_stepped
 from .interferometry import (
     DecoherencePartition,
@@ -31,7 +30,6 @@ from .interferometry import (
     GhzConfig,
     MichelsonConfig,
     RamseyConfig,
-    phase_average_check,
     run_ghz,
     run_michelson,
     run_ramsey_quantized,
@@ -46,7 +44,7 @@ from .sensitivity import (
     single_atom_reach,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "run_all", "beamsplitter_sector", "phase_average_check"]
 
 _NA_MASS = 22.98976928 * 1.66053906660e-27  # kg
 
@@ -161,28 +159,56 @@ def criterion_03() -> _Checks:
     return c
 
 
+def beamsplitter_sector(n_max: int, total: int) -> np.ndarray:
+    """Block on the sector n_c + n_d = total of the balanced beamsplitter
+    between two modes truncated at n_max.
+
+    Maps amplitudes in the input-mode basis (a, b) to the arm basis
+    (c, d) for a = (c + d)/sqrt(2) and b = (c - d)/sqrt(2); the block is
+    exactly unitary, and its dagger recombines. Rows (arm basis) and
+    columns (input basis) both run over the first mode's photon number
+    max(0, total - n_max) .. min(n_max, total); for total <= n_max that
+    is 0..total, and the block does not depend on n_max.
+    """
+    ncs = range(max(0, total - n_max), min(n_max, total) + 1)
+    m = len(ncs)
+    gen = np.zeros((m, m))
+    for j, nc in enumerate(ncs):
+        nd = total - nc
+        if nc + 1 <= n_max and nd - 1 >= 0:
+            gen[j + 1, j] = math.sqrt((nc + 1) * nd)  # c^dag d amplitude
+    gen = gen - gen.T
+    theta = math.pi / 4.0
+    lam, vec = np.linalg.eigh(1j * gen)  # exp(theta*gen) = exp(-i*theta*(i*gen))
+    u = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
+    sign = np.array([(-1.0) ** (total - nc) for nc in ncs])  # pi phase on mode d
+    return sign[:, None] * u
+
+
 def _michelson_sectors(cfg: MichelsonConfig) -> tuple[float, float]:
     """Brute-force Michelson output means, one photon-number sector at a time:
-    the arm block of total photon number N is |c_N|^2 (w_N[:, N] w_N[:, N]^dag),
-    decayed by each coherence's own arm gaps and validated, with c_N the
-    coherent amplitude and w_N the beamsplitter block; the output
-    populations are diag(w_N^dag rho_N w_N)."""
+    the arm block of total photon number N is p_N (w_N[:, N] w_N[:, N]^dag),
+    decayed by each coherence's own arm gaps, with p_N the Poisson weight
+    and w_N the beamsplitter block; the output populations are
+    diag(w_N^dag rho_N w_N). The blocks are validated together, as one
+    block-diagonal state."""
     n_max = fock_cutoff(cfg.alpha)
-    amps = coherent_state(cfg.alpha, n_max)
+    weights = poisson_weights(cfg.alpha, n_max)
     # arm_c gap across |j, N-j><k, N-k| is omega*(j-k); arm_d's is its negative
     shift = cfg.mode_frequency * np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
     rate = cfg.decoherence.decay_rate({"arm_c": shift, "arm_d": -shift})
     decay = np.broadcast_to(np.exp(-rate * cfg.arm_time), shift.shape)
-    blocks, mean_a, mean_b = [], 0.0, 0.0
+    state = np.zeros(((n_max + 1) * (n_max + 2) // 2,) * 2, dtype=complex)
+    mean_a, mean_b = 0.0, 0.0
     for n in range(n_max + 1):
         w = beamsplitter_sector(n_max, n)
-        arm = amps[n] * w[:, n]
-        rho = np.outer(arm, arm.conj()) * decay[: n + 1, : n + 1]
-        blocks.append(rho)
+        rho = weights[n] * np.outer(w[:, n], w[:, n].conj()) * decay[: n + 1, : n + 1]
+        sector = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
+        state[sector, sector] = rho
         populations = np.real(np.sum(w.conj() * (rho @ w), axis=0))
         mean_a += float(populations @ np.arange(n + 1))
         mean_b += float(populations @ np.arange(n, -1, -1))
-    validate_blocks(blocks)
+    validate_density(DensityMatrix(state))
     return mean_a, mean_b
 
 
@@ -220,6 +246,39 @@ def criterion_04() -> _Checks:
         for got, want in zip((res.mean_photons_out_a, res.mean_photons_out_b), brute):
             c.add(f"sectors_{name}", abs(got - want) <= 1e-13 * max(1.0, abs(want)))
     return c
+
+
+def phase_average_check(alpha: complex, n_max: int) -> float:
+    """Distance between the dephased-coherent-state mixture and its phase average.
+
+    Compares the diagonal Poissonian Fock mixture against the uniform
+    average of |alpha e^{i phi}> projectors over the phase circle,
+    computed by quadrature with 4*n_max nodes (at least one), which is
+    exact for the Fock coherences up to n_max. Each rotated state has
+    the amplitudes sqrt(p_n) e^{i n (arg(alpha) + phi)}, with p_n from
+    poisson_weights. Returns the Frobenius distance (identically zero
+    up to rounding).
+    """
+    nodes = max(1, 4 * n_max)
+    ns = np.arange(n_max + 1, dtype=float)
+    mean = _mean_photons(alpha)
+    if mean == 0.0:
+        weights = np.zeros(n_max + 1)
+        weights[0] = 1.0
+    else:
+        logs = -mean + ns * math.log(mean) - np.array([math.lgamma(n + 1.0) for n in ns])
+        weights = np.exp(logs)
+        weights = weights / float(np.sum(weights))
+    mixture = np.diag(weights).astype(complex)
+
+    root = np.sqrt(poisson_weights(alpha, n_max))
+    avg = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for k in range(nodes):
+        phi = 2.0 * math.pi * k / nodes
+        amps = root * np.exp(1j * ns * (np.angle(alpha) + phi))
+        avg += np.outer(amps, amps.conj())
+    avg /= nodes
+    return float(np.linalg.norm(mixture - avg))
 
 
 def criterion_05() -> _Checks:

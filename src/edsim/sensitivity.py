@@ -102,18 +102,26 @@ def single_atom_reach(gamma_detectable: float, delta_e_ev: float) -> float:
     if not (0.0 < gamma_detectable < math.inf and 0.0 < delta_e_ev < math.inf):
         raise ValueError("inputs must be positive and finite")
     w = delta_e_ev * OMEGA_PER_EV
+    if w * w == 0.0:
+        raise ValueError(f"(delta_e/hbar)**2 underflows to 0 for delta_e={delta_e_ev!r} eV")
     return gamma_detectable / (w * w)
 
 
+def _check_design_species(p: SpeciesParams) -> None:
+    if min(p.gamma_sp, p.kappa, p.k3, p.delta_e) <= 0.0:
+        raise ValueError("gamma_sp, kappa, k3 and delta_e must be positive")
+
+
 def _design_from_point(p: SpeciesParams, n: float, v: float, gamma: float) -> DesignResult:
-    w = p.delta_e * OMEGA_PER_EV
+    if gamma == 0.0:
+        raise ValueError(f"gamma_min underflows to 0 for {p!r}")
     creation_rate = p.kappa / (n * v)
     return DesignResult(
         n_opt=n,
         v_opt=v,
         gamma_min=gamma,
-        sigma_min=gamma / (w * w),
-        l_max=C_LIGHT * gamma / (p.gamma_sp * p.gamma_sp),
+        sigma_min=single_atom_reach(gamma, p.delta_e),
+        l_max=distance_reach(gamma, p.gamma_sp, 0.0).l_decoherence,
         creation_time=v / (n * p.kappa),
         rates=DesignRates(
             gravitational=gamma,
@@ -137,8 +145,7 @@ def ghz_design(p: SpeciesParams) -> DesignResult:
 
     with both competing rates equal to gamma at the optimum.
     """
-    if min(p.gamma_sp, p.kappa, p.k3, p.delta_e) <= 0.0:
-        raise ValueError("gamma_sp, kappa, k3 and delta_e must be positive")
+    _check_design_species(p)
     v_opt = p.kappa / p.gamma_sp
     n_opt = p.kappa / math.sqrt(p.k3 * p.gamma_sp)
     gamma_min = math.sqrt(p.gamma_sp**3 * p.k3) / p.kappa
@@ -178,8 +185,10 @@ def ghz_design_grid(
     Minimizes max(gamma_sp/N, k3*N/V^2) over the grid subject to the
     creation-time constraint kappa/(N*V) >= that value (with a small
     relative slack, since the continuous optimum sits exactly on the
-    boundary). Raises if no grid point is feasible.
+    boundary). Raises if no grid point is feasible, and for the species
+    that ghz_design rejects.
     """
+    _check_design_species(p)
     if n_grid is None or v_grid is None:
         default_n, default_v = default_design_grids(p)
         n_grid = default_n if n_grid is None else n_grid
@@ -263,6 +272,8 @@ def distance_reach(gamma: float, gamma_sp: float, coherence_time: float) -> Dist
         raise ValueError("inputs must be non-negative and finite")
     l_laser = C_LIGHT * coherence_time
     if gamma > 0.0 and gamma_sp > 0.0:
+        if gamma_sp * gamma_sp == 0.0:
+            raise ValueError(f"gamma_sp**2 underflows to 0 for gamma_sp={gamma_sp!r}")
         l_dec = C_LIGHT * gamma / (gamma_sp * gamma_sp)
     else:
         l_dec = math.inf
@@ -274,4 +285,6 @@ def cosmic_bound(sigma: float, age: float) -> float:
     over the given age: sigma*(dE/hbar)**2*age = 1."""
     if not (0.0 < sigma < math.inf and 0.0 < age < math.inf):
         raise ValueError("sigma and age must be positive and finite")
+    if sigma * age == 0.0:
+        raise ValueError(f"sigma*age underflows to 0 for sigma={sigma!r}, age={age!r}")
     return HBAR / math.sqrt(sigma * age) / EV

@@ -1,15 +1,22 @@
 """Dense constructions that only the tests use as independent oracles.
 
-The pipelines work on photon-number sectors; these build the full-space
-ladder operators and the dense balanced beamsplitter, as plain arrays,
-that the tests compare them against.
+The pipelines work on photon-number sectors and weights; these build the
+full-space ladder operators, the dense balanced beamsplitter and the
+complex coherent amplitudes, as plain arrays, that the tests compare
+them against.
 """
 
 import math
 
 import numpy as np
 
-from edsim.core import beamsplitter_sector
+from edsim.core import poisson_weights
+from edsim.selftest import beamsplitter_sector
+
+
+def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
+    """Fock amplitudes sqrt(p_n) e^{i n arg(alpha)} of |alpha> on levels 0..n_max."""
+    return np.sqrt(poisson_weights(alpha, n_max)) * np.exp(1j * np.angle(alpha) * np.arange(n_max + 1))
 
 
 def mode_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:

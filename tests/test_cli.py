@@ -318,6 +318,26 @@ class TestBadInput:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("argv, quantity", [
+        ("bounds --single-atom --delta-e 1e-200", "(delta_e/hbar)**2"),
+        ("bounds --cosmic --sigma 5e-324 --age-years 1e-10", "sigma*age"),
+        ("bounds --distance --gamma 1e-300 --gamma-sp 1e-200", "gamma_sp**2"),
+        ("design --gamma-sp 1e-120 --kappa 1e-17 --k3 1e-41", "gamma_min"),
+        ("design --gamma-sp 1e-3 --kappa 1e-17 --k3 1e-41 --delta-e 1e-200", "(delta_e/hbar)**2"),
+        ("ramsey --detuning 1e300 --wait 1e10", "detuning*wait"),
+        ("ramsey --mode semiclassical --detuning 1e300 --wait 1e10", "detuning*wait"),
+    ])
+    def test_out_of_range_arithmetic_is_a_value_error(self, argv, quantity, capsys):
+        # these divided by an underflowed 0 (ZeroDivisionError) or failed
+        # differently per mode on an overflowed phase
+        code, out, err = _run(argv.split(), capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ValueError"
+        assert quantity in error["message"]
+
     def test_failed_serialization_leaves_no_files(self, tmp_path, monkeypatch, capsys):
         def nan_summary(params):
             return cli.ExperimentOutput([{"x": 1.0}], {"x": math.nan}, {})

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from edsim.core import DensityMatrix, validate_density
+from edsim.core import DensityMatrix, InvariantError, validate_density
 from edsim.engine import (
     EvolutionSpec,
     LossChannel,
@@ -214,11 +214,14 @@ class TestShapes:
             with pytest.raises(ValueError, match="shape"):
                 propagate(_superposition(), spec)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,)], ids=["non-square", "empty", "vector"])
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,), (2, 2, 2)],
+                             ids=["non-square", "empty", "vector", "stack"])
     def test_non_square_rejected(self, shape):
+        # a caller error, not a bad state
         for build in (DensityMatrix, lambda m: EvolutionSpec(m, 1.0), lambda m: LossChannel(0.1, m)):
-            with pytest.raises(ValueError, match="square"):
+            with pytest.raises(ValueError, match="square") as info:
                 build(np.zeros(shape))
+            assert not isinstance(info.value, InvariantError)
 
     def test_spec_arrays_are_frozen(self):
         h = np.diag([0.0, 1.0])

@@ -10,18 +10,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import edsim.core
 import edsim.engine
 import edsim.interferometry
+import edsim.selftest
 
 from edsim.constants import MAX_PHASE_POINTS, OMEGA_PER_EV, RAMSEY_MAX_CUTOFF
-from edsim.core import (
-    DensityMatrix,
-    beamsplitter_sector,
-    coherent_state,
-    fock_cutoff,
-    validate_density,
-    validate_pairs,
-)
+from edsim.core import DensityMatrix, fock_cutoff, poisson_weights, validate_density, validate_pairs
 from edsim.engine import EvolutionSpec, LossChannel, evolve_analytic, evolve_stepped
 from edsim.interferometry import (
     _fringe,
@@ -32,16 +27,15 @@ from edsim.interferometry import (
     MichelsonConfig,
     RamseyConfig,
     default_phases,
-    phase_average_check,
     run_ghz,
     run_michelson,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
     visibility,
 )
-from edsim.selftest import _michelson_sectors
+from edsim.selftest import _michelson_sectors, beamsplitter_sector, phase_average_check
 
-from dense_oracles import beamsplitter_5050, mode_ops
+from dense_oracles import beamsplitter_5050, coherent_amplitudes, mode_ops
 
 W0 = OMEGA_PER_EV
 
@@ -72,7 +66,11 @@ def _dense_first_pulse(cfg, coupling=1.0):
     w, v = np.linalg.eigh(h_jc)
     t_pulse = cfg.pulse_area / (2.0 * coupling * math.sqrt(cfg.field.dominant_n))
     pulse = (v * np.exp(-1j * w * t_pulse)) @ v.conj().T
-    psi = np.kron([1.0, 0.0], cfg.field.amplitudes(n_max))
+    if isinstance(cfg.field, CoherentField):
+        amps = coherent_amplitudes(cfg.field.alpha, n_max)
+    else:
+        amps = np.sqrt(cfg.field.weights(n_max))
+    psi = np.kron([1.0, 0.0], amps)
     return pulse, pulse @ np.outer(psi, psi.conj()) @ pulse.conj().T
 
 
@@ -264,7 +262,7 @@ class TestRamseyQuantized:
         )
         result = run_ramsey_quantized(cfg)
         n_max = cfg.cutoff()
-        weights = np.abs(coherent_state(alpha, n_max)) ** 2
+        weights = poisson_weights(alpha, n_max)
         ns = np.arange(n_max + 1)
         theta = (math.pi / 2.0) * np.sqrt(ns / 25.0)
         a = float(np.sum(weights * np.sin(theta) ** 2) / 2.0)
@@ -403,7 +401,7 @@ class TestMichelson:
         d = n_max + 1
         arm = np.zeros((d, d), dtype=complex)
         for k in range(64):
-            amps = coherent_state(alpha / math.sqrt(2.0) * np.exp(2j * math.pi * k / 64), n_max)
+            amps = coherent_amplitudes(alpha / math.sqrt(2.0) * np.exp(2j * math.pi * k / 64), n_max)
             arm += np.outer(amps, amps.conj())
         arm /= 64.0
         w = beamsplitter_5050(n_max)
@@ -429,7 +427,7 @@ class TestMichelson:
         alpha = 2.0
         n_max = 30
         d = n_max + 1
-        half = coherent_state(alpha / math.sqrt(2.0), n_max)
+        half = coherent_amplitudes(alpha / math.sqrt(2.0), n_max)
         rho = DensityMatrix(np.outer(np.kron(half, half), np.kron(half, half).conj()))
         _, num = mode_ops(n_max)
         h = W0 * (np.kron(num, np.eye(d)) + np.kron(np.eye(d), num))
@@ -465,7 +463,7 @@ def _dense_michelson(cfg, partitions):
     w = beamsplitter_5050(n_max)
     vac = np.zeros(d)
     vac[0] = 1.0
-    v = w @ np.kron(coherent_state(cfg.alpha, n_max), vac)
+    v = w @ np.kron(coherent_amplitudes(cfg.alpha, n_max), vac)
     n = np.arange(d, dtype=float)
     free = {"arm_c": np.repeat(cfg.mode_frequency * n, d), "arm_d": np.tile(cfg.mode_frequency * n, d)}
     means = []
@@ -491,18 +489,34 @@ class TestSectorPipelines:
             for got, want in zip((res.mean_photons_out_a, res.mean_photons_out_b), oracle):
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
+    def test_field_enters_by_its_real_weights(self, monkeypatch):
+        # the readout sees no coherence between photon numbers, so the
+        # field's phase is unobservable: alpha and 1j*alpha give the same fringe
+        def boom(*args, **kwargs):
+            raise AssertionError("the field's phase was computed")
+
+        weights = CoherentField(3.0 + 1.0j).weights(fock_cutoff(3.0 + 1.0j))
+        assert weights.dtype == np.float64 and not weights.flags.writeable
+        cfg = RamseyConfig(omega0=W0, wait=0.5, field=CoherentField(2.0), spontaneous_rate=0.3,
+                           decoherence=DecoherencePartition.local_over(0.2 / W0**2, "atom", "field"))
+        monkeypatch.setattr(np, "angle", boom)
+        assert run_ramsey_quantized(cfg) == run_ramsey_quantized(
+            dataclasses.replace(cfg, field=CoherentField(2.0j)))
+
     def test_pipelines_need_no_dense_machinery(self, monkeypatch):
         # every pulse, wait and readout conserves an excitation number, so
         # the pipelines form only sector blocks; the semiclassical wait is
-        # the one engine call, on the atom's own 2x2 state
+        # the one engine call, on the atom's own 2x2 state, and the dense
+        # oracles live in selftest, next to the criteria that run them
         def boom(*args, **kwargs):
             raise AssertionError("dense machinery used by a pipeline")
 
-        dense = {edsim.engine: ["evolve_stepped"], edsim.core: ["beamsplitter_sector"]}
-        for module, names in dense.items():
-            for name in names:
-                monkeypatch.setattr(module, name, boom)
-                monkeypatch.setattr(edsim.interferometry, name, boom, raising=False)
+        for module in (edsim.core, edsim.interferometry):
+            for name in ("beamsplitter_sector", "phase_average_check", "coherent_state"):
+                assert not hasattr(module, name)
+        monkeypatch.setattr(edsim.selftest, "beamsplitter_sector", boom)
+        monkeypatch.setattr(edsim.engine, "evolve_stepped", boom)
+        monkeypatch.setattr(edsim.interferometry, "evolve_stepped", boom, raising=False)
         run_ramsey_semiclassical(RamseyConfig(omega0=W0, wait=1.0, decoherence=_atom_partition(1e-31)))
         monkeypatch.setattr(edsim.engine, "evolve_analytic", boom)
         monkeypatch.setattr(edsim.interferometry, "evolve_analytic", boom)
@@ -771,6 +785,14 @@ class TestNonFiniteConfig:
             if name == "field":
                 params[name] = CoherentField(value)
             RamseyConfig(**params)
+
+    def test_ramsey_detuning_phase_overflow(self):
+        # each mode used to fail its own way inside the run, one of them
+        # with an InvariantError, which is a ValueError too: match the text
+        with pytest.raises(ValueError, match=r"detuning\*wait overflows"):
+            RamseyConfig(omega0=W0, wait=1e10, detuning=1e300)
+        for run in (run_ramsey_semiclassical, run_ramsey_quantized):
+            assert run(RamseyConfig(omega0=W0, wait=0.0, detuning=1e300)).visibility == 1.0
 
     @pytest.mark.parametrize("value", BAD, ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", ["alpha", "arm_time", "mode_frequency"])

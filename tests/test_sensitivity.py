@@ -120,6 +120,16 @@ class TestGhzDesignGrid:
         assert math.isclose(n_grid[150], closed.n_opt, rel_tol=1e-9)
         assert math.isclose(v_grid[-1] / v_grid[0], 1e6, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("field", ["gamma_sp", "kappa", "k3", "delta_e"])
+    def test_rejects_what_the_closed_form_rejects(self, field):
+        # with explicit grids, gamma_sp = 0 and delta_e = 0 used to divide
+        # by zero and k3 = 0 returned a design the closed form refuses
+        p = dataclasses.replace(SR, **{field: 0.0})
+        with pytest.raises(ValueError, match="must be positive"):
+            ghz_design(p)
+        with pytest.raises(ValueError, match="must be positive"):
+            ghz_design_grid(p, np.logspace(3.0, 7.0, 9), np.logspace(-16.0, -12.0, 9))
+
     def test_oversized_caller_grid_refused(self):
         # one point over the per-axis limit, refused before any cost array
         # (the default grids are checked through the CLI in test_cli)
