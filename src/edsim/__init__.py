@@ -38,7 +38,6 @@ from .interferometry import (
     MichelsonConfig,
     MichelsonResult,
     RamseyConfig,
-    default_phases,
     run_ghz,
     run_michelson,
     run_ramsey_quantized,

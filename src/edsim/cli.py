@@ -46,7 +46,6 @@ from .interferometry import (
     GhzConfig,
     MichelsonConfig,
     RamseyConfig,
-    default_phases,
     run_ghz,
     run_michelson,
     run_ramsey_quantized,
@@ -310,7 +309,7 @@ def _handle_ramsey(params: dict) -> ExperimentOutput:
         field=field_state,
         pulse_area=params["pulse_area"],
         detuning=params["detuning"],
-        phases=default_phases(params["phase_points"]),
+        phase_points=params["phase_points"],
         spontaneous_rate=params["gamma_sp"],
     )
     runner = run_ramsey_semiclassical if mode == "semiclassical" else run_ramsey_quantized

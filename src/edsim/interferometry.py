@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "MichelsonResult",
     "GhzConfig",
     "GhzResult",
-    "default_phases",
     "visibility",
     "run_ramsey_semiclassical",
     "run_ramsey_quantized",
@@ -152,15 +151,6 @@ class CoherentField:
         return poisson_weights(self.alpha, cutoff)
 
 
-def default_phases(count: int = 32) -> tuple[float, ...]:
-    """Uniform fringe scan over [0, 2*pi), including the extrema at 0 and pi."""
-    if count < 2:
-        raise ValueError("need at least two phase points")
-    if count > MAX_PHASE_POINTS:
-        raise ValueError(f"phase point count {count} exceeds the limit {MAX_PHASE_POINTS}")
-    return tuple(np.linspace(0.0, 2.0 * math.pi, count, endpoint=False).tolist())
-
-
 @dataclass(frozen=True)
 class RamseyConfig:
     """Two-pulse Ramsey sequence: pulse, wait with dephasing, pulse, readout."""
@@ -171,20 +161,28 @@ class RamseyConfig:
     field: FockField | CoherentField = FockField(12)
     pulse_area: float = math.pi / 2.0
     detuning: float = 0.0             # atomic minus field frequency, rad/s
-    phases: tuple[float, ...] = dc_field(default_factory=default_phases)
+    phase_points: int = 32            # size of the uniform fringe scan over [0, 2*pi)
     spontaneous_rate: float = 0.0     # amplitude-damping rate on the atom, 1/s
 
     def __post_init__(self):
-        _require_finite(self.omega0, self.wait, self.pulse_area, self.detuning,
-                        self.spontaneous_rate, *self.phases)
+        _require_finite(self.omega0, self.wait, self.pulse_area, self.detuning, self.spontaneous_rate)
+        if isinstance(self.phase_points, bool) or not isinstance(self.phase_points, numbers.Integral):
+            raise ValueError(f"phase_points must be an integer, got {self.phase_points!r}")
+        if self.phase_points < 2:
+            raise ValueError("need at least two phase points")
+        if self.phase_points > MAX_PHASE_POINTS:
+            raise ValueError(f"phase point count {self.phase_points} exceeds the limit {MAX_PHASE_POINTS}")
         if not 0.0 < self.pulse_area <= math.pi:
             raise ValueError("pulse_area must lie in (0, pi]")
         if self.wait < 0.0 or self.spontaneous_rate < 0.0:
             raise ValueError("wait and spontaneous_rate must be non-negative")
-        if len(self.phases) < 2:
-            raise ValueError("need at least two phase points")
         if not math.isfinite(self.detuning * self.wait):
             raise ValueError(f"detuning*wait overflows for detuning={self.detuning!r}, wait={self.wait!r}")
+
+    @property
+    def phases(self) -> np.ndarray:
+        """The fringe scan, including the extrema at 0 and pi when phase_points is even."""
+        return np.linspace(0.0, 2.0 * math.pi, self.phase_points, endpoint=False)
 
     def cutoff(self) -> int:
         """The field's own Fock cutoff, refused above RAMSEY_MAX_CUTOFF."""
@@ -385,9 +383,12 @@ def run_ghz(cfg: GhzConfig) -> GhzResult:
         survival(t)    = exp(-(N*gamma_sp + three_body_rate) * t)
     """
     n = int(cfg.n_atoms)  # a numpy integer would overflow in n * n
-    grav = cfg.sigma * (cfg.omega0 * cfg.omega0) * (n * n)
+    # sigma = 0 is no dephasing even where omega0**2 overflows (0 * inf is NaN)
+    grav = cfg.sigma * (cfg.omega0 * cfg.omega0) * (n * n) if cfg.sigma > 0.0 else 0.0
     loss = n * cfg.gamma_sp + cfg.three_body_rate
     rate = grav + loss
+    if cfg.wait == 0.0:  # an infinite rate times a zero wait is NaN
+        return GhzResult(coherence=0.5, survival=1.0, effective_rate=rate)
     return GhzResult(
         coherence=0.5 * math.exp(-rate * cfg.wait),
         survival=math.exp(-loss * cfg.wait),

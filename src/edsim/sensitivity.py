@@ -141,14 +141,17 @@ def ghz_design(p: SpeciesParams) -> DesignResult:
     bounds gamma_sp/N and k3*N/V^2, giving
 
         N*    = kappa / sqrt(k3 * gamma_sp)
-        gamma = sqrt(gamma_sp^3 * k3) / kappa
+        gamma = gamma_sp * sqrt(gamma_sp * k3) / kappa
 
     with both competing rates equal to gamma at the optimum.
     """
     _check_design_species(p)
+    root = math.sqrt(p.gamma_sp * p.k3)
+    if root == 0.0:
+        raise ValueError(f"gamma_sp*k3 underflows to 0 for {p!r}")
     v_opt = p.kappa / p.gamma_sp
-    n_opt = p.kappa / math.sqrt(p.k3 * p.gamma_sp)
-    gamma_min = math.sqrt(p.gamma_sp**3 * p.k3) / p.kappa
+    n_opt = p.kappa / root
+    gamma_min = p.gamma_sp * root / p.kappa
     return _design_from_point(p, n_opt, v_opt, gamma_min)
 
 
@@ -162,12 +165,15 @@ def default_design_grids(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log-spaced N and V grids centered on the closed-form optimum.
 
-    The span covers `decades` total (half each side) with the center
-    point exactly on the grid, so the grid search can certify the
-    closed form rather than merely approximate it.
+    The span covers `decades` total (half each side) in an odd number of
+    points, so the center point is exactly on the grid and the grid
+    search can certify the closed form rather than merely approximate it.
     """
+    for key, value in (("decades", decades), ("points_per_decade", points_per_decade)):
+        if not value >= 0:
+            raise ValueError(f"{key} must be non-negative, got {value!r}")
     half = decades / 2.0
-    count = int(round(decades * points_per_decade)) + 1
+    count = 2 * int(round(decades * points_per_decade / 2.0)) + 1
     _check_grid_axis(count)
     ref = ghz_design(p)
     n_grid = np.logspace(math.log10(ref.n_opt) - half, math.log10(ref.n_opt) + half, count)
@@ -244,6 +250,8 @@ def matterwave_bound(
         raise ValueError("inputs must be finite, sigma non-negative and the rest positive")
     w = mass * C_LIGHT * C_LIGHT / HBAR
     rate = sigma * w * w
+    if sigma > 0.0 and rate == 0.0:
+        raise ValueError(f"sigma*(m*c**2/hbar)**2 underflows to 0 for sigma={sigma!r}, mass={mass!r}")
     length = velocity / rate if rate > 0.0 else math.inf
     return MatterWaveBound(rate=rate, decoherence_length=length, excluded=length < flight_path)
 

@@ -20,6 +20,7 @@ from edsim.constants import (
     MAX_PHASE_POINTS,
     RAMSEY_MAX_CUTOFF,
 )
+from edsim.sensitivity import default_design_grids, ghz_design
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -184,6 +185,25 @@ class TestRunCommands:
         assert code == 0
         assert json.loads(out)["closed_form"]["gamma_min"] == 1e-8
 
+    @pytest.mark.parametrize("decades, per_decade", [(5, 1), (3, 5), (6, 50), (0, 10)])
+    def test_design_grid_contains_the_optimum(self, decades, per_decade, capsys):
+        # an odd decades*per_decade used to give an even count, which misses the center
+        n_grid, v_grid = default_design_grids(cli.SPECIES["Sr"], decades, per_decade)
+        closed = ghz_design(cli.SPECIES["Sr"])
+        assert closed.n_opt in n_grid and closed.v_opt in v_grid
+        code, out, _ = _run(["design", "--species", "Sr", "--grid-decades", str(decades),
+                             "--grid-points-per-decade", str(per_decade)], capsys)
+        assert code == 0
+        assert json.loads(out)["relative_difference"]["gamma_min"] <= 1e-12
+
+    def test_ghz_zero_wait_with_infinite_rate(self, capsys):
+        # an infinite rate times a zero wait used to print NaN
+        code, out, _ = _run(["ghz", "--sigma", "1e300", "--omega0", "1e300", "--wait", "0"], capsys)
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["coherence"], summary["survival"]) == (0.5, 1.0)
+        assert summary["effective_rate"] == "unbounded"
+
     def test_bounds_cosmic_value(self, capsys):
         code, out, _ = _run(
             ["bounds", "--cosmic", "--sigma", "5.391247e-44", "--age-years", "1e10"], capsys
@@ -322,7 +342,9 @@ class TestBadInput:
         ("bounds --single-atom --delta-e 1e-200", "(delta_e/hbar)**2"),
         ("bounds --cosmic --sigma 5e-324 --age-years 1e-10", "sigma*age"),
         ("bounds --distance --gamma 1e-300 --gamma-sp 1e-200", "gamma_sp**2"),
-        ("design --gamma-sp 1e-120 --kappa 1e-17 --k3 1e-41", "gamma_min"),
+        ("design --gamma-sp 1e-200 --kappa 1e-17 --k3 1e-100", "gamma_min"),
+        ("design --gamma-sp 1e-200 --kappa 1e-17 --k3 1e-200", "gamma_sp*k3"),
+        ("bounds --matterwave --mass 1e-300 --sigma 1e-40", "sigma*(m*c**2/hbar)**2"),
         ("design --gamma-sp 1e-3 --kappa 1e-17 --k3 1e-41 --delta-e 1e-200", "(delta_e/hbar)**2"),
         ("ramsey --detuning 1e300 --wait 1e10", "detuning*wait"),
         ("ramsey --mode semiclassical --detuning 1e300 --wait 1e10", "detuning*wait"),
@@ -386,7 +408,7 @@ class TestBadInput:
         ["ramsey", "--mode", "quantized", "--n", str(RAMSEY_MAX_CUTOFF)],
         ["ramsey", "--phase-points", str(MAX_PHASE_POINTS + 1)],
         ["design", "--species", "Sr", "--grid-decades", "1",
-         "--grid-points-per-decade", str(DESIGN_MAX_GRID_AXIS)],
+         "--grid-points-per-decade", str(DESIGN_MAX_GRID_AXIS + 1)],
     ], ids=["ramsey-n", "phase-points", "design-grid"])
     def test_oversized_problem_refused(self, argv, tmp_path, capsys):
         # each value is just above its limit, so a missing guard costs seconds, not gigabytes

@@ -188,8 +188,8 @@ def _pairs(stack):
 
 
 class TestPositivityDecision:
-    # the factorization passes exactly the states whose smallest
-    # eigenvalue is at least -PSD_TOL; failures keep the eigenvalue message
+    # validate_density passes exactly the states whose smallest
+    # eigenvalue is at least -PSD_TOL, and names that eigenvalue otherwise
     DIMS = [2, 26, 122]
 
     @pytest.mark.parametrize("dim", DIMS)

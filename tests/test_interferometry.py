@@ -26,7 +26,6 @@ from edsim.interferometry import (
     GhzConfig,
     MichelsonConfig,
     RamseyConfig,
-    default_phases,
     run_ghz,
     run_michelson,
     run_ramsey_quantized,
@@ -578,6 +577,21 @@ class TestGhz:
             res = run_ghz(cfg)
             assert res.coherence <= res.survival / 2.0 + 1e-12
 
+    @pytest.mark.parametrize("params", [
+        {"omega0": 1e300, "sigma": 1e300},
+        {"omega0": 1.0, "sigma": 0.0, "gamma_sp": 1e308},
+        {"omega0": 1.0, "sigma": 0.0, "three_body_rate": 1e308, "gamma_sp": 1e307},
+    ], ids=["dephasing", "spontaneous", "three-body"])
+    def test_zero_wait_with_infinite_rate(self, params):
+        # an infinite rate times a zero wait used to give NaN
+        res = run_ghz(GhzConfig(n_atoms=10, wait=0.0, **params))
+        assert (res.coherence, res.survival, res.effective_rate) == (0.5, 1.0, math.inf)
+
+    def test_sigma_zero_with_overflowing_gap(self):
+        # sigma = 0 is no dephasing, even where omega0**2 is infinite
+        res = run_ghz(GhzConfig(n_atoms=2, omega0=1e300, sigma=0.0, wait=1.0))
+        assert (res.coherence, res.survival, res.effective_rate) == (0.5, 1.0, 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_ghz(GhzConfig(n_atoms=0, omega0=1.0, sigma=0.0, wait=1.0))
@@ -775,13 +789,11 @@ class TestNonFiniteConfig:
 
     @pytest.mark.parametrize("value", BAD, ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", [
-        "omega0", "wait", "pulse_area", "detuning", "spontaneous_rate", "phases", "field",
+        "omega0", "wait", "pulse_area", "detuning", "spontaneous_rate", "field",
     ])
     def test_ramsey(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             params = {"omega0": W0, "wait": 1.0, name: value}
-            if name == "phases":
-                params[name] = (0.0, value)
             if name == "field":
                 params[name] = CoherentField(value)
             RamseyConfig(**params)
@@ -834,10 +846,21 @@ class TestConfigTypes:
         big = run_ghz(GhzConfig(n_atoms=np.int32(50_000), omega0=1.0, sigma=1.0, wait=0.0))
         assert big == run_ghz(GhzConfig(n_atoms=50_000, omega0=1.0, sigma=1.0, wait=0.0))
 
-    @pytest.mark.parametrize("phases", [(), (0.0,)], ids=["none", "one"])
-    def test_ramsey_needs_two_phase_points(self, phases):
-        with pytest.raises(ValueError, match="need at least two phase points"):
-            RamseyConfig(omega0=1.0, wait=1.0, phases=phases)
+    @pytest.mark.parametrize("points, message", [
+        (0, "need at least two phase points"),
+        (1, "need at least two phase points"),
+        (True, "phase_points must be an integer"),
+        (2.0, "phase_points must be an integer"),
+    ], ids=["0", "1", "True", "2.0"])
+    def test_ramsey_needs_two_phase_points(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            RamseyConfig(omega0=1.0, wait=1.0, phase_points=points)
+
+    @pytest.mark.parametrize("points", [2, 3, 32, np.int64(1000)], ids=str)
+    def test_ramsey_phase_scan(self, points):
+        cfg = RamseyConfig(omega0=1.0, wait=1.0, phase_points=points)
+        assert "phases" not in {f.name for f in dataclasses.fields(cfg)}
+        assert np.array_equal(cfg.phases, np.linspace(0.0, 2.0 * math.pi, points, endpoint=False))
 
 
 class TestSizeLimits:
@@ -855,9 +878,11 @@ class TestSizeLimits:
             with pytest.raises(ValueError, match="exceeds the limit"):
                 cfg.cutoff()
 
-    def test_phase_points(self):
+    @pytest.mark.parametrize("points", [MAX_PHASE_POINTS + 1, 10**18])
+    def test_phase_points(self, points):
+        assert RamseyConfig(omega0=1.0, wait=1.0, phase_points=MAX_PHASE_POINTS).phase_points == MAX_PHASE_POINTS
         with pytest.raises(ValueError, match="exceeds the limit"):
-            default_phases(MAX_PHASE_POINTS + 1)
+            RamseyConfig(omega0=1.0, wait=1.0, phase_points=points)
 
     def test_overflowing_dominant_n(self):
         # |alpha|**2 overflows: a ValueError, like fock_cutoff's, not an OverflowError
@@ -900,7 +925,7 @@ def _random_ramsey(rng, mode):
     cfg = RamseyConfig(
         omega0=W0, wait=float(rng.uniform(0.1, 2.0)), field=field, detuning=detuning,
         decoherence=DecoherencePartition(0.0, blocks), spontaneous_rate=float(rng.uniform(0.0, 1.0)),
-        phases=default_phases(2 * int(rng.integers(2, 33))),
+        phase_points=2 * int(rng.integers(2, 33)),
     )
     return cfg, _ramsey_d(blocks, W0, detuning)
 

@@ -71,6 +71,14 @@ class TestGhzDesign:
         with pytest.raises(ValueError):
             ghz_design(SpeciesParams(0.0, 1.0, 1e-17, 1e-41))
 
+    def test_tiny_gamma_sp(self):
+        # gamma_sp**3 underflows, gamma_min = 10**-183.5 does not
+        res = ghz_design(SpeciesParams(1e-120, 1.0, 1e-17, 1e-41))
+        assert math.isclose(res.gamma_min, 10**-183.5, rel_tol=1e-14)
+        assert math.isclose(res.rates.three_body, res.gamma_min, rel_tol=1e-12)
+        with pytest.raises(ValueError, match=r"gamma_sp\*k3 underflows"):
+            ghz_design(SpeciesParams(1e-200, 1.0, 1e-17, 1e-200))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["gamma_sp", "delta_e", "kappa", "k3"])
     def test_rejects_non_finite(self, field, value):
@@ -120,6 +128,13 @@ class TestGhzDesignGrid:
         assert math.isclose(n_grid[150], closed.n_opt, rel_tol=1e-9)
         assert math.isclose(v_grid[-1] / v_grid[0], 1e6, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("decades, per_decade, key", [
+        (-5.0, 50, "decades"), (6.0, -1, "points_per_decade"), (math.nan, 50, "decades"),
+    ])
+    def test_default_grids_reject_negative_sizes(self, decades, per_decade, key):
+        with pytest.raises(ValueError, match=f"^{key} must be non-negative"):
+            default_design_grids(SR, decades, per_decade)
+
     @pytest.mark.parametrize("field", ["gamma_sp", "kappa", "k3", "delta_e"])
     def test_rejects_what_the_closed_form_rejects(self, field):
         # with explicit grids, gamma_sp = 0 and delta_e = 0 used to divide
@@ -151,6 +166,12 @@ class TestMatterWave:
         assert res.rate == 0.0
         assert math.isinf(res.decoherence_length)
         assert not res.excluded
+
+    def test_underflowing_rate_is_refused(self):
+        # a nonzero sigma used to read as sigma = 0: rate 0, unbounded, not excluded
+        with pytest.raises(ValueError, match=r"sigma\*\(m\*c\*\*2/hbar\)\*\*2 underflows"):
+            matterwave_bound(1e-300, 1.0, 1.0, 1e-40)
+        assert math.isinf(matterwave_bound(1e-300, 1.0, 1.0, 0.0).decoherence_length)
 
     def test_short_flight_not_excluded(self):
         res = matterwave_bound(NA_MASS, 3000.0, 20e-6, PLANCK_TIME, flight_path=1e-5)
