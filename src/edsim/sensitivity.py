@@ -37,6 +37,9 @@ __all__ = [
 # creation-time boundary, so the comparison needs a relative tolerance
 _FEAS_RTOL = 1e-9
 
+# cells per ghz_design_grid block: ~128 KB per float temporary, L2-resident
+_GRID_BLOCK_CELLS = 16384
+
 
 @dataclass(frozen=True)
 class SpeciesParams:
@@ -113,8 +116,9 @@ def _check_design_species(p: SpeciesParams) -> None:
 
 
 def _design_from_point(p: SpeciesParams, n: float, v: float, gamma: float) -> DesignResult:
-    if gamma == 0.0:
-        raise ValueError(f"gamma_min underflows to 0 for {p!r}")
+    for name, value in (("gamma_min", gamma), ("n*v", n * v), ("n*kappa", n * p.kappa), ("v*v", v * v)):
+        if value == 0.0:  # a grid point can be small enough for these divisors to underflow
+            raise ValueError(f"{name} underflows to 0 for {p!r}")
     creation_rate = p.kappa / (n * v)
     return DesignResult(
         n_opt=n,
@@ -155,8 +159,8 @@ def ghz_design(p: SpeciesParams) -> DesignResult:
     return _design_from_point(p, n_opt, v_opt, gamma_min)
 
 
-def _check_grid_axis(count: int) -> None:
-    if count > DESIGN_MAX_GRID_AXIS:
+def _check_grid_axis(count: float) -> None:
+    if not count <= DESIGN_MAX_GRID_AXIS:
         raise ValueError(f"design grid axis of {count} points exceeds the limit {DESIGN_MAX_GRID_AXIS}")
 
 
@@ -173,12 +177,24 @@ def default_design_grids(
         if not value >= 0:
             raise ValueError(f"{key} must be non-negative, got {value!r}")
     half = decades / 2.0
-    count = 2 * int(round(decades * points_per_decade / 2.0)) + 1
+    span = decades * points_per_decade
+    # an overflowing span is refused as it stands, before int() or logspace
+    count = 2 * int(round(span / 2.0)) + 1 if math.isfinite(span) else span
     _check_grid_axis(count)
     ref = ghz_design(p)
     n_grid = np.logspace(math.log10(ref.n_opt) - half, math.log10(ref.n_opt) + half, count)
     v_grid = np.logspace(math.log10(ref.v_opt) - half, math.log10(ref.v_opt) + half, count)
     return n_grid, v_grid
+
+
+def _grid_axis(name: str, grid) -> np.ndarray:
+    axis = np.asarray(grid, dtype=float)
+    if axis.size == 0:
+        raise ValueError("grids must be non-empty")
+    _check_grid_axis(axis.size)
+    if axis.ndim != 1 or not np.all((axis > 0.0) & (axis < math.inf)):
+        raise ValueError(f"{name} must be a 1-D array of finite positive numbers")
+    return axis
 
 
 def ghz_design_grid(
@@ -191,27 +207,36 @@ def ghz_design_grid(
     Minimizes max(gamma_sp/N, k3*N/V^2) over the grid subject to the
     creation-time constraint kappa/(N*V) >= that value (with a small
     relative slack, since the continuous optimum sits exactly on the
-    boundary). Raises if no grid point is feasible, and for the species
-    that ghz_design rejects.
+    boundary). Each grid must be a non-empty 1-D array of finite positive
+    numbers. The grid is scanned in blocks of whole N rows, about
+    _GRID_BLOCK_CELLS cells each, so memory stays at the block size; of
+    equal costs, the first cell in (N, V) row-major order wins. Raises if
+    no grid point is feasible, and for the species ghz_design rejects.
     """
     _check_design_species(p)
     if n_grid is None or v_grid is None:
         default_n, default_v = default_design_grids(p)
         n_grid = default_n if n_grid is None else n_grid
         v_grid = default_v if v_grid is None else v_grid
-    n = np.asarray(n_grid, dtype=float)[:, None]
-    v = np.asarray(v_grid, dtype=float)[None, :]
-    if n.size == 0 or v.size == 0:
-        raise ValueError("grids must be non-empty")
-    _check_grid_axis(max(n.size, v.size))
-    cost = np.maximum(p.gamma_sp / n, p.k3 * n / (v * v))
-    feasible = p.kappa / (n * v) >= cost * (1.0 - _FEAS_RTOL)
-    if not np.any(feasible):
+    n, v = _grid_axis("n_grid", n_grid), _grid_axis("v_grid", v_grid)
+    spont, k3n, vv = p.gamma_sp / n, p.k3 * n, v * v
+    rows = max(1, _GRID_BLOCK_CELLS // v.size)
+    found, best, best_cell = False, math.inf, (0, 0)
+    for lo in range(0, n.size, rows):
+        hi = lo + rows
+        cost = k3n[lo:hi, None] / vv
+        np.maximum(spont[lo:hi, None], cost, out=cost)
+        rate = n[lo:hi, None] * v
+        np.divide(p.kappa, rate, out=rate)
+        feasible = rate >= cost * (1.0 - _FEAS_RTOL)
+        found = found or bool(feasible.any())
+        np.copyto(cost, np.inf, where=~feasible)
+        i, j = divmod(int(np.argmin(cost)), v.size)
+        if cost[i, j] < best:  # strict: an earlier block keeps its tie
+            best, best_cell = float(cost[i, j]), (lo + i, j)
+    if not found:
         raise ValueError("no feasible design point on the grid")
-    cost = np.where(feasible, cost, np.inf)
-    flat = int(np.argmin(cost))
-    i, j = np.unravel_index(flat, cost.shape)
-    return _design_from_point(p, float(n[i, 0]), float(v[0, j]), float(cost[i, j]))
+    return _design_from_point(p, float(n[best_cell[0]]), float(v[best_cell[1]]), best)
 
 
 @dataclass(frozen=True)

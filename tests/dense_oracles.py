@@ -3,7 +3,8 @@
 The pipelines work on photon-number sectors and weights; these build the
 full-space ladder operators, the dense balanced beamsplitter and the
 complex coherent amplitudes, as plain arrays, that the tests compare
-them against.
+them against. The GHZ design grid, which the package scans in row
+blocks, is searched here as one whole count**2 array.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 
 from edsim.core import poisson_weights
 from edsim.selftest import beamsplitter_sector
+from edsim.sensitivity import _FEAS_RTOL, DesignResult, SpeciesParams, _design_from_point
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -49,3 +51,18 @@ def beamsplitter_5050(n_max: int) -> np.ndarray:
         w[np.ix_(idx, idx)] = beamsplitter_sector(n_max, total)
     return w
 
+
+
+def design_grid_dense(p: SpeciesParams, n_grid: np.ndarray, v_grid: np.ndarray) -> DesignResult:
+    """ghz_design_grid's search over the whole grid at once: every cell's
+    cost, feasibility and the first-occurrence argmin as count**2 arrays."""
+    n = np.asarray(n_grid, dtype=float)[:, None]
+    v = np.asarray(v_grid, dtype=float)[None, :]
+    cost = np.maximum(p.gamma_sp / n, p.k3 * n / (v * v))
+    feasible = p.kappa / (n * v) >= cost * (1.0 - _FEAS_RTOL)
+    if not np.any(feasible):
+        raise ValueError("no feasible design point on the grid")
+    cost = np.where(feasible, cost, np.inf)
+    flat = int(np.argmin(cost))
+    i, j = np.unravel_index(flat, cost.shape)
+    return _design_from_point(p, float(n[i, 0]), float(v[0, j]), float(cost[i, j]))

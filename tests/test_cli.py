@@ -409,7 +409,9 @@ class TestBadInput:
         ["ramsey", "--phase-points", str(MAX_PHASE_POINTS + 1)],
         ["design", "--species", "Sr", "--grid-decades", "1",
          "--grid-points-per-decade", str(DESIGN_MAX_GRID_AXIS + 1)],
-    ], ids=["ramsey-n", "phase-points", "design-grid"])
+        # decades*points_per_decade overflows to inf: the same refusal, not OverflowError
+        ["design", "--species", "Sr", "--grid-decades", "1e308", "--grid-points-per-decade", "10"],
+    ], ids=["ramsey-n", "phase-points", "design-grid", "design-grid-overflow"])
     def test_oversized_problem_refused(self, argv, tmp_path, capsys):
         # each value is just above its limit, so a missing guard costs seconds, not gigabytes
         code, out, err = _run([*argv, "--out", str(tmp_path / "B")], capsys)

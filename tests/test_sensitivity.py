@@ -2,12 +2,17 @@
 
 import dataclasses
 import math
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dense_oracles import design_grid_dense
 from edsim.constants import C_LIGHT, DESIGN_MAX_GRID_AXIS, PLANCK_TIME
 from edsim.sensitivity import (
+    _GRID_BLOCK_CELLS,
     SpeciesParams,
     cosmic_bound,
     default_design_grids,
@@ -144,6 +149,108 @@ class TestGhzDesignGrid:
             ghz_design(p)
         with pytest.raises(ValueError, match="must be positive"):
             ghz_design_grid(p, np.logspace(3.0, 7.0, 9), np.logspace(-16.0, -12.0, 9))
+
+    @pytest.mark.parametrize("decades, per_decade", [(1e308, 10), (math.inf, 1), (math.inf, 0)])
+    def test_default_grids_refuse_an_overflowing_span(self, decades, per_decade):
+        # decades*points_per_decade is inf (or inf*0 = nan): refused, not OverflowError
+        with pytest.raises(ValueError, match=f"exceeds the limit {DESIGN_MAX_GRID_AXIS}$"):
+            default_design_grids(SR, decades, per_decade)
+
+    @pytest.mark.parametrize("bad", [
+        [1e5, 0.0], [1e5, -1e5], [1e5, math.nan], [1e5, math.inf], [[1e5, 2e5]], 1e5,
+    ], ids=["zero", "negative", "nan", "inf", "2-D", "0-D"])
+    @pytest.mark.parametrize("name", ["n_grid", "v_grid"])
+    def test_grids_must_be_finite_positive_1d(self, name, bad):
+        # checked before any cell: a 0 or NaN would otherwise warn, and a
+        # negative N could win the argmin
+        grids = {"n_grid": np.array([1e5]), "v_grid": np.array([1e-14]), name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be a 1-D array of finite positive"):
+            ghz_design_grid(SR, **grids)
+
+    @pytest.mark.parametrize("n_grid, v_grid", [([], [1e-14]), ([1e5], np.empty((0, 2)))])
+    def test_empty_grid_message_unchanged(self, n_grid, v_grid):
+        with pytest.raises(ValueError, match="^grids must be non-empty$"):
+            ghz_design_grid(SR, n_grid, v_grid)
+
+    def test_underflowing_divisor_at_design_point(self):
+        # n*v underflows to 0 at this feasible grid point, and at the closed
+        # form of an extreme species: a ValueError naming it, not ZeroDivisionError
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^n\*v underflows to 0"):
+            ghz_design_grid(SR, [1e-320], [1e-10])
+        with pytest.raises(ValueError, match=r"^n\*v underflows to 0"):
+            ghz_design(SpeciesParams(1e300, 1.0, 1e-300, 1e300))
+
+    def test_blocked_scan_matches_whole_grid(self):
+        # the row-block scan returns exactly the whole-grid argmin cell,
+        # or the same error, over seeded grids that cover one-point axes,
+        # a partial last block (rows - 1, rows, rows + 1 N points), ties
+        # from repeated values, infeasible grids and costs that overflow
+        # to inf or turn NaN
+        rng = np.random.default_rng(20)
+        outcomes = {"result": 0, "error": 0}
+        for case in range(600):
+            p = SpeciesParams(
+                gamma_sp=10.0 ** rng.uniform(-6.0, 0.0),
+                delta_e=1.0,
+                kappa=10.0 ** rng.uniform(-20.0, -14.0),
+                k3=10.0 ** rng.uniform(-44.0, -38.0),
+            )
+            closed = ghz_design(p)
+            kind = case % 6
+            v_len = 1 if kind == 0 else int(rng.integers(5, 400))
+            rows = max(1, _GRID_BLOCK_CELLS // v_len)
+            if kind == 0:
+                n_len = 1
+            elif kind in (1, 2, 3):
+                n_len = rows + int(rng.integers(-1, 2))
+            else:
+                n_len = int(rng.integers(1, 300))
+
+            def log_axis(centre, size):
+                # off-centre and truncated: a random shift and span in decades
+                offset, span = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 4.0)
+                return centre * 10.0 ** (offset + span * np.linspace(-0.5, 0.5, size))
+
+            n_axis, v_axis = log_axis(closed.n_opt, n_len), log_axis(closed.v_opt, v_len)
+            if kind == 2:  # ties: a few values repeated across rows and blocks
+                n_axis = rng.choice(n_axis[:: max(1, n_len // 4)], n_len)
+                v_axis = rng.choice(v_axis[:: max(1, v_len // 4)], v_len)
+            elif kind == 3:  # no feasible cell: far above the optimum in N and V
+                n_axis, v_axis = n_axis * 1e6, v_axis * 1e6
+            elif kind == 4:  # gamma_sp/N, V*V and N*V overflow; k3*N/V**2 turns 0/0 = NaN
+                n_axis = np.where(rng.random(n_len) < 0.3, 10.0 ** rng.uniform(-320, -290, n_len), n_axis)
+                v_axis = np.where(rng.random(v_len) < 0.3, 10.0 ** rng.choice([-200.0, 200.0], v_len), v_axis)
+            elif kind == 5:  # equal costs on a fully repeated axis
+                n_axis = np.full(n_len, n_axis[0])
+            with np.errstate(all="ignore"):
+                try:
+                    want = design_grid_dense(p, n_axis, v_axis)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        ghz_design_grid(p, n_axis, v_axis)
+                    outcomes["error"] += 1
+                    continue
+                got = ghz_design_grid(p, n_axis, v_axis)
+            assert (got.n_opt, got.v_opt, got.gamma_min) == (want.n_opt, want.v_opt, want.gamma_min), case
+            outcomes["result"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_axis_limit_grid_memory(self):
+        # a DESIGN_MAX_GRID_AXIS**2 grid used to hold several count**2 float
+        # temporaries (~400 MB); the row-block scan holds a few blocks
+        n_grid, v_grid = default_design_grids(SR, 1.0, DESIGN_MAX_GRID_AXIS - 1)
+        assert n_grid.size == v_grid.size == DESIGN_MAX_GRID_AXIS
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            res = ghz_design_grid(SR, n_grid, v_grid)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.gamma_min == ghz_design(SR).gamma_min
+        assert peak < 16e6, peak
+        assert elapsed < 1.0, elapsed
 
     def test_oversized_caller_grid_refused(self):
         # one point over the per-axis limit, refused before any cost array
