@@ -40,6 +40,7 @@ from .interferometry import (
     RamseyConfig,
     run_ghz,
     run_michelson,
+    run_ramsey_batch,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
     visibility,

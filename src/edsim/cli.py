@@ -10,7 +10,9 @@ optional flat `key = value` config file (--config PATH) plus the flags
 front-end keys are --config, --out, --format, --sweep and --sweep-values;
 all but --config may also come from the config file. parse_config turns
 the merged keys into one RunConfig, and run executes it: one run, or one
-run per sweep value with a row each. `-h` or `--help` anywhere prints the
+run per sweep value with a row each. A Ramsey sweep computes its rows as
+one batch (interferometry.run_ramsey_batch), with the bytes of one run
+per row and about one run's memory. `-h` or `--help` anywhere prints the
 usage, built from SCHEMAS, and exits 0. Units are fixed per key and
 listed in the schema help strings: seconds, rad/s, eV, kg, m, m^3/s,
 m^6/s. Numeric values accept scientific notation and never carry unit
@@ -48,6 +50,7 @@ from .interferometry import (
     RamseyConfig,
     run_ghz,
     run_michelson,
+    run_ramsey_batch,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
 )
@@ -293,16 +296,15 @@ def _partition(sigma: float, name: str, labels: tuple[str, ...]) -> DecoherenceP
     return DecoherencePartition(sigma, (frozenset({name}),))
 
 
-def _handle_ramsey(params: dict) -> ExperimentOutput:
+def _ramsey_config(params: dict) -> RamseyConfig:
     if params["field"] == "fock":
         field_state = FockField(params["n"])
     else:
         field_state = CoherentField(params["alpha"])
-    mode = params["mode"]
     # the classical field is not part of the semiclassical state: the atom
     # is the whole system, and a {field} block is rejected by the runner
-    labels = ("atom",) if mode == "semiclassical" else ("atom", "field")
-    cfg = RamseyConfig(
+    labels = ("atom",) if params["mode"] == "semiclassical" else ("atom", "field")
+    return RamseyConfig(
         omega0=params["omega0"],
         wait=params["wait"],
         decoherence=_partition(params["sigma"], params["partition"], labels),
@@ -312,11 +314,20 @@ def _handle_ramsey(params: dict) -> ExperimentOutput:
         phase_points=params["phase_points"],
         spontaneous_rate=params["gamma_sp"],
     )
-    runner = run_ramsey_semiclassical if mode == "semiclassical" else run_ramsey_quantized
-    result = runner(cfg)
+
+
+def _handle_ramsey(params: dict) -> ExperimentOutput:
+    runner = run_ramsey_semiclassical if params["mode"] == "semiclassical" else run_ramsey_quantized
+    result = runner(_ramsey_config(params))
     points = [{"phi": phi, "p_g": p} for phi, p in result.points]
     headline = {"visibility": result.visibility}
     return ExperimentOutput(points, headline, headline)
+
+
+def _sweep_ramsey(rows: list[dict]) -> list[dict]:
+    # sweeps are numeric, so every row has the same mode
+    results = run_ramsey_batch([_ramsey_config(p) for p in rows], rows[0]["mode"] == "quantized")
+    return [{"visibility": r.visibility} for r in results]
 
 
 def _handle_michelson(params: dict) -> ExperimentOutput:
@@ -470,7 +481,12 @@ def run(cfg: RunConfig) -> int:
     else:
         key = cfg.sweep_key
         meta["sweep_key"] = key
-        rows = [{key: v, **handler({**cfg.parameters, key: v}).headline} for v in cfg.sweep_values]
+        params = [{**cfg.parameters, key: v} for v in cfg.sweep_values]
+        if cfg.command == "ramsey":  # its rows run as one batch
+            headlines = _sweep_ramsey(params)
+        else:
+            headlines = [handler(p).headline for p in params]
+        rows = [{key: v, **headline} for v, headline in zip(cfg.sweep_values, headlines)]
         output = ExperimentOutput(rows, {"sweep_key": key, "rows": rows}, {})
     summary = {"command": cfg.command, "parameters": dict(sorted(cfg.parameters.items())), **output.summary}
     meta["elapsed_seconds"] = time.perf_counter() - start

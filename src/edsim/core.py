@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,16 +57,22 @@ def validate_density(rho: DensityMatrix) -> None:
     PSD_TOL. Positivity means a smallest eigenvalue of the Hermitian
     part, from eigvalsh, of at least -PSD_TOL.
     """
-    m = rho.entries
-    if not np.all(np.isfinite(m)):
+    _validate_blocks((rho.entries,))
+
+
+def _validate_blocks(blocks: Sequence[np.ndarray]) -> None:
+    """validate_density of the block-diagonal matrix with these square
+    blocks, run one block at a time: the largest defect, the summed trace
+    and the smallest eigenvalue of the union of the block spectra."""
+    if not all(np.all(np.isfinite(m)) for m in blocks):
         raise InvariantError("density matrix has non-finite entries")
-    herm = float(np.max(np.abs(m - m.conj().T)))
+    herm = max(float(np.max(np.abs(m - m.conj().T))) for m in blocks)
     if herm > HERM_TOL:
         raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
-    tr = np.trace(m)
+    tr = np.sum([np.trace(m) for m in blocks])
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    lo = min(float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) for m in blocks)
     if lo < -PSD_TOL:
         raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
 
@@ -74,26 +81,33 @@ def validate_pairs(gg, ee, eg) -> None:
     """validate_density for the 2x2 blocks [[gg, conj(eg)], [eg, ee]], one per
     entry of three equal-shape arrays (ValueError otherwise), with no block formed.
 
-    Same checks, order, tolerances and messages. The off-diagonal pair is
-    Hermitian by construction, so the Hermiticity defect is
-    2*max(|imag gg|, |imag ee|), and the smallest eigenvalue is exact:
-    (a+b)/2 - hypot((a-b)/2, |eg|) with a, b the real parts of gg, ee.
+    A 0-d or 1-D array holds the pairs of one state; a 2-D array holds one
+    state per row, with the trace taken per row. Same checks, order,
+    tolerances and messages: each check runs on every state before the
+    next check, and the first state that fails it raises the text a call
+    on that state alone would. The off-diagonal pair is Hermitian by
+    construction, so the Hermiticity defect is 2*max(|imag gg|, |imag ee|),
+    and the smallest eigenvalue is exact: (a+b)/2 - hypot((a-b)/2, |eg|)
+    with a, b the real parts of gg, ee.
     """
     gg, ee, eg = np.asarray(gg), np.asarray(ee), np.asarray(eg)
     if not gg.shape == ee.shape == eg.shape:
         raise ValueError(f"pair arrays differ in shape: {gg.shape}, {ee.shape}, {eg.shape}")
     if not (np.isfinite(gg).all() and np.isfinite(ee).all() and np.isfinite(eg).all()):
         raise InvariantError("density matrix has non-finite entries")
-    herm = 2.0 * float(max(np.abs(gg.imag).max(), np.abs(ee.imag).max()))
-    if herm > HERM_TOL:
-        raise InvariantError(f"Hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
-    tr = (gg + ee).sum()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise InvariantError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+    gg, ee, eg = np.atleast_2d(gg, ee, eg)
+    if gg.dtype.kind == "c" or ee.dtype.kind == "c":  # real diagonals have no defect
+        herm = 2.0 * np.maximum(np.abs(gg.imag).max(axis=-1), np.abs(ee.imag).max(axis=-1))
+        if herm.max() > HERM_TOL:
+            raise InvariantError(f"Hermiticity defect {herm[herm > HERM_TOL][0]:.3e} exceeds {HERM_TOL}")
+    tr = (gg + ee).sum(axis=-1)
+    off = np.abs(tr - 1.0)
+    if off.max() > TRACE_TOL:
+        raise InvariantError(f"trace {tr[off > TRACE_TOL][0]!r} deviates from 1 beyond {TRACE_TOL}")
     a, b = gg.real, ee.real
-    lo = float(((a + b) / 2.0 - np.hypot((a - b) / 2.0, np.abs(eg))).min())
-    if lo < -PSD_TOL:
-        raise InvariantError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
+    lo = ((a + b) / 2.0 - np.hypot((a - b) / 2.0, np.abs(eg))).min(axis=-1)
+    if lo.min() < -PSD_TOL:
+        raise InvariantError(f"smallest eigenvalue {lo[lo < -PSD_TOL][0]:.3e} below -{PSD_TOL}")
 
 
 def _mean_photons(alpha: complex) -> float:

@@ -18,6 +18,7 @@ and holds only inputs that change a result.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ __all__ = [
     "visibility",
     "run_ramsey_semiclassical",
     "run_ramsey_quantized",
+    "run_ramsey_batch",
     "run_michelson",
     "run_ghz",
 ]
@@ -181,8 +183,10 @@ class RamseyConfig:
 
     @property
     def phases(self) -> np.ndarray:
-        """The fringe scan, including the extrema at 0 and pi when phase_points is even."""
-        return np.linspace(0.0, 2.0 * math.pi, self.phase_points, endpoint=False)
+        """The fringe scan k*2*pi/phase_points, k = 0..phase_points-1 (bit for
+        bit np.linspace(0, 2*pi, phase_points, endpoint=False)), including
+        the extrema at 0 and pi when phase_points is even."""
+        return np.arange(self.phase_points) * (2.0 * math.pi / self.phase_points)
 
     def cutoff(self) -> int:
         """The field's own Fock cutoff, refused above RAMSEY_MAX_CUTOFF."""
@@ -251,42 +255,147 @@ class GhzResult:
     effective_rate: float
 
 
+def _contrast(hi: float, lo: float) -> float:
+    return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
+
+
 def visibility(points: Sequence[tuple[float, float]] | np.ndarray) -> float:
     """(max - min) / (max + min) of the scanned probabilities; 0 for an all-zero scan."""
     if len(points) < 2:
         raise ValueError("need at least two fringe points")
     values = np.asarray(points, dtype=float)[:, 1]
-    hi, lo = float(values.max()), float(values.min())
-    return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
+    return _contrast(float(values.max()), float(values.min()))
 
 
-def _fringe(gg, ee, eg, u_g, u_e, phases) -> FringeResult:
-    """Ground-state fringe of waited sector blocks [[gg, eg*], [eg, ee]], in closed form.
+def _fringe(gg, ee, eg, u_g, u_e, phases) -> list[FringeResult]:
+    """Ground-state fringes of waited sector blocks [[gg, eg*], [eg, ee]], in
+    closed form, one per row of the (rows, pairs) arrays gg, ee and eg.
 
     Each block lives on a pair (|g,k>, |e,k-1>), or the bare atom's
     (|g>, |e>), that the phase shift, the second pulse and the ground
     projector all preserve. The shift scales eg by e^{i*phi}, and
-    (u_g, u_e) is the |g> row of the second pulse on each pair, so
-    p_g(phi) = A + 2*Re(B*e^{i*phi}) with
-    A = sum(|u_g|^2 gg + |u_e|^2 ee) and B = sum(u_e conj(u_g) eg).
-    Unitaries keep trace and spectrum: one validate_pairs call on the
-    three arrays covers every phase, and no block is ever formed. A p_g
-    up to 1e-10 outside [0, 1] is clamped.
+    (u_g, u_e) is the |g> row of the second pulse on each pair, shared by
+    every row, so a row's p_g(phi) = A + 2*Re(B*e^{i*phi}) with
+    A = sum(|u_g|^2 gg + |u_e|^2 ee) and B = sum(u_e conj(u_g) eg) over
+    its pairs. Unitaries keep trace and spectrum: one validate_pairs call
+    on the three arrays covers every row and phase, and no block is ever
+    formed. A p_g up to 1e-10 outside [0, 1] is clamped.
     """
     validate_pairs(gg, ee, eg)
-    a = float(np.real(np.sum(np.abs(u_g) ** 2 * gg + np.abs(u_e) ** 2 * ee)))
-    b = complex(np.sum(u_e * np.conj(u_g) * eg))
+    a = np.real(np.sum(np.abs(u_g) ** 2 * gg + np.abs(u_e) ** 2 * ee, axis=-1))
+    b = np.sum(u_e * np.conj(u_g) * eg, axis=-1)
     phi = np.asarray(phases, dtype=float)
-    p_g = a + 2.0 * np.real(b * np.exp(1j * phi))
-    bad = p_g[(p_g < -1e-10) | (p_g > 1.0 + 1e-10)]
-    if bad.size:
+    p_g = a[:, None] + 2.0 * np.real(b[:, None] * np.exp(1j * phi))
+    if p_g.min() < -1e-10 or p_g.max() > 1.0 + 1e-10:
+        bad = p_g[(p_g < -1e-10) | (p_g > 1.0 + 1e-10)]
         raise ValueError(f"probability {float(bad[0])!r} outside [0, 1] beyond tolerance")
-    pts = np.stack((phi, np.minimum(1.0, np.maximum(0.0, p_g))), -1)
-    return FringeResult(tuple(map(tuple, pts.tolist())), visibility(pts))
+    p_g = np.minimum(1.0, np.maximum(0.0, p_g))
+    scan = phi.tolist()
+    return [FringeResult(tuple(zip(scan, row)), _contrast(hi, lo))
+            for row, hi, lo in zip(p_g.tolist(), p_g.max(axis=-1).tolist(), p_g.min(axis=-1).tolist())]
+
+
+# a block of a Ramsey batch holds at most this many pair entries and phase
+# points, or one row where a row alone holds more (RAMSEY_MAX_CUTOFF and
+# MAX_PHASE_POINTS bound a row), so a batch needs about one run's memory
+# (the shared pulse plus one block)
+_BLOCK_ENTRIES = 1 << 16
+
+
+def run_ramsey_batch(cfgs: Sequence[RamseyConfig], quantized: bool) -> list[FringeResult]:
+    """The fringe of every config in order, each equal to its single run:
+    run_ramsey_quantized's model if quantized, else run_ramsey_semiclassical's.
+
+    Consecutive configs with the same field, pulse_area and phase_points
+    share one pulse stage. Each config's wait then acts on its own row of
+    (rows, pairs) arrays through a few scalars, and _fringe validates and
+    reads out the rows together, in blocks of at most _BLOCK_ENTRIES pair
+    entries and phase points (one row at least). Each stage runs on every
+    row of a block before the next stage, so the first row that fails the
+    first failing stage raises.
+    """
+    results: list[FringeResult] = []
+    for _, rows in itertools.groupby(cfgs, lambda cfg: (cfg.field, cfg.pulse_area, cfg.phase_points)):
+        rows = list(rows)
+        pulse, u_g, u_e = _quantized_pulse(rows[0]) if quantized else _atom_pulse(rows[0])
+        wait = _quantized_wait if quantized else _atom_wait
+        pairs = np.size(pulse[0])
+        size = max(1, _BLOCK_ENTRIES // max(pairs, rows[0].phase_points))
+        for lo in range(0, len(rows), size):
+            waited = wait(rows[lo:lo + size], pulse)
+            if lo + size >= len(rows):
+                pulse = None  # frees the shared pulse before the group's last readout
+            results += _fringe(*waited, u_g, u_e, rows[0].phases)
+            del waited  # before the next block's wait allocates its own
+    return results
+
+
+def _atom_pulse(cfg: RamseyConfig) -> tuple[tuple[float, float], float, complex]:
+    """cos and sin of half the pulse area, and the |g> row (u_g, u_e) of the second pulse."""
+    c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
+    return (c, s), c, 1j * s
+
+
+def _atom_wait(rows: Sequence[RamseyConfig], pulse: tuple[float, float]) -> tuple[np.ndarray, ...]:
+    """(gg, ee, eg) of each config's waited atom, as (rows, 1) arrays."""
+    c, s = pulse
+    rho = np.empty((len(rows), 2, 2), dtype=complex)
+    for i, cfg in enumerate(rows):
+        # raises unless every block is {atom}, whose Hamiltonian is omega0*|e><e|
+        cfg.decoherence.decay_rate({"atom": cfg.omega0})
+        blocks = tuple(np.diag([0.0, cfg.omega0]) for _ in cfg.decoherence.blocks)
+        lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
+        kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
+        pulsed = np.array([[c * c + lost * s * s, 1j * c * s * kept],
+                           [-1j * c * s * kept, kept * kept * s * s]])
+        rho[i] = evolve_analytic(
+            DensityMatrix(pulsed),
+            EvolutionSpec(np.diag([0.0, cfg.detuning]), cfg.wait, cfg.decoherence.sigma, blocks),
+        ).entries
+    return rho[:, 0, :1], rho[:, 1, 1:], rho[:, 1, :1]
+
+
+def _quantized_pulse(cfg: RamseyConfig) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """(gg, ee, eg) of the pairs k = 0..cutoff() after the first pulse,
+    and the |g> row (u_g, u_e) of the second pulse on each pair."""
+    cutoff = cfg.cutoff()
+    theta = np.sqrt(np.arange(cutoff + 1)) * (cfg.pulse_area / (2.0 * math.sqrt(cfg.field.dominant_n)))
+    c, s = np.cos(theta), np.sin(theta)
+    weights = cfg.field.weights(cutoff)
+    return (weights * c * c, weights * s * s, -1j * weights * s * c), c, -1j * s
+
+
+def _quantized_wait(rows: Sequence[RamseyConfig], pulse: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """(gg, ee, eg) of the pulsed pairs after each config's wait, as
+    (rows, pairs) arrays; a row with no wait keeps the pulsed pairs."""
+    gg, ee, eg = pulse
+    factors, unwaited = [], []
+    for i, cfg in enumerate(rows):
+        # gaps across |e,k-1><g,k|: omega0 on the atom, -omega on the field, for every k
+        rate = cfg.decoherence.decay_rate({"atom": cfg.omega0, "field": -(cfg.omega0 - cfg.detuning)})
+        if cfg.wait > 0.0:
+            factors.append((
+                -math.expm1(-cfg.spontaneous_rate * cfg.wait),
+                math.exp(-cfg.spontaneous_rate * cfg.wait),
+                math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait - rate * cfg.wait)
+                * cmath.exp(-1j * cfg.detuning * cfg.wait),
+            ))
+        else:
+            factors.append((0.0, 1.0, 1.0))
+            unwaited.append(i)
+    lost, kept, coherence = (np.array(column)[:, None] for column in zip(*factors))
+    waited = np.repeat(gg[None], len(rows), axis=0), ee * kept, eg * coherence
+    # decay moves the |e,k> population of pair k+1 onto |g,k>
+    waited[0][:, :-1] += lost * ee[1:]
+    if unwaited:
+        for arr, pulsed in zip(waited, pulse):
+            arr[unwaited] = pulsed
+    return waited
 
 
 def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
-    """Ramsey fringe with ideal classical pulses.
+    """Ramsey fringe with ideal classical pulses, the one-row case of
+    run_ramsey_batch.
 
     Pulses are instantaneous rotations by pulse_area about x (the second
     pulse is the inverse rotation, so a zero accumulated phase returns
@@ -299,23 +408,12 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     V = exp(-sigma*omega0^2*wait) * exp(-gamma_sp*wait/2). The classical
     field is not part of the state: only {atom} blocks are supported.
     """
-    # raises unless every block is {atom}, whose Hamiltonian is omega0*|e><e|
-    cfg.decoherence.decay_rate({"atom": cfg.omega0})
-    blocks = tuple(np.diag([0.0, cfg.omega0]) for _ in cfg.decoherence.blocks)
-    c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
-    lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
-    kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
-    rho = np.array([[c * c + lost * s * s, 1j * c * s * kept],
-                    [-1j * c * s * kept, kept * kept * s * s]])
-    rho = evolve_analytic(
-        DensityMatrix(rho),
-        EvolutionSpec(np.diag([0.0, cfg.detuning]), cfg.wait, cfg.decoherence.sigma, blocks),
-    ).entries
-    return _fringe(rho[0, 0], rho[1, 1], rho[1, 0], c, 1j * s, cfg.phases)
+    return run_ramsey_batch((cfg,), quantized=False)[0]
 
 
 def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
-    """Ramsey fringe with the driving field kept as a quantized mode.
+    """Ramsey fringe with the driving field kept as a quantized mode, the
+    one-row case of run_ramsey_batch.
 
     The pulses apply the excitation-exchange unitary generated by
     a |e><g| + a^dag |g><e|, held until the rotation angle at the field's
@@ -335,20 +433,7 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     the frame rotating at omega, multiplies that coherence by
     exp(-i*detuning*t) and its decay.
     """
-    cutoff = cfg.cutoff()
-    theta = np.sqrt(np.arange(cutoff + 1)) * (cfg.pulse_area / (2.0 * math.sqrt(cfg.field.dominant_n)))
-    c, s = np.cos(theta), np.sin(theta)
-    weights = cfg.field.weights(cutoff)
-    gg, ee, eg = weights * c * c, weights * s * s, -1j * weights * s * c
-    # gaps across |e,k-1><g,k|: omega0 on the atom, -omega on the field, for every k
-    rate = cfg.decoherence.decay_rate({"atom": cfg.omega0, "field": -(cfg.omega0 - cfg.detuning)})
-    if cfg.wait > 0.0:
-        lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
-        gg[:-1] += lost * ee[1:]
-        ee *= math.exp(-cfg.spontaneous_rate * cfg.wait)
-        eg *= (math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait - rate * cfg.wait)
-               * cmath.exp(-1j * cfg.detuning * cfg.wait))
-    return _fringe(gg, ee, eg, c, -1j * s, cfg.phases)
+    return run_ramsey_batch((cfg,), quantized=True)[0]
 
 
 def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:

@@ -22,7 +22,14 @@ import numpy as np
 
 from . import cli
 from .constants import OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
-from .core import DensityMatrix, _mean_photons, fock_cutoff, poisson_weights, validate_density
+from .core import (
+    DensityMatrix,
+    _mean_photons,
+    _validate_blocks,
+    fock_cutoff,
+    poisson_weights,
+    validate_density,
+)
 from .engine import EvolutionSpec, evolve_analytic, evolve_stepped
 from .interferometry import (
     DecoherencePartition,
@@ -190,25 +197,24 @@ def _michelson_sectors(cfg: MichelsonConfig) -> tuple[float, float]:
     the arm block of total photon number N is p_N (w_N[:, N] w_N[:, N]^dag),
     decayed by each coherence's own arm gaps, with p_N the Poisson weight
     and w_N the beamsplitter block; the output populations are
-    diag(w_N^dag rho_N w_N). The blocks are validated together, as one
-    block-diagonal state."""
+    diag(w_N^dag rho_N w_N). The blocks are validated as one
+    block-diagonal state, one block at a time."""
     n_max = fock_cutoff(cfg.alpha)
     weights = poisson_weights(cfg.alpha, n_max)
     # arm_c gap across |j, N-j><k, N-k| is omega*(j-k); arm_d's is its negative
     shift = cfg.mode_frequency * np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
     rate = cfg.decoherence.decay_rate({"arm_c": shift, "arm_d": -shift})
     decay = np.broadcast_to(np.exp(-rate * cfg.arm_time), shift.shape)
-    state = np.zeros(((n_max + 1) * (n_max + 2) // 2,) * 2, dtype=complex)
+    sectors = []
     mean_a, mean_b = 0.0, 0.0
     for n in range(n_max + 1):
         w = beamsplitter_sector(n_max, n)
         rho = weights[n] * np.outer(w[:, n], w[:, n].conj()) * decay[: n + 1, : n + 1]
-        sector = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
-        state[sector, sector] = rho
+        sectors.append(rho)
         populations = np.real(np.sum(w.conj() * (rho @ w), axis=0))
         mean_a += float(populations @ np.arange(n + 1))
         mean_b += float(populations @ np.arange(n, -1, -1))
-    validate_density(DensityMatrix(state))
+    _validate_blocks(sectors)
     return mean_a, mean_b
 
 

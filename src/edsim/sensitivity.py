@@ -119,6 +119,8 @@ def _design_from_point(p: SpeciesParams, n: float, v: float, gamma: float) -> De
     for name, value in (("gamma_min", gamma), ("n*v", n * v), ("n*kappa", n * p.kappa), ("v*v", v * v)):
         if value == 0.0:  # a grid point can be small enough for these divisors to underflow
             raise ValueError(f"{name} underflows to 0 for {p!r}")
+    if not math.isfinite(gamma):  # a grid cell's cost and creation rate can both overflow
+        raise ValueError(f"gamma_min is not finite ({gamma!r}) for {p!r}")
     creation_rate = p.kappa / (n * v)
     return DesignResult(
         n_opt=n,

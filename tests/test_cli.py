@@ -585,13 +585,21 @@ class TestSweep:
         vis = [r["visibility"] for r in rows]
         assert vis[0] >= vis[1] >= vis[2]
 
+    # extra flags of a case: a coherent field for alpha; an infinite
+    # dephasing rate, full decay after any wait and none without one
+    SWEEP_FLAGS = {("alpha", "0.5,2,5,40"): ("--field", "coherent"), ("wait", "0,1,0"): ("--omega0", "1e200")}
+
     @pytest.mark.parametrize("key, values", [
         ("sigma", "0,1e-31,3e-31,1e-30"), ("detuning", "0,1,1000,123456789"),
+        ("wait", "0,0.5,1,0,2.5"), ("wait", "0,1,0"), ("gamma_sp", "0,0.1,0.3,5"),
+        ("omega0", "1e10,1e15,3e15,1e200"), ("pulse_area", "0.3,1.2,1.2,3.141592653589793"),
+        ("n", "0,1,5,60"), ("alpha", "0.5,2,5,40"), ("phase_points", "2,3,17,32"),
     ])
     @pytest.mark.parametrize("mode", ["semiclassical", "quantized"])
     def test_ramsey_sweep_rows_match_runs(self, mode, key, values, capsys):
+        # a sweep computes its rows as one batch; each row must be its single run
         base = ["ramsey", "--mode", mode, "--partition", "local", "--sigma", "2e-31",
-                "--gamma-sp", "0.2", "--phase-points", "17"]
+                "--gamma-sp", "0.2", "--phase-points", "17", *self.SWEEP_FLAGS.get((key, values), ())]
         code, out, _ = _run([*base, "--sweep", key, "--sweep-values", values], capsys)
         assert code == 0
         rows = json.loads(out)["rows"]

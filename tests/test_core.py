@@ -264,19 +264,79 @@ def _both_messages(block):
     return texts
 
 
+FAILING_BLOCKS = [
+    ([[math.nan, 0.0], [0.0, 0.5 + 1j]], "non-finite"),
+    ([[0.5, 0.0], [complex(0.0, math.inf), 0.5]], "non-finite"),
+    ([[0.5 + 3e-12j, 0.1j], [-0.1j, 0.5]], "Hermiticity defect 6.000e-12 exceeds 1e-12"),
+    ([[0.5 + 1e-9j, 0.0], [0.0, 0.6]], "Hermiticity"),
+    ([[0.5, 0.2], [0.2, 0.6]], "trace"),
+    ([[0.5, 0.6j], [-0.6j, 0.5]], "smallest eigenvalue -1.000e-01"),
+]
+
+
 class TestPairsMatchBlocks:
     """validate_pairs is validate_density on [[gg, conj(eg)], [eg, ee]]: same order, same text."""
 
-    @pytest.mark.parametrize("block, text", [
-        ([[math.nan, 0.0], [0.0, 0.5 + 1j]], "non-finite"),
-        ([[0.5, 0.0], [complex(0.0, math.inf), 0.5]], "non-finite"),
-        ([[0.5 + 3e-12j, 0.1j], [-0.1j, 0.5]], "Hermiticity defect 6.000e-12 exceeds 1e-12"),
-        ([[0.5 + 1e-9j, 0.0], [0.0, 0.6]], "Hermiticity"),
-        ([[0.5, 0.2], [0.2, 0.6]], "trace"),
-        ([[0.5, 0.6j], [-0.6j, 0.5]], "smallest eigenvalue -1.000e-01"),
-    ], ids=["nan", "inf-coherence", "imag-gg", "hermiticity-before-trace",
-            "trace-before-positivity", "positivity"])
+    @pytest.mark.parametrize("block, text", FAILING_BLOCKS,
+                             ids=["nan", "inf-coherence", "imag-gg", "hermiticity-before-trace",
+                                  "trace-before-positivity", "positivity"])
     def test_first_failure_and_message_agree(self, block, text):
         first, second = _both_messages(np.array(block, dtype=complex))
         assert first == second
         assert text in first
+
+
+def _row_message(gg, ee, eg):
+    """The InvariantError text of validate_pairs on one state, or None if it passes."""
+    try:
+        validate_pairs(gg, ee, eg)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+def _check_stacked(gg, ee, eg):
+    """A 2-D validate_pairs call raises the text of a one-row call on the
+    first row that fails the first failing check, and passes otherwise.
+    Returns that text."""
+    checks = ("density matrix has non-finite", "Hermiticity", "trace", "smallest eigenvalue")
+    texts = [_row_message(*row) for row in zip(gg, ee, eg)]
+    failing = [(next(i for i, c in enumerate(checks) if t.startswith(c)), row)
+               for row, t in enumerate(texts) if t is not None]
+    if not failing:
+        validate_pairs(gg, ee, eg)
+        return None
+    want = texts[min(failing)[1]]
+    with pytest.raises(InvariantError) as info:
+        validate_pairs(gg, ee, eg)
+    assert str(info.value) == want
+    return want
+
+
+class TestStackedPairs:
+    """Rows of 2-D pair arrays are states of their own, checked in one call."""
+
+    def test_blocks_stacked(self):
+        # the one-pair cases above, stacked with passing states in seeded
+        # orders: every failing check and every row position is reached
+        good = [[[0.5, 0.1j], [-0.1j, 0.5]], [[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.2], [0.2, 0.7]]]
+        blocks = np.array([b for b, _ in FAILING_BLOCKS] + good, dtype=complex)
+        rng = np.random.default_rng(21)
+        seen = set()
+        for _ in range(200):
+            rows = blocks[rng.choice(len(blocks), int(rng.integers(1, 7)))]
+            seen.add(_check_stacked(rows[:, :1, 0], rows[:, 1:, 1], rows[:, 1:, 0]))
+        assert seen >= {None} | {_row_message(b[:1, 0], b[1:, 1], b[1:, 0]) for b in blocks[:6]}
+
+    @pytest.mark.parametrize("lowest", [-3e-9, -2e-9, -1.1e-9, -9e-10, -5e-10, 0.0, 1e-3])
+    def test_pair_stacks_stacked(self, lowest):
+        # the seeded 32-pair states of test_pair_stacks_match_eigvalsh, as
+        # rows next to passing rows, a later row that always fails
+        # positivity with another eigenvalue, and then a row that fails the trace
+        lows = [1e-3, lowest, 0.0, min(lowest, 0.0) - 2e-9]
+        rows = [_pairs(_pair_stack(np.random.default_rng(seed), low)) for seed, low in enumerate(lows)]
+        gg, ee, eg = (np.stack(part) for part in zip(*rows))
+        want = _check_stacked(gg, ee, eg)
+        assert want.startswith("smallest eigenvalue")
+        gg[2] *= 1.001
+        assert _check_stacked(gg, ee, eg).startswith("trace")

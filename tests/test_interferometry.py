@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -28,6 +29,7 @@ from edsim.interferometry import (
     RamseyConfig,
     run_ghz,
     run_michelson,
+    run_ramsey_batch,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
     visibility,
@@ -681,15 +683,15 @@ class TestClosedFormReadout:
     def test_non_unitary_row_raises(self, u_g):
         # a pure |g> block read out through a row of norm u_g**2 > 1 + 1e-10
         with pytest.raises(ValueError, match=r"outside \[0, 1\] beyond tolerance"):
-            _fringe(np.array([1.0]), np.array([0.0]), np.array([0j]), u_g, 0.0, (0.0, math.pi))
+            _fringe(np.array([[1.0]]), np.array([[0.0]]), np.array([[0j]]), u_g, 0.0, (0.0, math.pi))
 
     @pytest.mark.parametrize("u_g, u_e, edge", [(1.0, 0.0, 1.0), (0.0, 1.0, 0.0)])
     def test_probability_slack_is_clamped(self, u_g, u_e, edge):
         # the block diag(1 + 4e-11, -4e-11) passes validation (smallest
         # eigenvalue above -PSD_TOL); its p_g of 1 + 4e-11 or -4e-11 lies
         # within the 1e-10 slack and is clamped onto the edge
-        result = _fringe(np.array([1.0 + 4e-11]), np.array([-4e-11]), np.array([0j]),
-                         u_g, u_e, (0.0, 1.0, 2.0))
+        [result] = _fringe(np.array([[1.0 + 4e-11]]), np.array([[-4e-11]]), np.array([[0j]]),
+                           u_g, u_e, (0.0, 1.0, 2.0))
         assert result.points == ((0.0, edge), (1.0, edge), (2.0, edge))
         assert result.visibility == 0.0
 
@@ -888,6 +890,49 @@ class TestSizeLimits:
         # |alpha|**2 overflows: a ValueError, like fock_cutoff's, not an OverflowError
         with pytest.raises(ValueError, match="overflows"):
             CoherentField(1e200).dominant_n
+
+
+class TestRamseyBatch:
+    """run_ramsey_batch computes many configs as rows of one pipeline."""
+
+    def test_sweep_memory_stays_at_one_run(self):
+        # 12 sigma rows at alpha=300 (cutoff 92410) share one pulse and run
+        # in blocks of whole rows, so the batch peaks near one run, not 12
+        local = DecoherencePartition.local_over
+        base = RamseyConfig(omega0=W0, wait=1.0, field=CoherentField(300.0), spontaneous_rate=0.2)
+        cfgs = [dataclasses.replace(base, decoherence=local(s, "atom", "field"))
+                for s in np.linspace(0.0, 4e-31, 12)]
+        assert base.cutoff() == 92410
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, one_peak = peak(lambda: run_ramsey_quantized(cfgs[-1]))
+        rows, rows_peak = peak(lambda: run_ramsey_batch(cfgs, quantized=True))
+        assert rows_peak <= 1.5 * one_peak, (rows_peak, one_peak)
+        assert rows[-1] == one
+        assert rows == [run_ramsey_quantized(cfg) for cfg in cfgs]
+
+    @pytest.mark.parametrize("mode", ["quantized", "semiclassical"])
+    def test_rows_equal_single_runs(self, mode):
+        # seeded draws, in runs of configs that share the pulse stage and
+        # differ in their waits: every row is exactly its single run
+        rng = np.random.default_rng(17 if mode == "quantized" else 18)
+        runner = run_ramsey_quantized if mode == "quantized" else run_ramsey_semiclassical
+        cfgs = []
+        for _ in range(12):
+            cfg, _ = _random_ramsey(rng, mode)
+            for _ in range(int(rng.integers(1, 4))):
+                cfgs.append(dataclasses.replace(
+                    cfg, wait=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
+                    detuning=float(rng.integers(0, 10**12)),
+                    decoherence=DecoherencePartition(float(rng.uniform(0.0, 1e-30)), cfg.decoherence.blocks),
+                ))
+        assert run_ramsey_batch(cfgs, quantized=mode == "quantized") == [runner(cfg) for cfg in cfgs]
 
 
 def _random_blocks(rng, labels):

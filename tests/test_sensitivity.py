@@ -180,6 +180,14 @@ class TestGhzDesignGrid:
         with pytest.raises(ValueError, match=r"^n\*v underflows to 0"):
             ghz_design(SpeciesParams(1e300, 1.0, 1e-300, 1e300))
 
+    def test_overflowing_optimum_is_refused(self):
+        # the only feasible cell has gamma_sp/N = kappa/(N*V) = inf: its cost
+        # is refused by name, not by single_atom_reach's generic message
+        p = SpeciesParams(gamma_sp=1.0, delta_e=1.0, kappa=1.0, k3=1e-41)
+        for search in (ghz_design_grid, design_grid_dense):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^gamma_min is not finite \(inf\)"):
+                search(p, np.array([1e-310, 1e5]), np.array([10.0]))
+
     def test_blocked_scan_matches_whole_grid(self):
         # the row-block scan returns exactly the whole-grid argmin cell,
         # or the same error, over seeded grids that cover one-point axes,
