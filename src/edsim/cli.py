@@ -10,9 +10,10 @@ optional flat `key = value` config file (--config PATH) plus the flags
 front-end keys are --config, --out, --format, --sweep and --sweep-values;
 all but --config may also come from the config file. parse_config turns
 the merged keys into one RunConfig, and run executes it: one run, or one
-run per sweep value with a row each. A Ramsey sweep computes its rows as
-one batch (interferometry.run_ramsey_batch), with the bytes of one run
-per row and about one run's memory. `-h` or `--help` anywhere prints the
+run per sweep value with a row each. A quantized Ramsey sweep computes
+its rows as one batch (interferometry.run_ramsey_batch), with the bytes
+of one run per row and about one run's memory; a semiclassical sweep
+runs row by row. `-h` or `--help` anywhere prints the
 usage, built from SCHEMAS, and exits 0. Units are fixed per key and
 listed in the schema help strings: seconds, rad/s, eV, kg, m, m^3/s,
 m^6/s. Numeric values accept scientific notation and never carry unit
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
+from .constants import NA_MASS, OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
 from .interferometry import (
     CoherentField,
     DecoherencePartition,
@@ -144,7 +145,7 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "cosmic": ParamSpec("bool", False, help="compute the cosmic-age bound"),
         "sigma": ParamSpec("float", PLANCK_TIME, help="dephasing strength, s"),
         "age_years": ParamSpec("float", 1e10, help="age for the cosmic bound, yr"),
-        "mass": ParamSpec("float", 3.8175409e-26, help="particle mass, kg (Na default)"),
+        "mass": ParamSpec("float", NA_MASS, help="particle mass, kg (Na default)"),
         "velocity": ParamSpec("float", 3000.0, help="beam velocity, m/s"),
         "path_separation": ParamSpec("float", 20e-6, help="probed locality scale, m"),
         "flight_path": ParamSpec("float", 1.0, help="flight distance through the instrument, m"),
@@ -325,8 +326,10 @@ def _handle_ramsey(params: dict) -> ExperimentOutput:
 
 
 def _sweep_ramsey(rows: list[dict]) -> list[dict]:
+    cfgs = [_ramsey_config(p) for p in rows]
     # sweeps are numeric, so every row has the same mode
-    results = run_ramsey_batch([_ramsey_config(p) for p in rows], rows[0]["mode"] == "quantized")
+    quantized = rows[0]["mode"] == "quantized"
+    results = run_ramsey_batch(cfgs) if quantized else map(run_ramsey_semiclassical, cfgs)
     return [{"visibility": r.visibility} for r in results]
 
 
@@ -482,7 +485,7 @@ def run(cfg: RunConfig) -> int:
         key = cfg.sweep_key
         meta["sweep_key"] = key
         params = [{**cfg.parameters, key: v} for v in cfg.sweep_values]
-        if cfg.command == "ramsey":  # its rows run as one batch
+        if cfg.command == "ramsey":  # quantized rows run as one batch
             headlines = _sweep_ramsey(params)
         else:
             headlines = [handler(p).headline for p in params]

@@ -11,6 +11,7 @@ EV = 1.602176634e-19        # J per eV
 C_LIGHT = 299792458.0       # m / s
 PLANCK_TIME = 5.391247e-44  # s
 YEAR_SECONDS = 3.156e7      # s; 1e10 yr = 3.156e17 s
+NA_MASS = 3.8175409e-26     # kg, sodium-23
 
 # angular frequency of a 1 eV level splitting
 OMEGA_PER_EV = EV / HBAR    # rad/s per eV

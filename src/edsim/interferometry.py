@@ -302,9 +302,9 @@ def _fringe(gg, ee, eg, u_g, u_e, phases) -> list[FringeResult]:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def run_ramsey_batch(cfgs: Sequence[RamseyConfig], quantized: bool) -> list[FringeResult]:
-    """The fringe of every config in order, each equal to its single run:
-    run_ramsey_quantized's model if quantized, else run_ramsey_semiclassical's.
+def run_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> list[FringeResult]:
+    """run_ramsey_quantized's fringe of every config in order, each equal
+    to its single run.
 
     Consecutive configs with the same field, pulse_area and phase_points
     share one pulse stage. Each config's wait then acts on its own row of
@@ -317,42 +317,15 @@ def run_ramsey_batch(cfgs: Sequence[RamseyConfig], quantized: bool) -> list[Frin
     results: list[FringeResult] = []
     for _, rows in itertools.groupby(cfgs, lambda cfg: (cfg.field, cfg.pulse_area, cfg.phase_points)):
         rows = list(rows)
-        pulse, u_g, u_e = _quantized_pulse(rows[0]) if quantized else _atom_pulse(rows[0])
-        wait = _quantized_wait if quantized else _atom_wait
-        pairs = np.size(pulse[0])
-        size = max(1, _BLOCK_ENTRIES // max(pairs, rows[0].phase_points))
+        pulse, u_g, u_e = _quantized_pulse(rows[0])
+        size = max(1, _BLOCK_ENTRIES // max(np.size(u_g), rows[0].phase_points))
         for lo in range(0, len(rows), size):
-            waited = wait(rows[lo:lo + size], pulse)
+            waited = _quantized_wait(rows[lo:lo + size], pulse)
             if lo + size >= len(rows):
                 pulse = None  # frees the shared pulse before the group's last readout
             results += _fringe(*waited, u_g, u_e, rows[0].phases)
             del waited  # before the next block's wait allocates its own
     return results
-
-
-def _atom_pulse(cfg: RamseyConfig) -> tuple[tuple[float, float], float, complex]:
-    """cos and sin of half the pulse area, and the |g> row (u_g, u_e) of the second pulse."""
-    c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
-    return (c, s), c, 1j * s
-
-
-def _atom_wait(rows: Sequence[RamseyConfig], pulse: tuple[float, float]) -> tuple[np.ndarray, ...]:
-    """(gg, ee, eg) of each config's waited atom, as (rows, 1) arrays."""
-    c, s = pulse
-    rho = np.empty((len(rows), 2, 2), dtype=complex)
-    for i, cfg in enumerate(rows):
-        # raises unless every block is {atom}, whose Hamiltonian is omega0*|e><e|
-        cfg.decoherence.decay_rate({"atom": cfg.omega0})
-        blocks = tuple(np.diag([0.0, cfg.omega0]) for _ in cfg.decoherence.blocks)
-        lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
-        kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
-        pulsed = np.array([[c * c + lost * s * s, 1j * c * s * kept],
-                           [-1j * c * s * kept, kept * kept * s * s]])
-        rho[i] = evolve_analytic(
-            DensityMatrix(pulsed),
-            EvolutionSpec(np.diag([0.0, cfg.detuning]), cfg.wait, cfg.decoherence.sigma, blocks),
-        ).entries
-    return rho[:, 0, :1], rho[:, 1, 1:], rho[:, 1, :1]
 
 
 def _quantized_pulse(cfg: RamseyConfig) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
@@ -367,10 +340,11 @@ def _quantized_pulse(cfg: RamseyConfig) -> tuple[tuple[np.ndarray, ...], np.ndar
 
 def _quantized_wait(rows: Sequence[RamseyConfig], pulse: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """(gg, ee, eg) of the pulsed pairs after each config's wait, as
-    (rows, pairs) arrays; a row with no wait keeps the pulsed pairs."""
+    (rows, pairs) arrays. A row with no wait gets the factors (0, 1, 1),
+    which keep the pulsed pairs exactly, whatever its dephasing rate."""
     gg, ee, eg = pulse
-    factors, unwaited = [], []
-    for i, cfg in enumerate(rows):
+    factors = []
+    for cfg in rows:
         # gaps across |e,k-1><g,k|: omega0 on the atom, -omega on the field, for every k
         rate = cfg.decoherence.decay_rate({"atom": cfg.omega0, "field": -(cfg.omega0 - cfg.detuning)})
         if cfg.wait > 0.0:
@@ -380,22 +354,17 @@ def _quantized_wait(rows: Sequence[RamseyConfig], pulse: tuple[np.ndarray, ...])
                 math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait - rate * cfg.wait)
                 * cmath.exp(-1j * cfg.detuning * cfg.wait),
             ))
-        else:
+        else:  # an infinite rate times a zero wait is NaN
             factors.append((0.0, 1.0, 1.0))
-            unwaited.append(i)
     lost, kept, coherence = (np.array(column)[:, None] for column in zip(*factors))
     waited = np.repeat(gg[None], len(rows), axis=0), ee * kept, eg * coherence
     # decay moves the |e,k> population of pair k+1 onto |g,k>
     waited[0][:, :-1] += lost * ee[1:]
-    if unwaited:
-        for arr, pulsed in zip(waited, pulse):
-            arr[unwaited] = pulsed
     return waited
 
 
 def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
-    """Ramsey fringe with ideal classical pulses, the one-row case of
-    run_ramsey_batch.
+    """Ramsey fringe with ideal classical pulses.
 
     Pulses are instantaneous rotations by pulse_area about x (the second
     pulse is the inverse rotation, so a zero accumulated phase returns
@@ -406,9 +375,23 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     dephasing block keeps the laboratory gap omega0, giving
     p_g(phi) = (1 + V cos(phi - detuning*wait))/2 with
     V = exp(-sigma*omega0^2*wait) * exp(-gamma_sp*wait/2). The classical
-    field is not part of the state: only {atom} blocks are supported.
+    field is not part of the state: only {atom} blocks are supported. The
+    atom is one pair, so a sweep runs this once per row rather than
+    through run_ramsey_batch.
     """
-    return run_ramsey_batch((cfg,), quantized=False)[0]
+    # raises unless every block is {atom}, whose Hamiltonian is omega0*|e><e|
+    cfg.decoherence.decay_rate({"atom": cfg.omega0})
+    blocks = tuple(np.diag([0.0, cfg.omega0]) for _ in cfg.decoherence.blocks)
+    c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
+    lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
+    kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
+    rho = np.array([[c * c + lost * s * s, 1j * c * s * kept],
+                    [-1j * c * s * kept, kept * kept * s * s]])
+    rho = evolve_analytic(
+        DensityMatrix(rho),
+        EvolutionSpec(np.diag([0.0, cfg.detuning]), cfg.wait, cfg.decoherence.sigma, blocks),
+    ).entries
+    return _fringe(rho[:1, :1], rho[1:, 1:], rho[1:, :1], c, 1j * s, cfg.phases)[0]
 
 
 def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
@@ -433,7 +416,7 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     the frame rotating at omega, multiplies that coherence by
     exp(-i*detuning*t) and its decay.
     """
-    return run_ramsey_batch((cfg,), quantized=True)[0]
+    return run_ramsey_batch((cfg,))[0]
 
 
 def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:

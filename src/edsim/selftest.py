@@ -21,7 +21,7 @@ from tempfile import TemporaryDirectory
 import numpy as np
 
 from . import cli
-from .constants import OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
+from .constants import NA_MASS, OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
 from .core import (
     DensityMatrix,
     _mean_photons,
@@ -44,6 +44,7 @@ from .interferometry import (
 from .sensitivity import (
     SpeciesParams,
     cosmic_bound,
+    default_design_grids,
     distance_reach,
     ghz_design,
     ghz_design_grid,
@@ -52,8 +53,6 @@ from .sensitivity import (
 )
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "beamsplitter_sector", "phase_average_check"]
-
-_NA_MASS = 22.98976928 * 1.66053906660e-27  # kg
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def criterion_07() -> _Checks:
     c = _Checks()
     sr = cli.SPECIES["Sr"]
     closed = ghz_design(sr)
-    grid = ghz_design_grid(sr)
+    grid = ghz_design_grid(sr, *default_design_grids(sr))
     c.add("gamma_min_closed", abs(closed.gamma_min / 1e-8 - 1.0) <= 1e-12)
     c.add("v_opt", abs(closed.v_opt / 1e-14 - 1.0) <= 1e-12)
     c.add("n_opt", abs(closed.n_opt / 1e5 - 1.0) <= 1e-12)
@@ -349,7 +348,7 @@ def criterion_08() -> _Checks:
             k3=10.0 ** rng.uniform(-44.0, -38.0),
         )
         closed = ghz_design(p)
-        grid = ghz_design_grid(p)
+        grid = ghz_design_grid(p, *default_design_grids(p))
         worst = max(worst, abs(closed.gamma_min / grid.gamma_min - 1.0))
     c.add(f"worst_gamma_min_rel_{worst:.1e}", worst <= 0.05)
     return c
@@ -367,11 +366,11 @@ def criterion_09() -> _Checks:
 def criterion_10() -> _Checks:
     """Sodium-beam interferometry excludes short-scale dephasing at the Planck benchmark."""
     c = _Checks()
-    bound = matterwave_bound(_NA_MASS, 3000.0, 20e-6, PLANCK_TIME)
+    bound = matterwave_bound(NA_MASS, 3000.0, 20e-6, PLANCK_TIME)
     c.add("rate_window", 3e7 <= bound.rate <= 1.5e8)
     c.add("length_window", 20e-6 <= bound.decoherence_length <= 100e-6)
     c.add("excluded", bound.excluded)
-    quiet = matterwave_bound(_NA_MASS, 3000.0, 20e-6, 0.0)
+    quiet = matterwave_bound(NA_MASS, 3000.0, 20e-6, 0.0)
     c.add("sigma_zero_not_excluded", not quiet.excluded and math.isinf(quiet.decoherence_length))
     return c
 

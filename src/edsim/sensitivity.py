@@ -199,11 +199,7 @@ def _grid_axis(name: str, grid) -> np.ndarray:
     return axis
 
 
-def ghz_design_grid(
-    p: SpeciesParams,
-    n_grid: np.ndarray | None = None,
-    v_grid: np.ndarray | None = None,
-) -> DesignResult:
+def ghz_design_grid(p: SpeciesParams, n_grid: np.ndarray, v_grid: np.ndarray) -> DesignResult:
     """Brute-force oracle for ghz_design.
 
     Minimizes max(gamma_sp/N, k3*N/V^2) over the grid subject to the
@@ -216,10 +212,6 @@ def ghz_design_grid(
     no grid point is feasible, and for the species ghz_design rejects.
     """
     _check_design_species(p)
-    if n_grid is None or v_grid is None:
-        default_n, default_v = default_design_grids(p)
-        n_grid = default_n if n_grid is None else n_grid
-        v_grid = default_v if v_grid is None else v_grid
     n, v = _grid_axis("n_grid", n_grid), _grid_axis("v_grid", v_grid)
     spont, k3n, vv = p.gamma_sp / n, p.k3 * n, v * v
     rows = max(1, _GRID_BLOCK_CELLS // v.size)

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import operator
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import reduce
 
@@ -912,27 +913,41 @@ class TestRamseyBatch:
                 tracemalloc.stop()
 
         one, one_peak = peak(lambda: run_ramsey_quantized(cfgs[-1]))
-        rows, rows_peak = peak(lambda: run_ramsey_batch(cfgs, quantized=True))
+        rows, rows_peak = peak(lambda: run_ramsey_batch(cfgs))
         assert rows_peak <= 1.5 * one_peak, (rows_peak, one_peak)
         assert rows[-1] == one
         assert rows == [run_ramsey_quantized(cfg) for cfg in cfgs]
 
-    @pytest.mark.parametrize("mode", ["quantized", "semiclassical"])
-    def test_rows_equal_single_runs(self, mode):
+    def test_rows_equal_single_runs(self):
         # seeded draws, in runs of configs that share the pulse stage and
         # differ in their waits: every row is exactly its single run
-        rng = np.random.default_rng(17 if mode == "quantized" else 18)
-        runner = run_ramsey_quantized if mode == "quantized" else run_ramsey_semiclassical
+        rng = np.random.default_rng(17)
         cfgs = []
         for _ in range(12):
-            cfg, _ = _random_ramsey(rng, mode)
+            cfg, _ = _random_ramsey(rng, "quantized")
             for _ in range(int(rng.integers(1, 4))):
                 cfgs.append(dataclasses.replace(
                     cfg, wait=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
                     detuning=float(rng.integers(0, 10**12)),
                     decoherence=DecoherencePartition(float(rng.uniform(0.0, 1e-30)), cfg.decoherence.blocks),
                 ))
-        assert run_ramsey_batch(cfgs, quantized=mode == "quantized") == [runner(cfg) for cfg in cfgs]
+        assert run_ramsey_batch(cfgs) == [run_ramsey_quantized(cfg) for cfg in cfgs]
+
+    def test_zero_wait_rows_keep_the_pulsed_pairs(self):
+        # omega0=1e200 makes the dephasing rate infinite: the waited row
+        # decays fully, and the zero-wait rows equal their sigma = 0 run,
+        # with no NaN from an infinite rate times a zero wait
+        base = RamseyConfig(omega0=1e200, wait=0.0, field=CoherentField(3.0), spontaneous_rate=0.4,
+                            decoherence=DecoherencePartition.local_over(1e-30, "atom", "field"))
+        cfgs = [dataclasses.replace(base, wait=w) for w in (0.0, 1.0, 0.0)]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            rows = run_ramsey_batch(cfgs)
+        undephased = run_ramsey_quantized(dataclasses.replace(base, decoherence=DecoherencePartition.none()))
+        assert rows[0] == rows[2] == undephased
+        assert undephased.visibility > 0.5
+        assert not any(math.isnan(p) for row in rows for _, p in row.points)
+        assert rows[1] == run_ramsey_quantized(cfgs[1])
 
 
 def _random_blocks(rng, labels):

@@ -99,7 +99,7 @@ class TestGhzDesign:
 
 class TestGhzDesignGrid:
     def test_oracle_agrees_at_paper_point(self):
-        grid = ghz_design_grid(SR)
+        grid = ghz_design_grid(SR, *default_design_grids(SR))
         assert abs(grid.gamma_min / 1e-8 - 1.0) <= 0.05
 
     def test_degenerate_grid_containing_optimum(self):
@@ -123,7 +123,7 @@ class TestGhzDesignGrid:
                 k3=10.0 ** rng.uniform(-44, -38),
             )
             closed = ghz_design(p)
-            grid = ghz_design_grid(p)
+            grid = ghz_design_grid(p, *default_design_grids(p))
             assert abs(closed.gamma_min / grid.gamma_min - 1.0) <= 0.05
 
     def test_default_grids_span_and_center(self):
