@@ -43,7 +43,6 @@ from .interferometry import (
     run_ramsey_batch,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
-    visibility,
 )
 from .sensitivity import (
     DesignResult,

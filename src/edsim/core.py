@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -50,20 +49,17 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _frozen_square(self.entries))
 
 
-def validate_density(rho: DensityMatrix) -> None:
+def validate_density(rho: DensityMatrix, *more: DensityMatrix) -> None:
     """Raise InvariantError on non-finite entries, Hermiticity, trace or positivity failure.
 
     The checks run in that order, against HERM_TOL, TRACE_TOL and
     PSD_TOL. Positivity means a smallest eigenvalue of the Hermitian
-    part, from eigvalsh, of at least -PSD_TOL.
+    part, from eigvalsh, of at least -PSD_TOL. Given several matrices,
+    it checks the block-diagonal state with them as its diagonal blocks,
+    one block at a time: the largest Hermiticity defect, the summed
+    trace and the smallest eigenvalue of the union of the block spectra.
     """
-    _validate_blocks((rho.entries,))
-
-
-def _validate_blocks(blocks: Sequence[np.ndarray]) -> None:
-    """validate_density of the block-diagonal matrix with these square
-    blocks, run one block at a time: the largest defect, the summed trace
-    and the smallest eigenvalue of the union of the block spectra."""
+    blocks = [m.entries for m in (rho, *more)]
     if not all(np.all(np.isfinite(m)) for m in blocks):
         raise InvariantError("density matrix has non-finite entries")
     herm = max(float(np.max(np.abs(m - m.conj().T))) for m in blocks)

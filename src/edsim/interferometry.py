@@ -11,8 +11,9 @@ The dephasing partition decides which subsystems lose energy coherence
 jointly: a single block over all labels (global) only touches the total
 phase and leaves every interference observable unchanged, while
 per-subsystem blocks (local) damp the observable fringes at the summed
-block rate. Every config and field checks its values when it is built,
-and holds only inputs that change a result.
+block rate. Every config and field checks its values when it is built.
+Each config field changes a result, save that the semiclassical runner
+never reads RamseyConfig.field.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "MichelsonResult",
     "GhzConfig",
     "GhzResult",
-    "visibility",
     "run_ramsey_semiclassical",
     "run_ramsey_quantized",
     "run_ramsey_batch",
@@ -257,14 +257,6 @@ class GhzResult:
 
 def _contrast(hi: float, lo: float) -> float:
     return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
-
-
-def visibility(points: Sequence[tuple[float, float]] | np.ndarray) -> float:
-    """(max - min) / (max + min) of the scanned probabilities; 0 for an all-zero scan."""
-    if len(points) < 2:
-        raise ValueError("need at least two fringe points")
-    values = np.asarray(points, dtype=float)[:, 1]
-    return _contrast(float(values.max()), float(values.min()))
 
 
 def _fringe(gg, ee, eg, u_g, u_e, phases) -> list[FringeResult]:

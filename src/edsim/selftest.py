@@ -25,7 +25,6 @@ from .constants import NA_MASS, OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
 from .core import (
     DensityMatrix,
     _mean_photons,
-    _validate_blocks,
     fock_cutoff,
     poisson_weights,
     validate_density,
@@ -196,8 +195,8 @@ def _michelson_sectors(cfg: MichelsonConfig) -> tuple[float, float]:
     the arm block of total photon number N is p_N (w_N[:, N] w_N[:, N]^dag),
     decayed by each coherence's own arm gaps, with p_N the Poisson weight
     and w_N the beamsplitter block; the output populations are
-    diag(w_N^dag rho_N w_N). The blocks are validated as one
-    block-diagonal state, one block at a time."""
+    diag(w_N^dag rho_N w_N). validate_density checks the blocks together
+    as the diagonal blocks of one state, never forming it."""
     n_max = fock_cutoff(cfg.alpha)
     weights = poisson_weights(cfg.alpha, n_max)
     # arm_c gap across |j, N-j><k, N-k| is omega*(j-k); arm_d's is its negative
@@ -209,11 +208,11 @@ def _michelson_sectors(cfg: MichelsonConfig) -> tuple[float, float]:
     for n in range(n_max + 1):
         w = beamsplitter_sector(n_max, n)
         rho = weights[n] * np.outer(w[:, n], w[:, n].conj()) * decay[: n + 1, : n + 1]
-        sectors.append(rho)
+        sectors.append(DensityMatrix(rho))
         populations = np.real(np.sum(w.conj() * (rho @ w), axis=0))
         mean_a += float(populations @ np.arange(n + 1))
         mean_b += float(populations @ np.arange(n, -1, -1))
-    _validate_blocks(sectors)
+    validate_density(*sectors)
     return mean_a, mean_b
 
 

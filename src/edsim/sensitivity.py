@@ -50,7 +50,7 @@ class SpeciesParams:
     kappa:     collisional phase coefficient, m^3/s
     k3:        three-body loss coefficient, m^6/s
 
-    Every value must be finite and non-negative (ValueError otherwise).
+    Every value must be finite and positive (ValueError otherwise).
     """
 
     gamma_sp: float
@@ -64,6 +64,8 @@ class SpeciesParams:
             raise ValueError("species parameters must be finite (no NaN or inf)")
         if min(values) < 0.0:
             raise ValueError("species parameters must be non-negative")
+        if min(values) == 0.0:
+            raise ValueError("gamma_sp, kappa, k3 and delta_e must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,17 +112,16 @@ def single_atom_reach(gamma_detectable: float, delta_e_ev: float) -> float:
     return gamma_detectable / (w * w)
 
 
-def _check_design_species(p: SpeciesParams) -> None:
-    if min(p.gamma_sp, p.kappa, p.k3, p.delta_e) <= 0.0:
-        raise ValueError("gamma_sp, kappa, k3 and delta_e must be positive")
-
-
 def _design_from_point(p: SpeciesParams, n: float, v: float, gamma: float) -> DesignResult:
-    for name, value in (("gamma_min", gamma), ("n*v", n * v), ("n*kappa", n * p.kappa), ("v*v", v * v)):
+    products = (("n*v", n * v), ("n*kappa", n * p.kappa), ("v*v", v * v))
+    for name, value in (("gamma_min", gamma), *products):
         if value == 0.0:  # a grid point can be small enough for these divisors to underflow
             raise ValueError(f"{name} underflows to 0 for {p!r}")
     if not math.isfinite(gamma):  # a grid cell's cost and creation rate can both overflow
         raise ValueError(f"gamma_min is not finite ({gamma!r}) for {p!r}")
+    for name, value in products:  # an overflow would zero a rate, the creation margin or time
+        if value == math.inf:
+            raise ValueError(f"{name} overflows to inf for {p!r}")
     creation_rate = p.kappa / (n * v)
     return DesignResult(
         n_opt=n,
@@ -151,7 +152,6 @@ def ghz_design(p: SpeciesParams) -> DesignResult:
 
     with both competing rates equal to gamma at the optimum.
     """
-    _check_design_species(p)
     root = math.sqrt(p.gamma_sp * p.k3)
     if root == 0.0:
         raise ValueError(f"gamma_sp*k3 underflows to 0 for {p!r}")
@@ -209,9 +209,8 @@ def ghz_design_grid(p: SpeciesParams, n_grid: np.ndarray, v_grid: np.ndarray) ->
     numbers. The grid is scanned in blocks of whole N rows, about
     _GRID_BLOCK_CELLS cells each, so memory stays at the block size; of
     equal costs, the first cell in (N, V) row-major order wins. Raises if
-    no grid point is feasible, and for the species ghz_design rejects.
+    no grid point is feasible.
     """
-    _check_design_species(p)
     n, v = _grid_axis("n_grid", n_grid), _grid_axis("v_grid", v_grid)
     spont, k3n, vv = p.gamma_sp / n, p.k3 * n, v * v
     rows = max(1, _GRID_BLOCK_CELLS // v.size)

@@ -348,10 +348,12 @@ class TestBadInput:
         ("design --gamma-sp 1e-3 --kappa 1e-17 --k3 1e-41 --delta-e 1e-200", "(delta_e/hbar)**2"),
         ("ramsey --detuning 1e300 --wait 1e10", "detuning*wait"),
         ("ramsey --mode semiclassical --detuning 1e300 --wait 1e10", "detuning*wait"),
+        ("design --gamma-sp 1e-30 --kappa 1e200 --k3 100", "n*v overflows to inf"),
     ])
     def test_out_of_range_arithmetic_is_a_value_error(self, argv, quantity, capsys):
-        # these divided by an underflowed 0 (ZeroDivisionError) or failed
-        # differently per mode on an overflowed phase
+        # these divided by an underflowed 0 (ZeroDivisionError), failed
+        # differently per mode on an overflowed phase, or hit numpy's
+        # unnamed overflow in the design grid
         code, out, err = _run(argv.split(), capsys)
         assert (code, out) == (2, "")
         lines = err.splitlines()

@@ -274,16 +274,72 @@ FAILING_BLOCKS = [
 ]
 
 
+FAILING_IDS = ["nan", "inf-coherence", "imag-gg", "hermiticity-before-trace",
+               "trace-before-positivity", "positivity"]
+
+
 class TestPairsMatchBlocks:
     """validate_pairs is validate_density on [[gg, conj(eg)], [eg, ee]]: same order, same text."""
 
-    @pytest.mark.parametrize("block, text", FAILING_BLOCKS,
-                             ids=["nan", "inf-coherence", "imag-gg", "hermiticity-before-trace",
-                                  "trace-before-positivity", "positivity"])
+    @pytest.mark.parametrize("block, text", FAILING_BLOCKS, ids=FAILING_IDS)
     def test_first_failure_and_message_agree(self, block, text):
         first, second = _both_messages(np.array(block, dtype=complex))
         assert first == second
         assert text in first
+
+
+def _block_diag(blocks):
+    dim = sum(len(m) for m in blocks)
+    out = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for m in blocks:
+        out[at:at + len(m), at:at + len(m)] = m
+        at += len(m)
+    return out
+
+
+def _density_message(*blocks):
+    """The InvariantError text of validate_density on these blocks, or None if it passes."""
+    try:
+        validate_density(*(DensityMatrix(m) for m in blocks))
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+class TestDiagonalBlocks:
+    """validate_density(a, b, ...) checks the block-diagonal state diag(a, b, ...)
+    one block at a time: the decision and text of a call on that whole state."""
+
+    @pytest.mark.parametrize("block, text", FAILING_BLOCKS, ids=FAILING_IDS)
+    def test_failing_block_among_empty_ones(self, block, text):
+        # zero blocks add no trace, no defect and only zero eigenvalues
+        blocks = [np.zeros((3, 3)), np.array(block, dtype=complex), np.zeros((1, 1))]
+        got = _density_message(*blocks)
+        assert got == _density_message(_block_diag(blocks))
+        assert text in got
+
+    def test_earlier_check_wins_across_blocks(self):
+        # each check runs on every block before the next check runs
+        negative, skew = FAILING_BLOCKS[5][0], FAILING_BLOCKS[3][0]
+        got = _density_message(np.array(negative, dtype=complex), np.array(skew, dtype=complex))
+        assert got.startswith("Hermiticity defect")
+        assert got == _density_message(_block_diag([np.array(negative), np.array(skew)]))
+
+    @pytest.mark.parametrize("lowest", [-2e-9, -5e-10, 0.0])
+    def test_seeded_blocks_match_the_whole_state(self, lowest):
+        # weighted random blocks summing to unit trace; the first holds the
+        # smallest eigenvalue `lowest`, the others are rank-deficient
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            weights = rng.dirichlet(np.ones(4))
+            blocks = [w * _density_with_spectrum(rng, lowest / w if i == 0 else 0.0,
+                                                 int(rng.integers(2, 9))).entries
+                      for i, w in enumerate(weights)]
+            blocks = [blocks[i] for i in rng.permutation(4)]
+            got = _density_message(*blocks)
+            assert got == _density_message(_block_diag(blocks))
+            assert (got is None) == (lowest >= -PSD_TOL)
 
 
 def _row_message(gg, ee, eg):

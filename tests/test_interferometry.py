@@ -33,7 +33,6 @@ from edsim.interferometry import (
     run_ramsey_batch,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
-    visibility,
 )
 from edsim.selftest import _michelson_sectors, beamsplitter_sector, phase_average_check
 
@@ -43,6 +42,16 @@ W0 = OMEGA_PER_EV
 
 # 2*pi to 50 digits: reduces phases of 1e12 rad well below 1e-9
 TWO_PI = Fraction("6.28318530717958647692528676655900576839433879875021")
+
+
+def visibility(points):
+    """Reference for FringeResult.visibility: (max - min) / (max + min) of
+    the scanned probabilities; 0 for an all-zero scan."""
+    if len(points) < 2:
+        raise ValueError("need at least two fringe points")
+    values = np.asarray(points, dtype=float)[:, 1]
+    hi, lo = float(values.max()), float(values.min())
+    return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
 
 
 def _atom_partition(sigma):

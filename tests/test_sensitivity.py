@@ -143,12 +143,10 @@ class TestGhzDesignGrid:
     @pytest.mark.parametrize("field", ["gamma_sp", "kappa", "k3", "delta_e"])
     def test_rejects_what_the_closed_form_rejects(self, field):
         # with explicit grids, gamma_sp = 0 and delta_e = 0 used to divide
-        # by zero and k3 = 0 returned a design the closed form refuses
-        p = dataclasses.replace(SR, **{field: 0.0})
-        with pytest.raises(ValueError, match="must be positive"):
-            ghz_design(p)
-        with pytest.raises(ValueError, match="must be positive"):
-            ghz_design_grid(p, np.logspace(3.0, 7.0, 9), np.logspace(-16.0, -12.0, 9))
+        # by zero and k3 = 0 returned a design the closed form refuses; no
+        # species with a zero value is built, so neither search sees one
+        with pytest.raises(ValueError, match="^gamma_sp, kappa, k3 and delta_e must be positive$"):
+            dataclasses.replace(SR, **{field: 0.0})
 
     @pytest.mark.parametrize("decades, per_decade", [(1e308, 10), (math.inf, 1), (math.inf, 0)])
     def test_default_grids_refuse_an_overflowing_span(self, decades, per_decade):
@@ -179,6 +177,17 @@ class TestGhzDesignGrid:
             ghz_design_grid(SR, [1e-320], [1e-10])
         with pytest.raises(ValueError, match=r"^n\*v underflows to 0"):
             ghz_design(SpeciesParams(1e300, 1.0, 1e-300, 1e300))
+
+    @pytest.mark.parametrize("species, product", [
+        ((1e-30, 1.0, 1e200, 100.0), "n*v"),
+        ((1e100, 1.0, 1e160, 1e-180), "n*kappa"),
+        ((1e-30, 1.0, 1e125, 1e100), "v*v"),
+    ])
+    def test_overflowing_product_at_design_point(self, species, product):
+        # the closed form used to report a zero creation margin, creation
+        # time or three-body rate here, each beside a nonzero gamma_min
+        with pytest.raises(ValueError, match=f"^{re.escape(product)} overflows to inf"):
+            ghz_design(SpeciesParams(*species))
 
     def test_overflowing_optimum_is_refused(self):
         # the only feasible cell has gamma_sp/N = kappa/(N*V) = inf: its cost
