@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, dispatch, sweeps and file output.
+r"""Command-line front end: config parsing, dispatch, sweeps and file output.
 
     edsim <command> [--key value | --key=value ...]
 
@@ -21,21 +21,25 @@ suffixes.
 
 When --out BASE is given, BASE.csv (per-point rows) and BASE.json
 (summary) are always written, plus BASE.meta.json with run metadata.
-Every JSON summary carries the command and its parameters. The data
-files are deterministic: no timestamps, floats with 17 significant
-digits in CSV, canonical sorted JSON, and infinities serialized as the
-string "unbounded". Any failure exits 2 with one JSON error line on
-stderr; numpy overflow, division by zero and invalid operations count
-as failures.
+Each file is written as UTF-8 bytes through one binary descriptor of
+its own, so CSV rows end in \r\n on every platform (text mode would
+write \r\r\n on Windows). Every JSON summary carries the command and
+its parameters. The data files are deterministic: no timestamps, floats
+with 17 significant digits in CSV, canonical sorted JSON, and
+infinities serialized as the string "unbounded". Any failure exits 2
+with one JSON error line on stderr; numpy overflow, division by zero
+and invalid operations count as failures.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps' C encoder
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -273,18 +277,33 @@ def _csv_text(rows: list) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) with each
+    infinity written as "unbounded", in one pass (indent keeps json on its
+    slower pure-Python encoder); pad is the newline and indent of obj's line.
+    A non-str key is a TypeError from _encode_str."""
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return '"unbounded"' if math.isinf(obj) else float.__repr__(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "unbounded"
-    return obj
+        parts = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]" if parts else "[]"
+    if isinstance(obj, dict):
+        parts = [_encode_str(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}" if parts else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json(obj) + "\n"
 
 
 def _partition(sigma: float, name: str, labels: tuple[str, ...]) -> DecoherencePartition:
@@ -505,16 +524,21 @@ def run(cfg: RunConfig) -> int:
     if cfg.output_path:
         base = Path(cfg.output_path)
         base.parent.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
+        blobs = {f"{base}{suffix}": text.encode() for suffix, text in texts.items()}
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+        written: list[str] = []
         try:
-            for suffix, text in texts.items():
-                path = Path(str(base) + suffix)
-                with path.open("w", encoding="utf-8") as fh:
-                    written.append(path)
-                    fh.write(text)
+            for path, data in blobs.items():
+                fd = os.open(path, flags, 0o666)
+                written.append(path)
+                try:
+                    while data:
+                        data = data[os.write(fd, data):]
+                finally:
+                    os.close(fd)
         except OSError:
             for path in written:
-                path.unlink(missing_ok=True)
+                Path(path).unlink(missing_ok=True)
             raise
     print(texts[".csv" if cfg.output_format == "csv" else ".json"], end="")
     if output.failed:

@@ -109,7 +109,11 @@ def single_atom_reach(gamma_detectable: float, delta_e_ev: float) -> float:
     w = delta_e_ev * OMEGA_PER_EV
     if w * w == 0.0:
         raise ValueError(f"(delta_e/hbar)**2 underflows to 0 for delta_e={delta_e_ev!r} eV")
-    return gamma_detectable / (w * w)
+    sigma = gamma_detectable / (w * w)
+    if sigma == 0.0:  # (delta_e/hbar)**2 overflowed or the quotient underflowed
+        raise ValueError(f"sigma = gamma/(delta_e/hbar)**2 underflows to 0 for "
+                         f"gamma={gamma_detectable!r}, delta_e={delta_e_ev!r} eV")
+    return sigma
 
 
 def _design_from_point(p: SpeciesParams, n: float, v: float, gamma: float) -> DesignResult:
@@ -267,7 +271,7 @@ def matterwave_bound(
             and 0.0 <= sigma < math.inf):
         raise ValueError("inputs must be finite, sigma non-negative and the rest positive")
     w = mass * C_LIGHT * C_LIGHT / HBAR
-    rate = sigma * w * w
+    rate = sigma * w * w if sigma > 0.0 else 0.0  # no dephasing, even where w*w overflows
     if sigma > 0.0 and rate == 0.0:
         raise ValueError(f"sigma*(m*c**2/hbar)**2 underflows to 0 for sigma={sigma!r}, mass={mass!r}")
     length = velocity / rate if rate > 0.0 else math.inf

@@ -1,10 +1,12 @@
 """Tests for config parsing, command dispatch, sweeps and file output."""
 
 import cmath
+import errno
 import json
 import math
 import os
 import runpy
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -221,6 +223,14 @@ class TestRunCommands:
         assert "Infinity" not in (tmp_path / "b.json").read_text()
         assert "unbounded" in (tmp_path / "b.csv").read_text()
 
+    def test_bounds_matterwave_sigma_zero_with_overflowing_mass(self, capsys):
+        # sigma = 0 is no dephasing even where (m*c**2/hbar)**2 overflows; 0 * inf was NaN
+        code, out, err = _run(["bounds", "--matterwave", "--mass", "1e300", "--sigma", "0"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["matterwave"] == {
+            "rate": 0.0, "decoherence_length": "unbounded", "excluded": False,
+        }
+
     def test_bounds_needs_selector(self, capsys):
         code, _, err = _run(["bounds"], capsys)
         assert code == 2
@@ -349,6 +359,11 @@ class TestBadInput:
         ("ramsey --detuning 1e300 --wait 1e10", "detuning*wait"),
         ("ramsey --mode semiclassical --detuning 1e300 --wait 1e10", "detuning*wait"),
         ("design --gamma-sp 1e-30 --kappa 1e200 --k3 100", "n*v overflows to inf"),
+        # a zero reach read as "every sigma is detectable"
+        ("bounds --single-atom --delta-e 1e300", "gamma/(delta_e/hbar)**2 underflows to 0"),
+        ("bounds --single-atom --gamma-detectable 1e-320", "gamma/(delta_e/hbar)**2 underflows to 0"),
+        ("design --gamma-sp 1e-3 --kappa 1e-17 --k3 1e-41 --delta-e 1e300",
+         "gamma/(delta_e/hbar)**2 underflows to 0"),
     ])
     def test_out_of_range_arithmetic_is_a_value_error(self, argv, quantity, capsys):
         # these divided by an underflowed 0 (ZeroDivisionError), failed
@@ -378,6 +393,29 @@ class TestBadInput:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["B.json"]
+
+    def test_failed_write_on_second_file_removes_every_file(self, tmp_path, monkeypatch, capsys):
+        opened = []
+        real_open, real_write = os.open, os.write
+
+        def counting_open(path, *args):
+            opened.append(path)
+            return real_open(path, *args)
+
+        def write(fd, data):
+            if len(opened) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(cli.os, "open", counting_open)
+        monkeypatch.setattr(cli.os, "write", write)
+        code, out, err = _run(["ghz", "--out", str(tmp_path / "B")], capsys)
+        monkeypatch.undo()
+        assert (code, out, len(opened)) == (2, "", 2)
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "OSError"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["ramsey", "--coupling", "1"],
@@ -555,6 +593,31 @@ class TestFrontEnd:
             assert ((tmp_path / f"B{suffix}").read_bytes()
                     == (tmp_path / f"fresh{suffix}").read_bytes())
 
+    def test_short_writes_give_the_same_files(self, tmp_path, monkeypatch, capsys):
+        # os.write may write fewer bytes than asked; every byte must still go out
+        argv = ["ramsey", "--mode", "quantized", "--sweep", "sigma", "--sweep-values", "0,1e-31"]
+        assert _run([*argv, "--out", str(tmp_path / "whole")], capsys)[0] == 0
+        sizes = []
+        real_write = os.write
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, data[:7])
+
+        monkeypatch.setattr(cli.os, "write", short_write)
+        code = _run([*argv, "--out", str(tmp_path / "short")], capsys)[0]
+        monkeypatch.undo()
+        assert code == 0
+        written = [len(p.read_bytes()) for p in sorted(tmp_path.glob("short.*"))]
+        assert len(sizes) == sum(-(-n // 7) for n in written) and max(written) > 7
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"short{suffix}").read_bytes()
+                    == (tmp_path / f"whole{suffix}").read_bytes())
+        metas = [json.loads((tmp_path / f"{name}.meta.json").read_bytes()) for name in ("short", "whole")]
+        assert [m.pop("elapsed_seconds") > 0.0 for m in metas] == [True, True]
+        assert metas[0] == metas[1]
+        assert (tmp_path / "short.csv").read_bytes().endswith(b"\r\n")
+
     def test_full_selftest_through_main(self, capsys):
         # also the full-suite case of test_summary_names_command_and_parameters,
         # so the 13 criteria run once here
@@ -713,3 +776,80 @@ class TestRamseyInputs:
         outs = [_run([*argv[:4], name, *argv[5:], "--format", "csv"], capsys)[:2]
                 for name in ("atom", "local", "global")]
         assert outs[0][0] == 0 and outs.count(outs[0]) == 3
+
+
+def _sanitize(obj):
+    """The reference for cli._json_text: what it passed to json.dumps before
+    it wrote JSON itself."""
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "unbounded"
+    return obj
+
+
+class TestJsonText:
+    STRINGS = ["", "plain", 'quote " and \\ backslash', "\t\n\r\b\f\x00\x1f\x7f",
+               "\u00e9t\u00e9 \u03c3 \u2028\u2029", "\U0001f600 astral", "</script>", "\ud800 lone"]
+    FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e308,
+              -1.7976931348623157e308, math.inf, -math.inf, 0.1, 1.0 / 3.0, 1e16]
+
+    def _string(self, rng):
+        if rng.random() < 0.5:
+            return self.STRINGS[rng.integers(len(self.STRINGS))]
+        # control characters, ASCII, Latin-1, BMP (with surrogates) and astral code points
+        top = [0x20, 0x80, 0x100, 0x10000, 0x110000][rng.integers(5)]
+        return "".join(chr(rng.integers(top)) for _ in range(rng.integers(12)))
+
+    def _float(self, rng):
+        if rng.random() < 0.4:
+            return self.FLOATS[rng.integers(len(self.FLOATS))]
+        value = struct.unpack("<d", rng.bytes(8))[0]  # any finite or infinite double
+        return 0.5 if math.isnan(value) else value
+
+    def _doc(self, rng, depth=0):
+        kind = rng.integers(11 if depth < 4 else 7)
+        if kind == 0:
+            return self._float(rng)
+        if kind == 1:
+            return np.float64(self._float(rng))
+        if kind == 2:
+            return int(rng.integers(-2**62, 2**62)) * [1, 2**70][rng.integers(2)]
+        if kind == 3:
+            return bool(rng.integers(2))
+        if kind == 4:
+            return None
+        if kind in (5, 6):
+            return self._string(rng)
+        items = [self._doc(rng, depth + 1) for _ in range(rng.integers(5))]
+        if kind == 7:
+            return items
+        if kind == 8:
+            return tuple(items)
+        return {self._string(rng): item for item in items}
+
+    def test_matches_json_dumps_of_sanitized_document(self):
+        rng = np.random.default_rng(24)
+        for _ in range(400):
+            doc = self._doc(rng)
+            reference = json.dumps(_sanitize(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+            assert cli._json_text(doc) == reference
+
+    @pytest.mark.parametrize("doc", [
+        math.nan, np.float64(math.nan), {"a": [1.0, {"b": math.nan}]}, (math.inf, -math.nan),
+    ])
+    def test_nan_is_a_value_error(self, doc):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_text(doc)
+
+    @pytest.mark.parametrize("doc", [{1: 2.0}, {"a": {None: 1}}, [{"x": 1, 2.5: 3}], {(1,): 1}])
+    def test_non_str_key_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+    @pytest.mark.parametrize("doc", [np.int64(3), {"a": np.bool_(True)}, [1j], {"s": {1}}])
+    def test_other_types_are_a_type_error(self, doc):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_text(doc)

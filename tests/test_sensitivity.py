@@ -47,6 +47,13 @@ class TestSingleAtomReach:
         with pytest.raises(ValueError, match="finite"):
             single_atom_reach(*args)
 
+    @pytest.mark.parametrize("gamma, delta_e", [(1e-3, 1e300), (1e-320, 1.0)],
+                             ids=["gap-squared-overflow", "quotient-underflow"])
+    def test_zero_reach_is_refused(self, gamma, delta_e):
+        # a zero reach used to read as "every sigma is detectable"
+        with pytest.raises(ValueError, match=r"gamma/\(delta_e/hbar\)\*\*2 underflows to 0"):
+            single_atom_reach(gamma, delta_e)
+
 
 class TestGhzDesign:
     def test_paper_point(self):
@@ -296,6 +303,11 @@ class TestMatterWave:
         with pytest.raises(ValueError, match=r"sigma\*\(m\*c\*\*2/hbar\)\*\*2 underflows"):
             matterwave_bound(1e-300, 1.0, 1.0, 1e-40)
         assert math.isinf(matterwave_bound(1e-300, 1.0, 1.0, 0.0).decoherence_length)
+
+    def test_sigma_zero_with_overflowing_rest_energy(self):
+        # 0 * (m*c**2/hbar)**2 = 0 * inf used to give a NaN rate
+        res = matterwave_bound(1e300, 1.0, 1.0, 0.0)
+        assert (res.rate, res.decoherence_length, res.excluded) == (0.0, math.inf, False)
 
     def test_short_flight_not_excluded(self):
         res = matterwave_bound(NA_MASS, 3000.0, 20e-6, PLANCK_TIME, flight_path=1e-5)
