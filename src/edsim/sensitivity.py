@@ -5,8 +5,9 @@ dephasing strength a single-atom experiment can probe, the optimal atom
 number and trap volume for an N-atom GHZ experiment competing against
 spontaneous emission and three-body loss, matter-wave interferometry
 exclusions, distance reach, and the coherence bound implied by the age
-of the universe. A brute-force grid search doubles as an independent
-oracle for the closed-form optimizer.
+of the universe. A grid search doubles as an independent oracle for the
+closed-form optimizer: it returns the whole grid's first minimum but
+evaluates only the cells of each N row that can hold it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
 # creation-time boundary, so the comparison needs a relative tolerance
 _FEAS_RTOL = 1e-9
 
-# cells per ghz_design_grid block: ~128 KB per float temporary, L2-resident
+# cells per ghz_design_grid block of windows: ~128 KB per float temporary, L2-resident
 _GRID_BLOCK_CELLS = 16384
 
 
@@ -203,6 +204,29 @@ def _grid_axis(name: str, grid) -> np.ndarray:
     return axis
 
 
+def _edge(before, rows: np.ndarray, guess: np.ndarray, size: int) -> np.ndarray:
+    """Per row, the first column in [0, size] where before(rows, cols), a
+    predicate that is True up to some column and False after it, is False.
+
+    guess (overwritten) is checked on both sides; the rows it misses are
+    bisected.
+    """
+    edge = guess
+    ok = ((edge == 0) | before(rows, np.maximum(edge - 1, 0))) & (
+        (edge == size) | ~before(rows, np.minimum(edge, size - 1)))
+    if not ok.all():
+        miss = rows[~ok]
+        lo, hi = np.zeros_like(miss), np.full_like(miss, size)
+        active = lo < hi
+        while active.any():
+            mid = (lo + hi) // 2
+            below = before(miss, np.minimum(mid, size - 1))
+            lo, hi = np.where(active & below, mid + 1, lo), np.where(active & ~below, mid, hi)
+            active = lo < hi
+        edge[~ok] = lo
+    return edge
+
+
 def ghz_design_grid(p: SpeciesParams, n_grid: np.ndarray, v_grid: np.ndarray) -> DesignResult:
     """Brute-force oracle for ghz_design.
 
@@ -210,27 +234,67 @@ def ghz_design_grid(p: SpeciesParams, n_grid: np.ndarray, v_grid: np.ndarray) ->
     creation-time constraint kappa/(N*V) >= that value (with a small
     relative slack, since the continuous optimum sits exactly on the
     boundary). Each grid must be a non-empty 1-D array of finite positive
-    numbers. The grid is scanned in blocks of whole N rows, about
-    _GRID_BLOCK_CELLS cells each, so memory stays at the block size; of
-    equal costs, the first cell in (N, V) row-major order wins. Raises if
-    no grid point is feasible.
+    numbers. Of equal costs, the first cell in (N, V) row-major order
+    wins; when the best feasible cost is inf, the answer is cell (0, 0).
+    Raises if no grid point is feasible.
+
+    The answer is the whole-grid one, but only a window of each N row is
+    evaluated. Along V sorted ascending, a row's cost and creation rate
+    never rise, so its feasible cells, which need a rate of at least
+    (gamma_sp/N)*(1 - slack), lie in a prefix; once a feasible cost U is
+    known (the least feasible cost among the rows' last prefix cells),
+    only the cells of cost <= U, a suffix, can win. Each window edge is
+    estimated by searchsorted on its real-arithmetic threshold and
+    confirmed with the exact expressions. Windows are evaluated in blocks
+    of whole rows of at most _GRID_BLOCK_CELLS cells, so memory stays at
+    the block size. A default grid evaluates one cell beyond the edges;
+    the worst case, no finite U, evaluates every prefix cell, which is
+    never more than the whole grid.
     """
     n, v = _grid_axis("n_grid", n_grid), _grid_axis("v_grid", v_grid)
-    spont, k3n, vv = p.gamma_sp / n, p.k3 * n, v * v
-    rows = max(1, _GRID_BLOCK_CELLS // v.size)
-    found, best, best_cell = False, math.inf, (0, 0)
-    for lo in range(0, n.size, rows):
-        hi = lo + rows
-        cost = k3n[lo:hi, None] / vv
-        np.maximum(spont[lo:hi, None], cost, out=cost)
-        rate = n[lo:hi, None] * v
-        np.divide(p.kappa, rate, out=rate)
-        feasible = rate >= cost * (1.0 - _FEAS_RTOL)
-        found = found or bool(feasible.any())
-        np.copyto(cost, np.inf, where=~feasible)
-        i, j = divmod(int(np.argmin(cost)), v.size)
-        if cost[i, j] < best:  # strict: an earlier block keeps its tie
-            best, best_cell = float(cost[i, j]), (lo + i, j)
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    # an overflowing cell has an infinite cost, which never wins, and a NaN cell is infeasible
+    with np.errstate(all="ignore"):
+        spont, k3n, vv = p.gamma_sp / n, p.k3 * n, vs * vs
+        floor = spont * (1.0 - _FEAS_RTOL)
+
+        def cost(i, j):
+            return np.maximum(spont[i], k3n[i] / vv[j])
+
+        def rate(i, j):
+            return p.kappa / (n[i] * vs[j])
+
+        rows = np.arange(n.size)
+        stop = _edge(lambda i, j: rate(i, j) >= floor[i], rows,
+                     np.searchsorted(vs, p.kappa / (n * floor), "right"), vs.size)
+        last = np.maximum(stop - 1, 0)
+        last_cost = cost(rows, last)
+        known = (stop > 0) & (rate(rows, last) >= last_cost * (1.0 - _FEAS_RTOL))
+        bound = float(np.min(last_cost, where=known, initial=math.inf))
+        if bound < math.inf:  # the last prefix cell has a row's least cost
+            near = rows[(stop > 0) & (last_cost <= bound)]
+            start = np.full_like(stop, vs.size)
+            start[near] = _edge(lambda i, j: ~(cost(i, j) <= bound), near,
+                                np.searchsorted(vs, np.sqrt(k3n[near] / bound), "left"), vs.size)
+        else:
+            start = np.zeros_like(stop)
+        # blocks of whole rows, each over the span of its rows' windows
+        live = rows[start < stop]
+        per_block = max(1, _GRID_BLOCK_CELLS // vs.size)
+        found, best, best_cell = False, math.inf, (0, 0)
+        for lo in range(0, live.size, per_block):
+            i = live[lo:lo + per_block, None]
+            j = np.arange(start[i].min(), stop[i].max())
+            c = cost(i, j)
+            feasible = (j >= start[i]) & (j < stop[i]) & (rate(i, j) >= c * (1.0 - _FEAS_RTOL))
+            found = found or bool(feasible.any())
+            low = float(np.min(c, where=feasible, initial=math.inf))
+            if low < math.inf:
+                at_i, at_j = np.nonzero(feasible & (c == low))
+                cell = min(zip(i[at_i, 0].tolist(), order[j[at_j]].tolist()))
+                if (low, cell) < (best, best_cell):
+                    best, best_cell = low, cell
     if not found:
         raise ValueError("no feasible design point on the grid")
     return _design_from_point(p, float(n[best_cell[0]]), float(v[best_cell[1]]), best)
@@ -275,6 +339,9 @@ def matterwave_bound(
     if sigma > 0.0 and rate == 0.0:
         raise ValueError(f"sigma*(m*c**2/hbar)**2 underflows to 0 for sigma={sigma!r}, mass={mass!r}")
     length = velocity / rate if rate > 0.0 else math.inf
+    if length == 0.0:  # the rate overflowed or the quotient underflowed: not "excluded everywhere"
+        raise ValueError(f"decoherence_length = velocity/rate underflows to 0 for velocity={velocity!r}, "
+                         f"sigma={sigma!r}, mass={mass!r}")
     return MatterWaveBound(rate=rate, decoherence_length=length, excluded=length < flight_path)
 
 
@@ -305,6 +372,9 @@ def distance_reach(gamma: float, gamma_sp: float, coherence_time: float) -> Dist
         if gamma_sp * gamma_sp == 0.0:
             raise ValueError(f"gamma_sp**2 underflows to 0 for gamma_sp={gamma_sp!r}")
         l_dec = C_LIGHT * gamma / (gamma_sp * gamma_sp)
+        if l_dec == 0.0:  # the square overflowed or the quotient underflowed: not "no reach"
+            raise ValueError(f"l_decoherence = c*gamma/gamma_sp**2 underflows to 0 for "
+                             f"gamma={gamma!r}, gamma_sp={gamma_sp!r}")
     else:
         l_dec = math.inf
     return DistanceReach(l_decoherence=l_dec, l_laser=l_laser, l_max=min(l_dec, l_laser))

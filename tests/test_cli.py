@@ -198,6 +198,15 @@ class TestRunCommands:
         assert code == 0
         assert json.loads(out)["relative_difference"]["gamma_min"] <= 1e-12
 
+    def test_design_grid_reaching_past_double_range(self, capsys):
+        # the default grid runs three decades past v_opt = 1e152, where v*v
+        # overflows; that cell's cost is inf and never wins, so the grid
+        # finds the closed form's point instead of numpy's unnamed overflow
+        code, out, err = _run(["design", "--gamma-sp", "1e-30", "--kappa", "1e122", "--k3", "1"], capsys)
+        assert (code, err) == (0, "")
+        grid = json.loads(out)["grid"]
+        assert (grid["n_opt"], grid["v_opt"], grid["gamma_min"]) == (1e137, 1e152, 1e-167)
+
     def test_ghz_zero_wait_with_infinite_rate(self, capsys):
         # an infinite rate times a zero wait used to print NaN
         code, out, _ = _run(["ghz", "--sigma", "1e300", "--omega0", "1e300", "--wait", "0"], capsys)
@@ -364,6 +373,9 @@ class TestBadInput:
         ("bounds --single-atom --gamma-detectable 1e-320", "gamma/(delta_e/hbar)**2 underflows to 0"),
         ("design --gamma-sp 1e-3 --kappa 1e-17 --k3 1e-41 --delta-e 1e300",
          "gamma/(delta_e/hbar)**2 underflows to 0"),
+        # zero lengths read as "excluded at every scale" and "no reach"
+        ("bounds --matterwave --mass 1e300 --sigma 1e-40", "decoherence_length"),
+        ("bounds --distance --gamma 1e-320 --gamma-sp 1e10", "l_decoherence"),
     ])
     def test_out_of_range_arithmetic_is_a_value_error(self, argv, quantity, capsys):
         # these divided by an underflowed 0 (ZeroDivisionError), failed

@@ -276,6 +276,59 @@ class TestGhzDesignGrid:
         assert peak < 16e6, peak
         assert elapsed < 1.0, elapsed
 
+    def test_windowed_scan_matches_whole_grid_on_default_and_permuted_axes(self):
+        # the scan sorts V and evaluates a window per N row; over species
+        # whose default grids often reach past double range, on those grids
+        # and on random permutations of both axes, it returns the whole-grid
+        # cell and raises no floating-point error itself (a default grid's
+        # centre is the closed form's point, so none of these grids errs;
+        # the error paths are covered by test_blocked_scan_matches_whole_grid)
+        rng = np.random.default_rng(25)
+        outcomes = {"result": 0, "past_range": 0}
+        for case in range(200):
+            if case % 2:  # laboratory-like species
+                spans = ((-6, 0), (-20, -14), (-44, -38))
+                gamma_sp, kappa, k3 = (10.0 ** rng.uniform(lo, hi) for lo, hi in spans)
+            else:  # v_opt = kappa/gamma_sp within three decades of where v*v overflows
+                spans = ((-40, -10), (151, 154), (0, 150))
+                gamma_sp, v_opt, n_opt = (10.0 ** rng.uniform(lo, hi) for lo, hi in spans)
+                kappa = v_opt * gamma_sp
+                k3 = (kappa / n_opt) ** 2 / gamma_sp
+            try:
+                p = SpeciesParams(gamma_sp=gamma_sp, delta_e=1.0, kappa=kappa, k3=k3)
+                n_grid, v_grid = default_design_grids(p)
+            except ValueError:  # the species or its closed form is refused
+                continue
+            try:
+                with np.errstate(all="raise"):
+                    design_grid_dense(p, n_grid, v_grid)
+            except FloatingPointError:
+                outcomes["past_range"] += 1
+            for n_axis, v_axis in ((n_grid, v_grid), (rng.permutation(n_grid), rng.permutation(v_grid))):
+                with np.errstate(all="ignore"):
+                    want = design_grid_dense(p, n_axis, v_axis)
+                with np.errstate(all="raise"):
+                    got = ghz_design_grid(p, n_axis, v_axis)
+                assert (got.n_opt, got.v_opt, got.gamma_min) == (want.n_opt, want.v_opt, want.gamma_min), case
+                outcomes["result"] += 1
+        assert outcomes["result"] >= 300 and outcomes["past_range"] >= 50, outcomes
+
+    def test_axis_limit_grid_with_every_cell_in_a_prefix(self):
+        # the windowed scan's worst case: every cell satisfies
+        # kappa/(N*V) >= gamma_sp/N, none is feasible, so no cost bound
+        # narrows the windows and every cell is evaluated, in blocks
+        closed = ghz_design(SR)
+        n_grid = closed.n_opt * np.logspace(1.0, 4.0, DESIGN_MAX_GRID_AXIS)
+        v_grid = closed.v_opt * np.logspace(-4.0, -1.0, DESIGN_MAX_GRID_AXIS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^no feasible design point on the grid$"):
+                ghz_design_grid(SR, n_grid, v_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+
     def test_oversized_caller_grid_refused(self):
         # one point over the per-axis limit, refused before any cost array
         # (the default grids are checked through the CLI in test_cli)
@@ -309,6 +362,15 @@ class TestMatterWave:
         res = matterwave_bound(1e300, 1.0, 1.0, 0.0)
         assert (res.rate, res.decoherence_length, res.excluded) == (0.0, math.inf, False)
 
+    @pytest.mark.parametrize("args", [
+        (1e300, 1.0, 1.0, 1e-40),        # (m*c**2/hbar)**2 overflows, so the rate is inf
+        (NA_MASS, 1e-320, 20e-6, 1.0),   # velocity/rate underflows
+    ], ids=["rate-overflow", "length-underflow"])
+    def test_zero_length_is_refused(self, args):
+        # a zero length used to read as excluded at every scale
+        with pytest.raises(ValueError, match=r"^decoherence_length = velocity/rate underflows to 0"):
+            matterwave_bound(*args)
+
     def test_short_flight_not_excluded(self):
         res = matterwave_bound(NA_MASS, 3000.0, 20e-6, PLANCK_TIME, flight_path=1e-5)
         assert not res.excluded
@@ -335,6 +397,13 @@ class TestDistanceReach:
         assert abs(res.l_decoherence - C_LIGHT * 1e-2) <= 1e-6
         assert abs(res.l_decoherence / 3e6 - 1.0) <= 0.01
         assert res.l_max == res.l_decoherence
+
+    @pytest.mark.parametrize("gamma, gamma_sp", [(1e-320, 1e10), (1e-8, 1e200)],
+                             ids=["quotient-underflow", "square-overflow"])
+    def test_zero_length_is_refused(self, gamma, gamma_sp):
+        # a zero l_decoherence (and l_max) used to read as no reach at all
+        with pytest.raises(ValueError, match=r"^l_decoherence = c\*gamma/gamma_sp\*\*2 underflows to 0"):
+            distance_reach(gamma, gamma_sp, 1.0)
 
     def test_one_second_coherence(self):
         assert abs(distance_reach(0.0, 0.0, 1.0).l_laser / 2.998e8 - 1.0) <= 1e-3
