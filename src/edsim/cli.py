@@ -368,8 +368,8 @@ def _handle_ghz(params: dict) -> ExperimentOutput:
     cfg = GhzConfig(
         n_atoms=params["n_atoms"],
         omega0=params["omega0"],
-        sigma=params["sigma"],
         wait=params["wait"],
+        decoherence=_partition(params["sigma"], "global", ("atoms",)),
         gamma_sp=params["gamma_sp"],
         three_body_rate=params["three_body_rate"],
     )
@@ -517,7 +517,7 @@ def run(cfg: RunConfig) -> int:
     texts = {
         ".csv": _csv_text(output.points),
         ".json": _json_text(summary),
-        ".meta.json": json.dumps(meta, indent=2) + "\n",
+        ".meta.json": _json_text(meta),
     }
     for line in output.lines:
         print(line)

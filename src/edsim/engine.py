@@ -16,11 +16,11 @@ An `EvolutionSpec(hamiltonian, duration, sigma, blocks, losses, step)`
 holds the drive, the block Hamiltonians and the lowering operators as
 read-only square arrays; the engine never sees subsystem labels, and
 both propagators raise ValueError unless every one of them has the
-state's shape. The experiment pipelines in `interferometry` work on
-number-conserving sectors in closed form and call the engine only for
-the semiclassical Ramsey wait, on the bare atom's 2x2 state; otherwise
-the engine serves the acceptance suite and the tests as an independent
-dense oracle.
+state's shape. The experiment pipelines in `interferometry` take every
+dephasing rate from `DecoherencePartition.decay_rate` and call the
+engine only for the drive of the semiclassical Ramsey wait, on the bare
+atom's 2x2 state; for dephasing the engine serves the acceptance suite
+and the tests only, as an independent dense oracle.
 
 Two propagators are provided: a closed-form propagator for diagonal
 Hamiltonians without losses, and a fixed-step classical 4th-order

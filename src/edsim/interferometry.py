@@ -8,10 +8,10 @@ data, output photon numbers or coherence decay figures that can be
 compared against the closed-form decay laws.
 
 The dephasing partition decides which subsystems lose energy coherence
-jointly: a single block over all labels (global) only touches the total
-phase and leaves every interference observable unchanged, while
-per-subsystem blocks (local) damp the observable fringes at the summed
-block rate. Every config and field checks its values when it is built.
+jointly, and every runner takes its dephasing rate from the one law,
+DecoherencePartition.decay_rate: a single block over all labels (global)
+leaves every interference observable unchanged, while per-subsystem
+blocks (local) damp the fringes. Configs and fields check their values.
 Each config field changes a result, save that the semiclassical runner
 never reads RamseyConfig.field.
 """
@@ -22,6 +22,7 @@ import cmath
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -233,18 +234,20 @@ class GhzConfig:
 
     n_atoms: int
     omega0: float                     # single-atom gap, rad/s
-    sigma: float                      # dephasing strength, s
     wait: float
+    decoherence: DecoherencePartition = DecoherencePartition.none()  # over the one label "atoms"
     gamma_sp: float = 0.0             # per-atom spontaneous loss rate, 1/s
     three_body_rate: float = 0.0      # precomputed k3*N^3/V^2 event rate, 1/s
 
     def __post_init__(self):
-        _require_finite(self.omega0, self.sigma, self.wait, self.gamma_sp, self.three_body_rate)
+        _require_finite(self.omega0, self.wait, self.gamma_sp, self.three_body_rate)
         if isinstance(self.n_atoms, bool) or not isinstance(self.n_atoms, numbers.Integral):
             raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
         if self.n_atoms < 1:
             raise ValueError("need at least one atom")
-        if min(self.sigma, self.wait, self.gamma_sp, self.three_body_rate) < 0.0:
+        if self.n_atoms > sys.float_info.max:
+            raise ValueError("n_atoms is beyond double range")
+        if min(self.wait, self.gamma_sp, self.three_body_rate) < 0.0:
             raise ValueError("rates and times must be non-negative")
 
 
@@ -363,26 +366,23 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     the atom to the ground state). Spontaneous decay during the wait is
     the exact amplitude-damping channel, which stays on the atom's one
     pair (|g>, |e>). The wait runs in the frame rotating at the field
-    frequency omega0 - detuning: the drive is detuning*|e><e| while the
-    dephasing block keeps the laboratory gap omega0, giving
+    frequency omega0 - detuning: the drive is detuning*|e><e|, the one
+    term the engine call carries, while the coherence decays at
+    rate = decay_rate({"atom": omega0}), the laboratory gap, giving
     p_g(phi) = (1 + V cos(phi - detuning*wait))/2 with
-    V = exp(-sigma*omega0^2*wait) * exp(-gamma_sp*wait/2). The classical
+    V = exp(-rate*wait) * exp(-gamma_sp*wait/2). The classical
     field is not part of the state: only {atom} blocks are supported. The
     atom is one pair, so a sweep runs this once per row rather than
     through run_ramsey_batch.
     """
-    # raises unless every block is {atom}, whose Hamiltonian is omega0*|e><e|
-    cfg.decoherence.decay_rate({"atom": cfg.omega0})
-    blocks = tuple(np.diag([0.0, cfg.omega0]) for _ in cfg.decoherence.blocks)
+    rate = cfg.decoherence.decay_rate({"atom": cfg.omega0})  # raises unless every block is {atom}
     c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
     lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
     kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
-    rho = np.array([[c * c + lost * s * s, 1j * c * s * kept],
-                    [-1j * c * s * kept, kept * kept * s * s]])
-    rho = evolve_analytic(
-        DensityMatrix(rho),
-        EvolutionSpec(np.diag([0.0, cfg.detuning]), cfg.wait, cfg.decoherence.sigma, blocks),
-    ).entries
+    coherence = kept * math.exp(-rate * cfg.wait) if cfg.wait > 0.0 else kept  # inf * 0 is NaN
+    rho = np.array([[c * c + lost * s * s, 1j * c * s * coherence],
+                    [-1j * c * s * coherence, kept * kept * s * s]])
+    rho = evolve_analytic(DensityMatrix(rho), EvolutionSpec(np.diag([0.0, cfg.detuning]), cfg.wait)).entries
     return _fringe(rho[:1, :1], rho[1:, 1:], rho[1:, :1], c, 1j * s, cfg.phases)[0]
 
 
@@ -434,19 +434,17 @@ def run_ghz(cfg: GhzConfig) -> GhzResult:
     """Coherence and survival of an N-atom GHZ state after the wait.
 
     The dynamics close on the two macroscopic branches, whose gap is
-    n_atoms * omega0, so the dephasing rate carries the n_atoms**2
-    enhancement; any particle loss (spontaneous or three-body, treated
-    as scalar event rates) destroys the superposition outright:
+    N*omega0, so one block over the atoms dephases at sigma*N^2*omega0^2;
+    any particle loss (spontaneous or three-body, treated as scalar
+    event rates) destroys the superposition outright:
 
-        effective_rate = sigma*omega0^2*N^2 + N*gamma_sp + three_body_rate
+        effective_rate = decay_rate({"atoms": N*omega0}) + N*gamma_sp + three_body_rate
         coherence(t)   = 0.5 * exp(-effective_rate * t)
         survival(t)    = exp(-(N*gamma_sp + three_body_rate) * t)
     """
-    n = int(cfg.n_atoms)  # a numpy integer would overflow in n * n
-    # sigma = 0 is no dephasing even where omega0**2 overflows (0 * inf is NaN)
-    grav = cfg.sigma * (cfg.omega0 * cfg.omega0) * (n * n) if cfg.sigma > 0.0 else 0.0
+    n = int(cfg.n_atoms)  # a Python float overflows to inf without numpy's warning
     loss = n * cfg.gamma_sp + cfg.three_body_rate
-    rate = grav + loss
+    rate = cfg.decoherence.decay_rate({"atoms": n * cfg.omega0}) + loss
     if cfg.wait == 0.0:  # an infinite rate times a zero wait is NaN
         return GhzResult(coherence=0.5, survival=1.0, effective_rate=rate)
     return GhzResult(

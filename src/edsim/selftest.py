@@ -296,13 +296,15 @@ def criterion_05() -> _Checks:
 def criterion_06() -> _Checks:
     """GHZ dephasing rate scales as N^2; brute force agrees for N <= 4."""
     c = _Checks()
-    base = run_ghz(GhzConfig(n_atoms=1, omega0=2.0, sigma=0.25, wait=1.0)).effective_rate
+    atoms = DecoherencePartition.global_over(0.25, "atoms")
+    base = run_ghz(GhzConfig(n_atoms=1, omega0=2.0, wait=1.0, decoherence=atoms)).effective_rate
     for n in (2, 3, 8, 10, 100, 100000):
-        rate = run_ghz(GhzConfig(n_atoms=n, omega0=2.0, sigma=0.25, wait=1.0)).effective_rate
+        rate = run_ghz(GhzConfig(n_atoms=n, omega0=2.0, wait=1.0, decoherence=atoms)).effective_rate
         c.add(f"ratio_n{n}", rate / base == float(n * n))
 
     omega0 = 1.5e15
     sigma = 1e-32
+    atoms = DecoherencePartition.global_over(sigma, "atoms")
     for n in (2, 3, 4):
         # each excited atom adds omega0: the drive is omega0 * popcount(k)
         h = np.diag([omega0 * k.bit_count() for k in range(2**n)])
@@ -312,7 +314,7 @@ def criterion_06() -> _Checks:
         out = evolve_analytic(rho0, EvolutionSpec(h, 1.0, sigma, (h,)))
         validate_density(out)
         sim = abs(out.entries[0, -1])
-        model = run_ghz(GhzConfig(n_atoms=n, omega0=omega0, sigma=sigma, wait=1.0)).coherence
+        model = run_ghz(GhzConfig(n_atoms=n, omega0=omega0, wait=1.0, decoherence=atoms)).coherence
         c.add(f"brute_force_n{n}", abs(sim - model) <= 1e-9)
     return c
 

@@ -183,11 +183,11 @@ def default_design_grids(
     for key, value in (("decades", decades), ("points_per_decade", points_per_decade)):
         if not value >= 0:
             raise ValueError(f"{key} must be non-negative, got {value!r}")
-    half = decades / 2.0
     span = decades * points_per_decade
     # an overflowing span is refused as it stands, before int() or logspace
     count = 2 * int(round(span / 2.0)) + 1 if math.isfinite(span) else span
     _check_grid_axis(count)
+    half = decades / 2.0 if count > 1 else 0.0  # logspace(lo, hi, 1) is [10**lo], not the center
     ref = ghz_design(p)
     n_grid = np.logspace(math.log10(ref.n_opt) - half, math.log10(ref.n_opt) + half, count)
     v_grid = np.logspace(math.log10(ref.v_opt) - half, math.log10(ref.v_opt) + half, count)

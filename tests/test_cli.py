@@ -187,9 +187,10 @@ class TestRunCommands:
         assert code == 0
         assert json.loads(out)["closed_form"]["gamma_min"] == 1e-8
 
-    @pytest.mark.parametrize("decades, per_decade", [(5, 1), (3, 5), (6, 50), (0, 10)])
+    @pytest.mark.parametrize("decades, per_decade", [(5, 1), (3, 5), (6, 50), (0, 10), (6, 0), (0.01, 50)])
     def test_design_grid_contains_the_optimum(self, decades, per_decade, capsys):
-        # an odd decades*per_decade used to give an even count, which misses the center
+        # an odd decades*per_decade used to give an even count, which misses
+        # the center, and a one-point grid used to be the low edge
         n_grid, v_grid = default_design_grids(cli.SPECIES["Sr"], decades, per_decade)
         closed = ghz_design(cli.SPECIES["Sr"])
         assert closed.n_opt in n_grid and closed.v_opt in v_grid
@@ -376,6 +377,8 @@ class TestBadInput:
         # zero lengths read as "excluded at every scale" and "no reach"
         ("bounds --matterwave --mass 1e300 --sigma 1e-40", "decoherence_length"),
         ("bounds --distance --gamma 1e-320 --gamma-sp 1e10", "l_decoherence"),
+        # an atom count no double holds used to be an unnamed OverflowError
+        pytest.param("ghz --n-atoms 1" + "0" * 400, "n_atoms", id="ghz --n-atoms 10**400-n_atoms"),
     ])
     def test_out_of_range_arithmetic_is_a_value_error(self, argv, quantity, capsys):
         # these divided by an underflowed 0 (ZeroDivisionError), failed

@@ -137,7 +137,7 @@ class TestDecoherencePartition:
         with pytest.raises(ValueError):
             DecoherencePartition(1.0, (frozenset({"a"}), frozenset({"a", "b"})))
 
-    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf, -math.inf])
     def test_bad_sigma_rejected(self, sigma):
         with pytest.raises(ValueError):
             DecoherencePartition.local_over(sigma, "a", "b")
@@ -227,6 +227,19 @@ class TestRamseySemiclassical:
             assert abs(result.visibility - expected_v) <= 1e-9
             for phi, p in result.points:
                 assert abs(p - 0.5 * (1.0 + expected_v * math.cos(phi))) <= 1e-9
+
+    def test_zero_wait_keeps_the_pulsed_state(self):
+        # omega0=1e200 makes the dephasing rate infinite: a waited run loses
+        # its fringe, and a zero wait equals its sigma = 0 run, with no NaN
+        # from an infinite rate times a zero wait
+        cfg = RamseyConfig(omega0=1e200, wait=0.0, decoherence=_atom_partition(1e-30), spontaneous_rate=0.4)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            kept = run_ramsey_semiclassical(cfg)
+            waited = run_ramsey_semiclassical(dataclasses.replace(cfg, wait=1.0))
+        assert kept == run_ramsey_semiclassical(dataclasses.replace(cfg, decoherence=DecoherencePartition.none()))
+        assert kept.visibility == 1.0
+        assert waited.visibility == 0.0
 
     def test_rejects_field_blocks(self):
         cfg = RamseyConfig(
@@ -557,22 +570,27 @@ class TestPhaseAverage:
             phase_average_check(1e200, 10)
 
 
+def _atoms(sigma):
+    """One dephasing block over the GHZ atoms."""
+    return DecoherencePartition.global_over(sigma, "atoms")
+
+
 class TestGhz:
     def test_single_atom_law(self):
         sigma, gamma, t = 2e-3, 0.05, 3.0
-        res = run_ghz(GhzConfig(n_atoms=1, omega0=1.0, sigma=sigma, wait=t, gamma_sp=gamma))
+        res = run_ghz(GhzConfig(n_atoms=1, omega0=1.0, wait=t, decoherence=_atoms(sigma), gamma_sp=gamma))
         assert abs(res.coherence - 0.5 * math.exp(-(sigma + gamma) * t)) <= 1e-15
         assert abs(res.survival - math.exp(-gamma * t)) <= 1e-15
 
     def test_ten_atoms_hundredfold_rate(self):
-        res = run_ghz(GhzConfig(n_atoms=10, omega0=1.0, sigma=1e-4, wait=1.0))
+        res = run_ghz(GhzConfig(n_atoms=10, omega0=1.0, wait=1.0, decoherence=_atoms(1e-4)))
         assert abs(res.coherence - 0.5 * math.exp(-0.01)) <= 1e-15
         assert res.effective_rate == 1e-4 * 100
 
     def test_rate_ratio_is_n_squared(self):
-        base = run_ghz(GhzConfig(n_atoms=1, omega0=2.0, sigma=0.25, wait=1.0)).effective_rate
+        base = run_ghz(GhzConfig(n_atoms=1, omega0=2.0, wait=1.0, decoherence=_atoms(0.25))).effective_rate
         for n in (2, 3, 10, 64, 100000):
-            rate = run_ghz(GhzConfig(n_atoms=n, omega0=2.0, sigma=0.25, wait=1.0)).effective_rate
+            rate = run_ghz(GhzConfig(n_atoms=n, omega0=2.0, wait=1.0, decoherence=_atoms(0.25))).effective_rate
             assert rate / base == float(n * n)
 
     def test_coherence_below_half_survival(self):
@@ -581,7 +599,7 @@ class TestGhz:
             cfg = GhzConfig(
                 n_atoms=int(rng.integers(1, 50)),
                 omega0=float(10.0 ** rng.uniform(0, 15)),
-                sigma=float(10.0 ** rng.uniform(-44, -20)),
+                decoherence=_atoms(float(10.0 ** rng.uniform(-44, -20))),
                 wait=float(10.0 ** rng.uniform(-3, 2)),
                 gamma_sp=float(10.0 ** rng.uniform(-6, 0)),
                 three_body_rate=float(10.0 ** rng.uniform(-6, 0)),
@@ -590,25 +608,38 @@ class TestGhz:
             assert res.coherence <= res.survival / 2.0 + 1e-12
 
     @pytest.mark.parametrize("params", [
-        {"omega0": 1e300, "sigma": 1e300},
-        {"omega0": 1.0, "sigma": 0.0, "gamma_sp": 1e308},
-        {"omega0": 1.0, "sigma": 0.0, "three_body_rate": 1e308, "gamma_sp": 1e307},
+        {"omega0": 1e300, "decoherence": _atoms(1e300)},
+        {"omega0": 1.0, "gamma_sp": 1e308},
+        {"omega0": 1.0, "three_body_rate": 1e308, "gamma_sp": 1e307},
     ], ids=["dephasing", "spontaneous", "three-body"])
     def test_zero_wait_with_infinite_rate(self, params):
         # an infinite rate times a zero wait used to give NaN
         res = run_ghz(GhzConfig(n_atoms=10, wait=0.0, **params))
         assert (res.coherence, res.survival, res.effective_rate) == (0.5, 1.0, math.inf)
 
-    def test_sigma_zero_with_overflowing_gap(self):
+    @pytest.mark.parametrize("decoherence", [DecoherencePartition.none(), _atoms(0.0)], ids=["none", "sigma-0"])
+    def test_sigma_zero_with_overflowing_gap(self, decoherence):
         # sigma = 0 is no dephasing, even where omega0**2 is infinite
-        res = run_ghz(GhzConfig(n_atoms=2, omega0=1e300, sigma=0.0, wait=1.0))
+        res = run_ghz(GhzConfig(n_atoms=2, omega0=1e300, wait=1.0, decoherence=decoherence))
         assert (res.coherence, res.survival, res.effective_rate) == (0.5, 1.0, 0.0)
 
+    def test_overflowing_gap_is_full_decay(self):
+        # (N*omega0)**2 beyond double range is an infinite rate, without a warning
+        res = run_ghz(GhzConfig(n_atoms=10**200, omega0=1.0, wait=1.0, decoherence=_atoms(1e-30)))
+        assert (res.coherence, res.survival, res.effective_rate) == (0.0, 1.0, math.inf)
+
+    def test_block_naming_another_label_raises(self):
+        with pytest.raises(ValueError, match="unsupported dephasing block"):
+            run_ghz(GhzConfig(n_atoms=2, omega0=1.0, wait=1.0,
+                              decoherence=DecoherencePartition.local_over(0.25, "atom0", "atom1")))
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            run_ghz(GhzConfig(n_atoms=0, omega0=1.0, sigma=0.0, wait=1.0))
-        with pytest.raises(ValueError):
-            run_ghz(GhzConfig(n_atoms=2, omega0=1.0, sigma=-1.0, wait=1.0))
+        with pytest.raises(ValueError, match="need at least one atom"):
+            GhzConfig(n_atoms=0, omega0=1.0, wait=1.0)
+        with pytest.raises(ValueError, match="n_atoms is beyond double range"):
+            GhzConfig(n_atoms=10**400, omega0=1.0, wait=1.0)
+        with pytest.raises(ValueError, match="rates and times must be non-negative"):
+            GhzConfig(n_atoms=2, omega0=1.0, wait=-1.0)
 
 
 def _fringe_phase(result):
@@ -825,10 +856,10 @@ class TestNonFiniteConfig:
             MichelsonConfig(**{"alpha": 1.0, "arm_time": 1.0, "mode_frequency": W0, name: value})
 
     @pytest.mark.parametrize("value", BAD, ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("name", ["omega0", "sigma", "wait", "gamma_sp", "three_body_rate"])
+    @pytest.mark.parametrize("name", ["omega0", "wait", "gamma_sp", "three_body_rate"])
     def test_ghz(self, name, value):
         with pytest.raises(ValueError, match="finite"):
-            GhzConfig(**{"n_atoms": 2, "omega0": 1.0, "sigma": 0.0, "wait": 1.0, name: value})
+            GhzConfig(**{"n_atoms": 2, "omega0": 1.0, "wait": 1.0, name: value})
 
 
 class TestConfigTypes:
@@ -848,15 +879,15 @@ class TestConfigTypes:
     @pytest.mark.parametrize("n", [True, 2.5, 2.0, np.float64(2.0)], ids=str)
     def test_ghz_rejects_non_integer(self, n):
         with pytest.raises(ValueError, match="n_atoms must be an integer"):
-            GhzConfig(n_atoms=n, omega0=1.0, sigma=0.0, wait=1.0)
+            GhzConfig(n_atoms=n, omega0=1.0, wait=1.0)
 
     def test_numpy_integers_are_accepted(self):
         cfg = RamseyConfig(omega0=W0, wait=1.0, field=FockField(np.int64(3)))
         assert run_ramsey_quantized(cfg) == run_ramsey_quantized(
             dataclasses.replace(cfg, field=FockField(3)))
         # np.int32 squared would wrap at 50000 atoms
-        big = run_ghz(GhzConfig(n_atoms=np.int32(50_000), omega0=1.0, sigma=1.0, wait=0.0))
-        assert big == run_ghz(GhzConfig(n_atoms=50_000, omega0=1.0, sigma=1.0, wait=0.0))
+        big = run_ghz(GhzConfig(n_atoms=np.int32(50_000), omega0=1.0, wait=0.0, decoherence=_atoms(1.0)))
+        assert big == run_ghz(GhzConfig(n_atoms=50_000, omega0=1.0, wait=0.0, decoherence=_atoms(1.0)))
 
     @pytest.mark.parametrize("points, message", [
         (0, "need at least two phase points"),

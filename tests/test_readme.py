@@ -47,7 +47,6 @@ DECAY_TABLE = [
 ]
 OMEGA0, DETUNING, N_ATOMS, SIGMA = 3.0, 1.0, 5, 0.25
 OMEGA = OMEGA0 - DETUNING
-GHZ_ATOMS = tuple(f"atom{i}" for i in range(N_ATOMS))
 # the gaps of the coherence each experiment reads: the Ramsey pair
 # (|e,k-1>, |g,k>), the bare atom, a photon moved between the Michelson
 # arms, and the two GHZ branches
@@ -55,7 +54,7 @@ GAPS = {
     "quantized Ramsey": {"atom": OMEGA0, "field": -OMEGA},
     "semiclassical Ramsey": {"atom": OMEGA0},
     "Michelson": {"arm_c": OMEGA, "arm_d": -OMEGA},
-    "GHZ": dict.fromkeys(GHZ_ATOMS, OMEGA0),
+    "GHZ": {"atoms": N_ATOMS * OMEGA0},
 }
 # the blocks of each partition a row names
 PARTITIONS = {
@@ -66,7 +65,7 @@ PARTITIONS = {
     ("Michelson", "global"): [(("arm_c", "arm_d"),)],
     ("Michelson", "local"): [(("arm_c",), ("arm_d",))],
     ("Michelson", "one arm only"): [(("arm_c",),), (("arm_d",),)],
-    ("GHZ", "one block over the N atoms"): [(GHZ_ATOMS,)],
+    ("GHZ", "one block over the N atoms"): [(("atoms",),)],
 }
 
 
@@ -82,9 +81,9 @@ def test_decay_law_table_row_is_decay_rate(experiment, partition, d_cell):
     for blocks, d in zip(blocks_each, d_values):
         part = DecoherencePartition(SIGMA, tuple(frozenset(b) for b in blocks))
         assert math.isclose(part.decay_rate(GAPS[experiment]), SIGMA * d, rel_tol=1e-12)
-    if experiment == "GHZ":
-        rate = run_ghz(GhzConfig(n_atoms=N_ATOMS, omega0=OMEGA0, sigma=SIGMA, wait=1.0)).effective_rate
-        assert math.isclose(rate, SIGMA * d_values[0], rel_tol=1e-12)
+        if experiment == "GHZ":
+            rate = run_ghz(GhzConfig(n_atoms=N_ATOMS, omega0=OMEGA0, wait=1.0, decoherence=part)).effective_rate
+            assert math.isclose(rate, SIGMA * d, rel_tol=1e-12)
 
 
 def test_decay_law_table_covers_every_partition():
