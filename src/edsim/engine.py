@@ -10,25 +10,22 @@ convention, so a coherence <m|rho|n> with gap w = w_m - w_n evolves as
 exp(-i w t). Each dephasing block b contributes a decay exp(-sigma *
 gap_b**2 * t) to coherences between its eigenstates; a single block
 holding the total Hamiltonian is "global" dephasing, one block per
-subsystem is "local".
+subsystem is "local". The engine never sees subsystem labels.
 
-An `EvolutionSpec(hamiltonian, duration, sigma, blocks, losses, step)`
-holds the drive, the block Hamiltonians and the lowering operators as
-read-only square arrays; the engine never sees subsystem labels, and
-both propagators raise ValueError unless every one of them has the
-state's shape. The experiment pipelines in `interferometry` take every
-dephasing rate from `DecoherencePartition.decay_rate` and call the
-engine only for the drive of the semiclassical Ramsey wait, on the bare
-atom's 2x2 state; for dephasing the engine serves the acceptance suite
-and the tests only, as an independent dense oracle.
+`evolve_analytic` is the closed form for Hamiltonians diagonal in the
+state's basis and takes their spectra, real 1-D arrays of the state's
+dimension, so there is no eigensolver, commutation check or eigenvalue
+snapping; a caller with commuting Hamiltonians and a known eigenbasis
+rotates the state into it and back. `evolve_stepped` integrates the
+general generator, losses included, with a fixed-step classical RK4
+(fixed step keeps repeated runs bit-stable) for an `EvolutionSpec`
+whose operators are read-only square arrays of the state's shape.
 
-Two propagators are provided: a closed-form propagator for diagonal
-Hamiltonians without losses, and a fixed-step classical 4th-order
-integrator for the general case (fixed step keeps repeated runs
-bit-stable). The closed form reads the spectra off the diagonal, so
-there is no eigensolver, commutation check or eigenvalue snapping; a
-caller with non-diagonal commuting Hamiltonians and a known eigenbasis
-rotates the state into that basis and back.
+The pipelines in `interferometry` take every dephasing rate from
+`DecoherencePartition.decay_rate` and call the engine only for the
+drive of the semiclassical Ramsey wait, on the bare atom's 2x2 state;
+for dephasing the engine serves the acceptance suite and the tests
+only, as an independent dense oracle.
 """
 
 from __future__ import annotations
@@ -62,13 +59,18 @@ class LossChannel:
             raise ValueError("loss rate must be finite and non-negative")
 
 
+def _check_sigma_duration(sigma: float, duration: float) -> None:
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("sigma must be finite and non-negative")
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ValueError("duration must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """One evolution segment: drive Hamiltonian, duration, dephasing, losses.
-
-    Each block Hamiltonian enters as one double commutator scaled by
-    sigma; `step` is the fixed step of the stepped integrator.
-    """
+    """One segment of the stepped integrator: drive Hamiltonian, duration,
+    dephasing (one double commutator per block, scaled by sigma), losses
+    and the fixed step."""
 
     hamiltonian: np.ndarray
     duration: float
@@ -80,17 +82,7 @@ class EvolutionSpec:
     def __post_init__(self):
         object.__setattr__(self, "hamiltonian", _frozen_square(self.hamiltonian))
         object.__setattr__(self, "blocks", tuple(_frozen_square(b) for b in self.blocks))
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError("sigma must be finite and non-negative")
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
-            raise ValueError("duration must be finite and non-negative")
-
-
-def _check_shapes(rho0: DensityMatrix, spec: EvolutionSpec) -> None:
-    shape = rho0.entries.shape
-    mats = [spec.hamiltonian, *spec.blocks, *(ch.lowering for ch in spec.losses)]
-    if any(m.shape != shape for m in mats):
-        raise ValueError(f"drive, blocks and lowering operators must have the state's shape {shape}")
+        _check_sigma_duration(self.sigma, self.duration)
 
 
 def _rhs(spec: EvolutionSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -114,39 +106,33 @@ def _rhs(spec: EvolutionSpec) -> Callable[[np.ndarray], np.ndarray]:
     return rhs
 
 
-def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
-    """Closed-form propagation of diagonal Hamiltonians.
+def evolve_analytic(rho0: DensityMatrix, drive, duration: float, sigma: float = 0.0,
+                    blocks=()) -> DensityMatrix:
+    """Closed-form propagation under a diagonal drive and diagonal blocks,
+    given by their spectra.
 
-    The drive and every block Hamiltonian must have rho0's shape and be
-    diagonal in its basis (a ValueError otherwise), and loss channels
-    are forbidden. The diagonal entries are the spectra: each coherence picks up
+    `drive` and each of `blocks` must be a real, finite 1-D array of
+    rho0's dimension (a ValueError otherwise). Each coherence picks up
     exp(-i*gap*t) from the drive and exp(-sigma*gap_b**2*t) from each
     block, so coherences between states degenerate in every block are
-    exactly invariant under the dephasing. A caller that knows an
-    eigenbasis of non-diagonal Hamiltonians rotates into it first.
+    exactly invariant under the dephasing.
     """
-    _check_shapes(rho0, spec)
-    if spec.losses:
-        raise ValueError("the analytic propagator does not support loss channels")
-    t = spec.duration
-    mats = [spec.hamiltonian, *spec.blocks]
-    # O(d^2) test: every nonzero entry lies on the diagonal
-    if any(np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)) for m in mats):
-        raise ValueError("the analytic propagator takes diagonal Hamiltonians only")
-    evals = [np.diagonal(m).real for m in mats]
+    _check_sigma_duration(sigma, duration)
+    dim = rho0.entries.shape[0]
+    spectra = [np.asarray(s) for s in (drive, *blocks)]
+    if any(s.dtype.kind not in "iuf" or s.shape != (dim,) or not np.isfinite(s).all() for s in spectra):
+        raise ValueError(f"drive and block spectra must be real, finite 1-D arrays of length {dim}")
+    spectra = [s.astype(float) for s in spectra]
     # build the phase factor as an outer product of per-state phases so the
     # Hadamard multiplier stays exactly rank-1 positive even when the
     # absolute phases w*t are far beyond double-precision resolution
-    phase = np.exp(-1j * evals[0] * t)
+    phase = np.exp(-1j * spectra[0] * duration)
     mult = phase[:, None] * phase[None, :].conj()
-    if spec.sigma > 0.0 and t > 0.0:
-        decay = np.zeros((len(phase), len(phase)))
+    if sigma > 0.0 and duration > 0.0:
         # a squared gap beyond double range is inf: full decay, exp(-inf) = 0
         with np.errstate(over="ignore"):
-            for wb in evals[1:]:
-                db = wb[:, None] - wb[None, :]
-                decay = decay + db * db
-            mult = mult * np.exp(-spec.sigma * decay * t)
+            decay = sum(np.square(wb[:, None] - wb[None, :]) for wb in spectra[1:])
+            mult = mult * np.exp(-sigma * decay * duration)
     out = rho0.entries * mult
     # in place: one dense temporary fewer at the memory peak
     out += out.conj().T
@@ -157,11 +143,15 @@ def evolve_analytic(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
 def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
     """Fixed-step 4th-order integration of the full generator.
 
-    The final state is re-Hermitized and trace-renormalized; it must
-    pass validate_density or an InvariantError is raised. Step
-    size is rejected unless ||drho/dt at rho0|| * step <= 0.1.
+    Every operator of the spec must have rho0's shape (a ValueError
+    otherwise). The final state is the integrator's own, unretouched; it
+    must pass validate_density or an InvariantError is raised. Step size
+    is rejected unless ||drho/dt at rho0|| * step <= 0.1.
     """
-    _check_shapes(rho0, spec)
+    shape = rho0.entries.shape
+    mats = [spec.hamiltonian, *spec.blocks, *(ch.lowering for ch in spec.losses)]
+    if any(m.shape != shape for m in mats):
+        raise ValueError(f"drive, blocks and lowering operators must have the state's shape {shape}")
     if spec.duration == 0.0:
         return DensityMatrix(rho0.entries)
     if spec.step is None or spec.step <= 0.0:
@@ -181,7 +171,6 @@ def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    y = (y + y.conj().T) / 2.0
-    rho = DensityMatrix(y / np.trace(y).real)
+    rho = DensityMatrix(y)
     validate_density(rho)
     return rho

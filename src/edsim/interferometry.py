@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import MAX_PHASE_POINTS, RAMSEY_MAX_CUTOFF
 from .core import DensityMatrix, _mean_photons, fock_cutoff, poisson_weights, validate_pairs
-from .engine import EvolutionSpec, evolve_analytic
+from .engine import evolve_analytic
 
 __all__ = [
     "DecoherencePartition",
@@ -382,7 +382,7 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     coherence = kept * math.exp(-rate * cfg.wait) if cfg.wait > 0.0 else kept  # inf * 0 is NaN
     rho = np.array([[c * c + lost * s * s, 1j * c * s * coherence],
                     [-1j * c * s * coherence, kept * kept * s * s]])
-    rho = evolve_analytic(DensityMatrix(rho), EvolutionSpec(np.diag([0.0, cfg.detuning]), cfg.wait)).entries
+    rho = evolve_analytic(DensityMatrix(rho), (0.0, cfg.detuning), cfg.wait).entries
     return _fringe(rho[:1, :1], rho[1:, 1:], rho[1:, :1], c, 1j * s, cfg.phases)[0]
 
 

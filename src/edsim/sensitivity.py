@@ -13,6 +13,7 @@ evaluates only the cells of each N row that can hold it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,11 @@ def default_design_grids(
     for key, value in (("decades", decades), ("points_per_decade", points_per_decade)):
         if not value >= 0:
             raise ValueError(f"{key} must be non-negative, got {value!r}")
+    if not math.isfinite(decades):  # inf*0 would be a NaN span
+        raise ValueError(f"decades must be finite, got {decades!r}")
+    if points_per_decade > sys.float_info.max:  # an int no double holds has no float product
+        raise ValueError(f"points_per_decade beyond double range exceeds the design grid axis limit "
+                         f"{DESIGN_MAX_GRID_AXIS}")
     span = decades * points_per_decade
     # an overflowing span is refused as it stands, before int() or logspace
     count = 2 * int(round(span / 2.0)) + 1 if math.isfinite(span) else span

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edsim import cli
+from edsim import cli, selftest
 from edsim.cli import ConfigError, parse_config
+from edsim.core import DensityMatrix
 from edsim.constants import (
     DESIGN_MAX_GRID_AXIS,
     MAX_PHASE_POINTS,
@@ -80,6 +81,14 @@ class TestParseConfig:
     def test_bad_format(self):
         with pytest.raises(ConfigError, match="format"):
             parse_config("command = ghz\nformat = xml\n", [])
+
+    @pytest.mark.parametrize("text, overrides, message", [
+        ("command = ghz\nn_atoms 7\n", [], "^config line 2: expected 'key = value'$"),
+        ("", [("command", "teleport")], "^unknown command 'teleport'; choose from"),
+    ], ids=["line-without-equals", "unknown-command"])
+    def test_refused_config(self, text, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text, overrides)
 
     def test_sweep_parsed_into_config(self):
         cfg = parse_config("command = ghz\nsweep = n-atoms\nsweep_values = 2, 4\n", [])
@@ -246,6 +255,27 @@ class TestRunCommands:
         assert code == 2
         assert "no bound selected" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("argv, selected", [
+        (["bounds", "--cosmic", "false", "--single-atom"], ["single_atom"]),
+        (["bounds", "--cosmic=no", "--single-atom", "--matterwave=0"], ["single_atom"]),
+        (["bounds", "--cosmic", "YES"], ["cosmic"]),
+    ])
+    def test_bounds_explicit_booleans(self, argv, selected, capsys):
+        # an explicit false deselects its bound beside another selector
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        summary = json.loads(out)
+        assert [k for k in ("single_atom", "matterwave", "distance", "cosmic") if k in summary] == selected
+
+    @pytest.mark.parametrize("mode", ["semiclassical", "quantized"])
+    def test_ramsey_partition_none_is_no_dephasing(self, mode, capsys):
+        runs = [_run(["ramsey", "--mode", mode, "--wait", "1", *flags], capsys)
+                for flags in (["--partition", "none", "--sigma", "1e-30"], ["--sigma", "0"])]
+        assert [code for code, _, _ in runs] == [0, 0]
+        fringes = [{k: v for k, v in json.loads(out).items() if k != "parameters"} for _, out, _ in runs]
+        assert fringes[0] == fringes[1]
+        assert fringes[0]["visibility"] == 1.0
+
     def test_bounds_distance_requires_gamma(self, capsys):
         code, _, err = _run(["bounds", "--distance"], capsys)
         assert code == 2
@@ -379,6 +409,9 @@ class TestBadInput:
         ("bounds --distance --gamma 1e-320 --gamma-sp 1e10", "l_decoherence"),
         # an atom count no double holds used to be an unnamed OverflowError
         pytest.param("ghz --n-atoms 1" + "0" * 400, "n_atoms", id="ghz --n-atoms 10**400-n_atoms"),
+        pytest.param("design --species Sr --grid-points-per-decade 1" + "0" * 400,
+                     f"design grid axis limit {DESIGN_MAX_GRID_AXIS}",
+                     id="design --grid-points-per-decade 10**400-grid axis limit"),
     ])
     def test_out_of_range_arithmetic_is_a_value_error(self, argv, quantity, capsys):
         # these divided by an underflowed 0 (ZeroDivisionError), failed
@@ -391,6 +424,24 @@ class TestBadInput:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "ValueError"
         assert quantity in error["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ramsey", "--n", "1.5"], "malformed integer for key 'n': '1.5'"),
+        (["bounds", "--cosmic", "maybe"], "malformed boolean for key 'cosmic': 'maybe'"),
+        (["ramsey", "--sweep", "sigma"], "sweeps need both --sweep KEY and --sweep-values V1,V2,..."),
+        (["ramsey", "--sweep-values", "0,1"], "sweeps need both --sweep KEY and --sweep-values V1,V2,..."),
+        (["ramsey", "--sweep", "wibble", "--sweep-values", "0,1"],
+         "unknown sweep key 'wibble' for command 'ramsey'"),
+        (["ramsey", "stray"], "unexpected argument 'stray'"),
+        (["selftest", "--criteria", "1,x"], "malformed criteria list: '1,x'"),
+    ], ids=["int", "bool", "sweep-without-values", "values-without-sweep", "sweep-key", "positional",
+            "criteria"])
+    def test_malformed_input_is_a_config_error(self, argv, message, capsys):
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {"type": "ConfigError", "message": message}
 
     def test_failed_serialization_leaves_no_files(self, tmp_path, monkeypatch, capsys):
         def nan_summary(params):
@@ -642,6 +693,48 @@ class TestFrontEnd:
         summary = json.loads(out[out.index("{"):])
         expected = parse_config("", [("command", "selftest")]).parameters
         assert (summary["command"], summary["parameters"]) == ("selftest", expected)
+
+    @pytest.mark.parametrize("fault, details", [("check", "failed: broken_check"), ("raise", "error: boom")])
+    def test_selftest_failure_exits_1(self, fault, details, monkeypatch, capsys):
+        def criterion():
+            if fault == "raise":
+                raise RuntimeError("boom")
+            checks = selftest._Checks()
+            checks.add("kept", True)
+            checks.add("broken_check", False)
+            return checks
+
+        # criterion 9 is replaced; criterion 11 still runs and passes
+        replaced = tuple((cid, text, criterion if cid == 9 else func)
+                         for cid, text, func in selftest.CRITERIA)
+        monkeypatch.setattr(selftest, "CRITERIA", replaced)
+        code, out, err = _run(["selftest", "--criteria", "9,11"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith(f"FAIL  9  single-atom sigma reach  [{details}] (")
+        assert lines[1].startswith("PASS 11  ")
+        summary = json.loads(out[out.index("{"):])
+        assert summary["all_passed"] is False
+        first = summary["results"][0]
+        assert (first["criterion"], first["passed"], first["details"]) == (9, False, details)
+        errors = err.splitlines()
+        assert len(errors) == 1
+        assert json.loads(errors[0])["error"] == {
+            "type": "SelftestFailure", "message": "one or more criteria failed",
+        }
+
+    def test_selftest_reports_a_broken_integrator(self, monkeypatch):
+        # a stepped state of trace 2 misses the closed form and fails validate_density
+        def doubled(rho0, spec):
+            return DensityMatrix(2.0 * rho0.entries)
+
+        monkeypatch.setattr(selftest, "evolve_stepped", doubled)
+        checks = selftest.criterion_01()
+        assert not checks.passed
+        failed = checks.details().removeprefix("failed: ").split(", ")
+        invariants = [name for name in failed if "invariants" in name]
+        assert invariants == ["dim12_invariants"] * 2 + ["dim64_invariants"] * 2
+        assert sum("frobenius" in name for name in failed) == 4
 
     def test_python_dash_m_process(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(SRC)}

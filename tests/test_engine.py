@@ -66,23 +66,22 @@ class TestGenerator:
 class TestEvolveAnalytic:
     def test_pure_phase_at_sigma_zero(self):
         w0, t = 2.0, 0.7
-        h = np.diag([0.0, w0])
-        out = evolve_analytic(_superposition(), EvolutionSpec(h, t))
+        out = evolve_analytic(_superposition(), (0.0, w0), t)
         assert abs(out.entries[1, 0] - 0.5 * np.exp(-1j * w0 * t)) <= 1e-12
 
     def test_half_life_amplitude(self):
         # closed form: |rho_ge| = 0.5*exp(-sigma*w^2*t) = 0.25 at sigma*w^2*t = ln 2
         w0 = 3.0
         sigma = math.log(2.0) / (w0 * w0)
-        h = np.diag([0.0, w0])
-        out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
+        w = (0.0, w0)
+        out = evolve_analytic(_superposition(), w, 1.0, sigma, (w,))
         assert abs(abs(out.entries[0, 1]) - 0.25) <= 1e-12
 
     def test_complete_dephasing_gives_equal_mixture(self):
         w0 = 3.0
         sigma = 50.0 / (w0 * w0)
-        h = np.diag([0.0, w0])
-        out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
+        w = (0.0, w0)
+        out = evolve_analytic(_superposition(), w, 1.0, sigma, (w,))
         assert abs(out.entries[0, 1]) <= 1e-10
         assert np.allclose(np.diag(out.entries).real, [0.5, 0.5], atol=1e-12)
         validate_density(out)
@@ -90,57 +89,62 @@ class TestEvolveAnalytic:
     def test_gap_squared_beyond_double_range(self):
         # the squared gap 1e400 overflows: full decay, no warning, and a
         # zero duration still returns the initial state (not inf*0 = NaN)
-        h = np.diag([0.0, 1e200])
+        w = (0.0, 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, 1e-31, (h,)))
-            same = evolve_analytic(_superposition(), EvolutionSpec(h, 0.0, 1e-31, (h,)))
+            out = evolve_analytic(_superposition(), w, 1.0, 1e-31, (w,))
+            same = evolve_analytic(_superposition(), w, 0.0, 1e-31, (w,))
         assert out.entries[0, 1] == 0.0
         assert np.array_equal(np.diag(out.entries), [0.5, 0.5])
         assert np.array_equal(same.entries, _superposition().entries)
 
-    @pytest.mark.parametrize("drive_diagonal", [False, True], ids=["drive", "block"])
-    def test_non_diagonal_rejected(self, drive_diagonal):
-        diag = np.diag([0.0, 1.0])
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-        drive, block = (diag, flip) if drive_diagonal else (flip, diag)
-        with pytest.raises(ValueError, match="diagonal"):
-            evolve_analytic(_superposition(), EvolutionSpec(drive, 1.0, 1.0, (block,)))
+    @pytest.mark.parametrize("spectrum", [
+        [0.0, math.nan], [0.0, math.inf], [0.0, 1.0 + 0.0j], np.diag([0.0, 1.0]), [0.0], [0.0, 1.0, 2.0],
+        [True, False], ["0", "1"],
+    ], ids=["nan", "inf", "complex", "2-D", "short", "long", "bool", "str"])
+    @pytest.mark.parametrize("role", ["drive", "block"])
+    def test_bad_spectrum_rejected(self, role, spectrum):
+        # a non-finite spectrum used to give a NaN state, and a complex one
+        # to lose its imaginary part
+        drive, blocks = (spectrum, ()) if role == "drive" else ((0.0, 1.0), ((0.0, 1.0), spectrum))
+        message = "^drive and block spectra must be real, finite 1-D arrays of length 2$"
+        with pytest.raises(ValueError, match=message):
+            evolve_analytic(_superposition(), drive, 1.0, 1.0, blocks)
 
-    def test_losses_rejected(self):
-        spec = EvolutionSpec(ZERO2, 1.0, losses=(LossChannel(0.1, LOWER2),))
-        with pytest.raises(ValueError):
-            evolve_analytic(_superposition(), spec)
+    def test_integer_spectra_match_float_spectra(self):
+        ints, floats = [0, 3], np.array([0.0, 3.0])
+        out = evolve_analytic(_superposition(), ints, 0.7, 0.1, (ints,))
+        same = evolve_analytic(_superposition(), floats, 0.7, 0.1, (floats,))
+        assert np.array_equal(out.entries, same.entries)
 
     def test_degenerate_coherence_exactly_invariant(self):
         # states |0,1> and |1,0> share every block eigenvalue, so the
         # dephasing strength must not touch their coherence at all
-        p_e = np.diag([0.0, 1.0])
-        h = 1.5e15 * (np.kron(p_e, np.eye(2)) + np.kron(np.eye(2), p_e))
+        w = 1.5e15 * np.array([0.0, 1.0, 1.0, 2.0])  # excitations of |00>, |01>, |10>, |11>
         psi = np.zeros(4, dtype=complex)
         psi[1] = psi[2] = 1.0 / math.sqrt(2.0)
         rho = DensityMatrix(np.outer(psi, psi.conj()))
-        out_none = evolve_analytic(rho, EvolutionSpec(h, 1.0, 0.0, (h,)))
-        out_huge = evolve_analytic(rho, EvolutionSpec(h, 1.0, 1e-2, (h,)))
+        out_none = evolve_analytic(rho, w, 1.0, 0.0, (w,))
+        out_huge = evolve_analytic(rho, w, 1.0, 1e-2, (w,))
         assert np.array_equal(out_none.entries, out_huge.entries)
         assert abs(abs(out_huge.entries[1, 2]) - 0.5) <= 1e-14
 
     def test_coherence_weight_monotone(self):
         rng = np.random.default_rng(3)
-        h = np.diag([0.0, 1.0, 2.5, 4.0])
+        w = [0.0, 1.0, 2.5, 4.0]
         rho0 = DensityMatrix(_rand_density(rng, 4))
         weights = []
         for t in np.linspace(0.0, 4.0, 9):
-            # the diagonal h's eigenbasis is the given one: sum the off-diagonal magnitudes
-            x = evolve_analytic(rho0, EvolutionSpec(h, t, 0.2, (h,))).entries
+            # the eigenbasis is the given one: sum the off-diagonal magnitudes
+            x = evolve_analytic(rho0, w, t, 0.2, (w,)).entries
             weights.append(float(np.sum(np.abs(x)) - np.sum(np.abs(np.diag(x)))))
         assert all(b <= a + 1e-12 for a, b in zip(weights, weights[1:]))
 
     def test_trace_hermiticity_positivity_preserved(self):
         rng = np.random.default_rng(4)
-        h = np.diag(rng.normal(scale=2.0, size=6))
+        w = rng.normal(scale=2.0, size=6)
         rho0 = DensityMatrix(_rand_density(rng, 6))
-        out = evolve_analytic(rho0, EvolutionSpec(h, 3.0, 0.7, (h,)))
+        out = evolve_analytic(rho0, w, 3.0, 0.7, (w,))
         validate_density(out)
 
 
@@ -155,7 +159,7 @@ class TestEvolveStepped:
         w0 = 3.0
         sigma = math.log(2.0) / (w0 * w0)
         h = np.diag([0.0, w0])
-        exact = evolve_analytic(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,)))
+        exact = evolve_analytic(_superposition(), (0.0, w0), 1.0, sigma, ((0.0, w0),))
         stepped = evolve_stepped(_superposition(), EvolutionSpec(h, 1.0, sigma, (h,), step=1e-3))
         assert np.linalg.norm(exact.entries - stepped.entries) <= 1e-8
 
@@ -167,6 +171,11 @@ class TestEvolveStepped:
         out = evolve_stepped(rho, spec)
         assert abs(out.entries[1, 1].real - math.exp(-rate * t)) <= 1e-8
         validate_density(out)
+
+    @pytest.mark.parametrize("step", [None, 0.0, -1e-3])
+    def test_step_must_be_positive(self, step):
+        with pytest.raises(ValueError, match="^stepped method needs a positive step$"):
+            evolve_stepped(_superposition(), EvolutionSpec(ZERO2, 1.0, step=step))
 
     def test_step_larger_than_duration(self):
         spec = EvolutionSpec(ZERO2, 1.0, step=2.0)
@@ -192,27 +201,27 @@ class TestEvolutionSpec:
         (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
     ], ids=["sigma-neg", "sigma-nan", "sigma-inf", "duration-neg", "duration-nan", "duration-inf"])
     def test_bad_scalars_rejected(self, sigma, duration):
-        with pytest.raises(ValueError):
+        # the stepped integrator's spec and the closed form refuse them alike
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
             EvolutionSpec(ZERO2, duration, sigma)
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            evolve_analytic(_superposition(), (0.0, 1.0), duration, sigma)
 
 
 class TestShapes:
     ONE = np.zeros((1, 1))
     CASES = {
-        "drive-1x1": (EvolutionSpec(ONE, 1.0, step=1e-3), (evolve_analytic, evolve_stepped)),
-        "block-1x1": (EvolutionSpec(ZERO2, 1.0, 1.0, (ONE,), step=1e-3), (evolve_analytic, evolve_stepped)),
-        "lowering-3x3": (EvolutionSpec(ZERO2, 1.0, losses=(LossChannel(0.1, np.eye(3, k=1)),), step=1e-3),
-                         (evolve_stepped,)),
+        "drive-1x1": EvolutionSpec(ONE, 1.0, step=1e-3),
+        "block-1x1": EvolutionSpec(ZERO2, 1.0, 1.0, (ONE,), step=1e-3),
+        "lowering-3x3": EvolutionSpec(ZERO2, 1.0, losses=(LossChannel(0.1, np.eye(3, k=1)),), step=1e-3),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_shape_mismatch_rejected(self, case):
         # a 1x1 operator used to broadcast against the 2x2 state and
         # leave it silently unevolved
-        spec, propagators = self.CASES[case]
-        for propagate in propagators:
-            with pytest.raises(ValueError, match="shape"):
-                propagate(_superposition(), spec)
+        with pytest.raises(ValueError, match="shape"):
+            evolve_stepped(_superposition(), self.CASES[case])
 
     @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,), (2, 2, 2)],
                              ids=["non-square", "empty", "vector", "stack"])
@@ -242,7 +251,8 @@ class TestDiagonalPath:
         h_right = np.kron(np.eye(3), np.diag(rng.normal(size=3)))
         drive, blocks = h_left + h_right, (h_left, h_right)
         rho0 = DensityMatrix(_rand_density(rng, 9))
-        exact = evolve_analytic(rho0, EvolutionSpec(drive, 1.0, 0.15, blocks))
+        spectra = [np.diagonal(b).copy() for b in blocks]
+        exact = evolve_analytic(rho0, spectra[0] + spectra[1], 1.0, 0.15, spectra)
         stepped = evolve_stepped(rho0, EvolutionSpec(drive, 1.0, 0.15, blocks, step=1e-3))
         assert np.linalg.norm(exact.entries - stepped.entries) <= 1e-8
         validate_density(exact)

@@ -298,7 +298,7 @@ class TestRamseyQuantized:
         # sequence from primitives and bound the leakage
         n = 12
         n_max = 13
-        a_op, num_op = mode_ops(n_max)
+        a_op, _ = mode_ops(n_max)
         sm = np.array([[0.0, 1.0], [0.0, 0.0]])
         h_jc = np.kron(sm.conj().T, a_op) + np.kron(sm, a_op.conj().T)
         w, v = np.linalg.eigh(h_jc)
@@ -307,9 +307,10 @@ class TestRamseyQuantized:
         psi = np.zeros(2 * (n_max + 1), dtype=complex)
         psi[0 * (n_max + 1) + n] = 1.0  # |g, N>
         rho = np.outer(psi, psi.conj())
-        h_free = W0 * (np.kron(np.diag([0.0, 1.0]), np.eye(n_max + 1)) + np.kron(np.eye(2), num_op))
+        # the spectrum of W0*(|e><e| x I + I x n), |g,k> before |e,k>
+        w_free = W0 * (np.repeat([0.0, 1.0], n_max + 1) + np.tile(np.arange(n_max + 1.0), 2))
         rho = pulse @ rho @ pulse.conj().T
-        rho = evolve_analytic(DensityMatrix(rho), EvolutionSpec(h_free, 1.0, 1e-30, (h_free,))).entries
+        rho = evolve_analytic(DensityMatrix(rho), w_free, 1.0, 1e-30, (w_free,)).entries
         rho = pulse @ rho @ pulse.conj().T
         populations = np.real(np.diag(rho))
         allowed = {0 * (n_max + 1) + n, 1 * (n_max + 1) + n - 1}
@@ -453,10 +454,10 @@ class TestMichelson:
         d = n_max + 1
         half = coherent_amplitudes(alpha / math.sqrt(2.0), n_max)
         rho = DensityMatrix(np.outer(np.kron(half, half), np.kron(half, half).conj()))
-        _, num = mode_ops(n_max)
-        h = W0 * (np.kron(num, np.eye(d)) + np.kron(np.eye(d), num))
+        # the spectrum of W0*(n x I + I x n)
+        w = W0 * (np.repeat(np.arange(d, dtype=float), d) + np.tile(np.arange(d, dtype=float), d))
         sigma = 50.0 / (W0 * W0)
-        evolved = evolve_analytic(rho, EvolutionSpec(h, 1.0, sigma, (h,)))
+        evolved = evolve_analytic(rho, w, 1.0, sigma, (w,))
         arm = np.einsum("ikjk->ij", evolved.entries.reshape(d, d, d, d))  # trace out arm_d
         mean = alpha * alpha / 2.0
         probs = np.array(
@@ -863,7 +864,8 @@ class TestNonFiniteConfig:
 
 
 class TestConfigTypes:
-    """Counts are integers, and a fringe scan has two points, when the config is built."""
+    """Counts are integers, a fringe scan has two points and every value is
+    in range, when the config is built."""
 
     @pytest.mark.parametrize("n", [True, False, np.bool_(True)], ids=["True", "False", "np.True_"])
     def test_fock_rejects_bool(self, n):
@@ -898,6 +900,23 @@ class TestConfigTypes:
     def test_ramsey_needs_two_phase_points(self, points, message):
         with pytest.raises(ValueError, match=message):
             RamseyConfig(omega0=1.0, wait=1.0, phase_points=points)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FockField(-1), "^photon number must be non-negative$"),
+        (lambda: RamseyConfig(omega0=1.0, wait=1.0, pulse_area=0.0), r"^pulse_area must lie in \(0, pi\]$"),
+        (lambda: RamseyConfig(omega0=1.0, wait=1.0, pulse_area=-0.5), r"^pulse_area must lie in \(0, pi\]$"),
+        (lambda: RamseyConfig(omega0=1.0, wait=1.0, pulse_area=math.pi + 1e-9),
+         r"^pulse_area must lie in \(0, pi\]$"),
+        (lambda: RamseyConfig(omega0=1.0, wait=-1.0), "^wait and spontaneous_rate must be non-negative$"),
+        (lambda: RamseyConfig(omega0=1.0, wait=1.0, spontaneous_rate=-0.1),
+         "^wait and spontaneous_rate must be non-negative$"),
+        (lambda: MichelsonConfig(alpha=1.0, arm_time=-1.0, mode_frequency=W0),
+         "^arm_time must be non-negative$"),
+    ], ids=["fock-negative", "pulse-zero", "pulse-negative", "pulse-above-pi", "wait-negative",
+            "spontaneous-negative", "arm-time-negative"])
+    def test_out_of_range_value_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     @pytest.mark.parametrize("points", [2, 3, 32, np.int64(1000)], ids=str)
     def test_ramsey_phase_scan(self, points):

@@ -155,10 +155,19 @@ class TestGhzDesignGrid:
         with pytest.raises(ValueError, match="^gamma_sp, kappa, k3 and delta_e must be positive$"):
             dataclasses.replace(SR, **{field: 0.0})
 
-    @pytest.mark.parametrize("decades, per_decade", [(1e308, 10), (math.inf, 1), (math.inf, 0)])
-    def test_default_grids_refuse_an_overflowing_span(self, decades, per_decade):
-        # decades*points_per_decade is inf (or inf*0 = nan): refused, not OverflowError
-        with pytest.raises(ValueError, match=f"exceeds the limit {DESIGN_MAX_GRID_AXIS}$"):
+    @pytest.mark.parametrize("decades, per_decade, message", [
+        (1e308, 10, f"^design grid axis of inf points exceeds the limit {DESIGN_MAX_GRID_AXIS}$"),
+        (math.inf, 1, "^decades must be finite, got inf$"),
+        (math.inf, 0, "^decades must be finite, got inf$"),
+        (6.0, 10**400, f"^points_per_decade beyond double range exceeds the design grid axis limit "
+                       f"{DESIGN_MAX_GRID_AXIS}$"),
+        (0.0, 10**400, "^points_per_decade beyond double range"),
+    ], ids=["1e+308-10", "inf-1", "inf-0", "6-10**400", "0-10**400"])
+    def test_default_grids_refuse_an_overflowing_span(self, decades, per_decade, message):
+        # decades*points_per_decade overflows to inf, or has no float value
+        # (inf*0 is nan, an int past double range an OverflowError): a
+        # ValueError that names the cause
+        with pytest.raises(ValueError, match=message):
             default_design_grids(SR, decades, per_decade)
 
     @pytest.mark.parametrize("bad", [
