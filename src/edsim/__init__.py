@@ -22,12 +22,7 @@ from .core import (
     validate_density,
     validate_pairs,
 )
-from .engine import (
-    EvolutionSpec,
-    LossChannel,
-    evolve_analytic,
-    evolve_stepped,
-)
+from .engine import evolve_analytic, evolve_stepped
 from .interferometry import (
     CoherentField,
     DecoherencePartition,

@@ -21,8 +21,10 @@ HERM_TOL = 1e-12     # density-matrix Hermiticity
 TRACE_TOL = 1e-10    # unit trace
 PSD_TOL = 1e-9       # allowed negative eigenvalue excursion
 
-# largest problems the experiment configs accept, refused before any
-# allocation; times are single runs on one core of a 2-vCPU x86 VM
+# largest problems the experiment configs and the stepped integrator
+# accept, refused before any allocation; times are single runs on one
+# core of a 2-vCPU x86 VM
 RAMSEY_MAX_CUTOFF = 1_000_000   # quantized Ramsey field levels: ~0.2 s, ~0.15 GB
 MAX_PHASE_POINTS = 1_000_000    # fringe scan points with file output: ~7 s, ~0.5 GB
 DESIGN_MAX_GRID_AXIS = 4001      # design-grid points per axis: ~0.3 ms on a default grid, <0.1 s and ~1 MB at worst
+RK4_MAX_STEPS = 100_000         # RK4 steps of one evolve_stepped call: ~3 s at dim 2, ~12 s with a block and a loss

@@ -30,23 +30,19 @@ class InvariantError(ValueError):
     """A state or operator failed one of its structural invariants."""
 
 
-def _frozen_square(values) -> np.ndarray:
-    """Read-only complex copy of a non-empty square matrix (ValueError otherwise)."""
-    arr = np.array(values, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix as a square complex array. Use validate_density for checks."""
+    """A density matrix as a read-only complex copy of a non-empty square
+    array (ValueError otherwise). Use validate_density for checks."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_square(self.entries))
+        arr = np.array(self.entries, dtype=complex)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
 
 
 def validate_density(rho: DensityMatrix, *more: DensityMatrix) -> None:

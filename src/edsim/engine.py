@@ -12,14 +12,15 @@ gap_b**2 * t) to coherences between its eigenstates; a single block
 holding the total Hamiltonian is "global" dephasing, one block per
 subsystem is "local". The engine never sees subsystem labels.
 
-`evolve_analytic` is the closed form for Hamiltonians diagonal in the
-state's basis and takes their spectra, real 1-D arrays of the state's
-dimension, so there is no eigensolver, commutation check or eigenvalue
-snapping; a caller with commuting Hamiltonians and a known eigenbasis
-rotates the state into it and back. `evolve_stepped` integrates the
-general generator, losses included, with a fixed-step classical RK4
-(fixed step keeps repeated runs bit-stable) for an `EvolutionSpec`
-whose operators are read-only square arrays of the state's shape.
+Both propagators take the state, drive, duration, sigma and blocks, in
+that order. `evolve_analytic` is the closed form for Hamiltonians
+diagonal in the state's basis and takes their spectra, real 1-D arrays
+of the state's dimension, so there is no eigensolver, commutation check
+or eigenvalue snapping; a caller with commuting Hamiltonians and a known
+eigenbasis rotates the state into it and back. `evolve_stepped`
+integrates the general generator, losses given as `(rate, lowering)`
+pairs, with a fixed-step classical RK4 (fixed step keeps repeated runs
+bit-stable) on square arrays of the state's shape.
 
 The pipelines in `interferometry` take every dephasing rate from
 `DecoherencePartition.decay_rate` and call the engine only for the
@@ -31,32 +32,14 @@ only, as an independent dense oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import DensityMatrix, _frozen_square, validate_density
+from .constants import RK4_MAX_STEPS
+from .core import DensityMatrix, validate_density
 
-__all__ = [
-    "LossChannel",
-    "EvolutionSpec",
-    "evolve_analytic",
-    "evolve_stepped",
-]
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Amplitude-damping dissipator at the given rate with lowering operator."""
-
-    rate: float
-    lowering: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lowering", _frozen_square(self.lowering))
-        if not (math.isfinite(self.rate) and self.rate >= 0.0):
-            raise ValueError("loss rate must be finite and non-negative")
+__all__ = ["evolve_analytic", "evolve_stepped"]
 
 
 def _check_sigma_duration(sigma: float, duration: float) -> None:
@@ -66,33 +49,9 @@ def _check_sigma_duration(sigma: float, duration: float) -> None:
         raise ValueError("duration must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class EvolutionSpec:
-    """One segment of the stepped integrator: drive Hamiltonian, duration,
-    dephasing (one double commutator per block, scaled by sigma), losses
-    and the fixed step."""
-
-    hamiltonian: np.ndarray
-    duration: float
-    sigma: float = 0.0
-    blocks: tuple[np.ndarray, ...] = ()
-    losses: tuple[LossChannel, ...] = ()
-    step: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "hamiltonian", _frozen_square(self.hamiltonian))
-        object.__setattr__(self, "blocks", tuple(_frozen_square(b) for b in self.blocks))
-        _check_sigma_duration(self.sigma, self.duration)
-
-
-def _rhs(spec: EvolutionSpec) -> Callable[[np.ndarray], np.ndarray]:
-    h = spec.hamiltonian
-    sigma = spec.sigma
-    blocks = spec.blocks if sigma > 0.0 else ()
-    loss_terms = []
-    for ch in spec.losses:
-        l = ch.lowering
-        loss_terms.append((ch.rate, l, l.conj().T, l.conj().T @ l))
+def _rhs(h, sigma, blocks=(), losses=()) -> Callable[[np.ndarray], np.ndarray]:
+    blocks = blocks if sigma > 0.0 else ()
+    loss_terms = [(rate, l, l.conj().T, l.conj().T @ l) for rate, l in losses]
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         out = -1j * (h @ rho - rho @ h)
@@ -112,10 +71,14 @@ def evolve_analytic(rho0: DensityMatrix, drive, duration: float, sigma: float = 
     given by their spectra.
 
     `drive` and each of `blocks` must be a real, finite 1-D array of
-    rho0's dimension (a ValueError otherwise). Each coherence picks up
-    exp(-i*gap*t) from the drive and exp(-sigma*gap_b**2*t) from each
-    block, so coherences between states degenerate in every block are
-    exactly invariant under the dephasing.
+    rho0's dimension, and |drive|*duration must stay in double range (a
+    ValueError otherwise). Each coherence picks up exp(-i*gap*t) from the
+    drive and exp(-sigma*gap_b**2*t) from each block, so coherences
+    between states degenerate in every block are exactly invariant under
+    the dephasing. The output is the plain entrywise product of rho0 and
+    a multiplier Hermitian by construction, so a Hermitian rho0 gives an
+    exactly Hermitian state and no other rho0 is repaired: checking rho0
+    is the caller's job, through validate_density.
     """
     _check_sigma_duration(sigma, duration)
     dim = rho0.entries.shape[0]
@@ -123,54 +86,64 @@ def evolve_analytic(rho0: DensityMatrix, drive, duration: float, sigma: float = 
     if any(s.dtype.kind not in "iuf" or s.shape != (dim,) or not np.isfinite(s).all() for s in spectra):
         raise ValueError(f"drive and block spectra must be real, finite 1-D arrays of length {dim}")
     spectra = [s.astype(float) for s in spectra]
-    # build the phase factor as an outer product of per-state phases so the
-    # Hadamard multiplier stays exactly rank-1 positive even when the
-    # absolute phases w*t are far beyond double-precision resolution
-    phase = np.exp(-1j * spectra[0] * duration)
-    mult = phase[:, None] * phase[None, :].conj()
+    if not math.isfinite(float(np.abs(spectra[0]).max()) * duration):
+        raise ValueError("|drive|*duration overflows double range")
+    # exp(-i*w_j*t) * exp(+i*w_k*t) = c_j*c_k + s_j*s_k + i*(c_j*s_k - s_j*c_k):
+    # entry (k, j) is the exact conjugate of entry (j, k), the diagonal real
+    wt = spectra[0] * duration
+    c, s = np.cos(wt), np.sin(wt)
+    cs = c[:, None] * s
+    mult = c[:, None] * c + s[:, None] * s + 1j * (cs - cs.T)
     if sigma > 0.0 and duration > 0.0:
         # a squared gap beyond double range is inf: full decay, exp(-inf) = 0
         with np.errstate(over="ignore"):
             decay = sum(np.square(wb[:, None] - wb[None, :]) for wb in spectra[1:])
             mult = mult * np.exp(-sigma * decay * duration)
-    out = rho0.entries * mult
-    # in place: one dense temporary fewer at the memory peak
-    out += out.conj().T
-    out /= 2.0
-    return DensityMatrix(out)
+    return DensityMatrix(rho0.entries * mult)
 
 
-def evolve_stepped(rho0: DensityMatrix, spec: EvolutionSpec) -> DensityMatrix:
+def evolve_stepped(rho0: DensityMatrix, hamiltonian, duration: float, sigma: float = 0.0,
+                   blocks=(), losses=(), *, step: float) -> DensityMatrix:
     """Fixed-step 4th-order integration of the full generator.
 
-    Every operator of the spec must have rho0's shape (a ValueError
-    otherwise). The final state is the integrator's own, unretouched; it
-    must pass validate_density or an InvariantError is raised. Step size
-    is rejected unless ||drho/dt at rho0|| * step <= 0.1.
+    `losses` holds (rate, lowering) pairs, amplitude-damping dissipators
+    with finite, non-negative rates. The drive, blocks and lowering
+    operators must have rho0's shape, ceil(duration/step) may not exceed
+    RK4_MAX_STEPS, and ||drho/dt at rho0|| * step may not exceed 0.1 (a
+    ValueError otherwise). The final state is the integrator's own,
+    unretouched; it must pass validate_density or an InvariantError is
+    raised.
     """
+    if any(not (math.isfinite(rate) and rate >= 0.0) for rate, _ in losses):
+        raise ValueError("loss rate must be finite and non-negative")
+    _check_sigma_duration(sigma, duration)
     shape = rho0.entries.shape
-    mats = [spec.hamiltonian, *spec.blocks, *(ch.lowering for ch in spec.losses)]
-    if any(m.shape != shape for m in mats):
+    h = np.asarray(hamiltonian, dtype=complex)
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    losses = [(rate, np.asarray(l, dtype=complex)) for rate, l in losses]
+    if any(m.shape != shape for m in (h, *blocks, *(l for _, l in losses))):
         raise ValueError(f"drive, blocks and lowering operators must have the state's shape {shape}")
-    if spec.duration == 0.0:
+    if duration == 0.0:
         return DensityMatrix(rho0.entries)
-    if spec.step is None or spec.step <= 0.0:
+    if step is None or not step > 0.0:
         raise ValueError("stepped method needs a positive step")
-    if spec.step > spec.duration * (1.0 + 1e-12):
+    if step > duration * (1.0 + 1e-12):
         raise ValueError("step must not exceed the duration")
-    rhs = _rhs(spec)
-    g0 = rhs(rho0.entries)
-    if float(np.linalg.norm(g0)) * spec.step > 0.1 + 1e-12:
+    count = duration / step - 1e-9  # n = ceil(count), guarded against rounding
+    if count > RK4_MAX_STEPS:
+        raise ValueError(f"ceil(duration/step) exceeds the limit of {RK4_MAX_STEPS} RK4 steps")
+    rhs = _rhs(h, sigma, blocks, losses)
+    if float(np.linalg.norm(rhs(rho0.entries))) * step > 0.1 + 1e-12:
         raise ValueError("step too large: ||generator||*step must not exceed 0.1")
-    n = max(1, int(math.ceil(spec.duration / spec.step - 1e-9)))
-    h = spec.duration / n
+    n = max(1, int(math.ceil(count)))
+    dt = duration / n
     y = rho0.entries.copy()
     for _ in range(n):
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     rho = DensityMatrix(y)
     validate_density(rho)
     return rho

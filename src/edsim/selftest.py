@@ -29,7 +29,7 @@ from .core import (
     poisson_weights,
     validate_density,
 )
-from .engine import EvolutionSpec, evolve_analytic, evolve_stepped
+from .engine import evolve_analytic, evolve_stepped
 from .interferometry import (
     DecoherencePartition,
     FockField,
@@ -119,7 +119,7 @@ def criterion_01() -> _Checks:
         for blocks, w_blocks in (((h_left, h_right), (w_left, w_right)), ((drive,), (w_drive,))):
             rotated = evolve_analytic(rho0_eig, w_drive, 1.0, 0.1, w_blocks)
             exact = DensityMatrix(u @ rotated.entries @ u.conj().T)
-            stepped = evolve_stepped(rho0, EvolutionSpec(drive, 1.0, 0.1, blocks, step=1e-3))
+            stepped = evolve_stepped(rho0, drive, 1.0, 0.1, blocks, step=1e-3)
             dist = float(np.linalg.norm(exact.entries - stepped.entries))
             c.add(f"dim{da * db}_frobenius_{dist:.1e}", dist <= 1e-8)
             for state in (exact, stepped):

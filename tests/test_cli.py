@@ -725,7 +725,7 @@ class TestFrontEnd:
 
     def test_selftest_reports_a_broken_integrator(self, monkeypatch):
         # a stepped state of trace 2 misses the closed form and fails validate_density
-        def doubled(rho0, spec):
+        def doubled(rho0, hamiltonian, duration, sigma=0.0, blocks=(), losses=(), *, step):
             return DensityMatrix(2.0 * rho0.entries)
 
         monkeypatch.setattr(selftest, "evolve_stepped", doubled)

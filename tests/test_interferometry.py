@@ -19,7 +19,7 @@ import edsim.selftest
 
 from edsim.constants import MAX_PHASE_POINTS, OMEGA_PER_EV, RAMSEY_MAX_CUTOFF
 from edsim.core import DensityMatrix, fock_cutoff, poisson_weights, validate_density, validate_pairs
-from edsim.engine import EvolutionSpec, LossChannel, evolve_analytic, evolve_stepped
+from edsim.engine import evolve_analytic, evolve_stepped
 from edsim.interferometry import (
     _fringe,
     CoherentField,
@@ -363,9 +363,8 @@ class TestRamseyQuantized:
         free = {"atom": 3.0 * excited,
                 "field": 1.7 * np.kron(np.eye(2), mode_ops(3)[1])}
         pulse, rho0 = _dense_first_pulse(cfg)
-        spec = EvolutionSpec(1.3 * excited, 1.0, partition.sigma, _block_hamiltonians(partition, free),
-                             (LossChannel(0.4, lower),), step=1e-3)
-        stepped = evolve_stepped(DensityMatrix(rho0), spec)
+        stepped = evolve_stepped(DensityMatrix(rho0), 1.3 * excited, 1.0, partition.sigma,
+                                 _block_hamiltonians(partition, free), ((0.4, lower),), step=1e-3)
         reference = _dense_readout(pulse, stepped.entries, cfg.phases)
         result = run_ramsey_quantized(cfg)
         assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-8
