@@ -33,6 +33,7 @@ from .interferometry import (
     MichelsonConfig,
     MichelsonResult,
     RamseyConfig,
+    iter_ramsey_batch,
     run_ghz,
     run_michelson,
     run_ramsey_batch,

@@ -10,25 +10,26 @@ optional flat `key = value` config file (--config PATH) plus the flags
 front-end keys are --config, --out, --format, --sweep and --sweep-values;
 all but --config may also come from the config file. parse_config turns
 the merged keys into one RunConfig, and run executes it: one run, or one
-run per sweep value with a row each. A quantized Ramsey sweep computes
-its rows as one batch (interferometry.run_ramsey_batch), with the bytes
-of one run per row and about one run's memory; a semiclassical sweep
-runs row by row. `-h` or `--help` anywhere prints the
-usage, built from SCHEMAS, and exits 0. Units are fixed per key and
-listed in the schema help strings: seconds, rad/s, eV, kg, m, m^3/s,
-m^6/s. Numeric values accept scientific notation and never carry unit
-suffixes.
+run per sweep value with a row each. A Ramsey sweep builds its field
+and partition once, unless the swept key changes them; a quantized one
+reads its rows' visibilities as one batch (iter_ramsey_batch, one
+dephasing strength D per batch), with the bytes of one run per row and
+about one run's memory. `-h` or `--help` anywhere prints the usage,
+built from SCHEMAS, and exits 0. Units are fixed per key and listed in
+the schema help strings: seconds, rad/s, eV, kg, m, m^3/s, m^6/s.
+Numeric values accept scientific notation and never carry unit suffixes.
 
 When --out BASE is given, BASE.csv (per-point rows) and BASE.json
-(summary) are always written, plus BASE.meta.json with run metadata.
-Each file is written as UTF-8 bytes through one binary descriptor of
-its own, so CSV rows end in \r\n on every platform (text mode would
-write \r\r\n on Windows). Every JSON summary carries the command and
-its parameters. The data files are deterministic: no timestamps, floats
-with 17 significant digits in CSV, canonical sorted JSON, and
-infinities serialized as the string "unbounded". Any failure exits 2
-with one JSON error line on stderr; numpy overflow, division by zero
-and invalid operations count as failures.
+(summary) are always written, plus BASE.meta.json with run metadata;
+without it, only the printed text is built. Each file is written as
+UTF-8 bytes through one binary descriptor of its own, so CSV rows end
+in \r\n on every platform (text mode would write \r\r\n on Windows).
+Every JSON summary carries the command and its parameters. The data
+files are deterministic: no timestamps, floats with 17 significant
+digits in CSV, canonical sorted JSON, and infinities serialized as the
+string "unbounded". Any failure exits 2 with one JSON error line on
+stderr; numpy overflow, division by zero and invalid operations count
+as failures.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from .interferometry import (
     GhzConfig,
     MichelsonConfig,
     RamseyConfig,
+    iter_ramsey_batch,
     run_ghz,
     run_michelson,
-    run_ramsey_batch,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
 )
@@ -316,19 +317,20 @@ def _partition(sigma: float, name: str, labels: tuple[str, ...]) -> DecoherenceP
     return DecoherencePartition(sigma, (frozenset({name}),))
 
 
-def _ramsey_config(params: dict) -> RamseyConfig:
-    if params["field"] == "fock":
-        field_state = FockField(params["n"])
-    else:
-        field_state = CoherentField(params["alpha"])
-    # the classical field is not part of the semiclassical state: the atom
-    # is the whole system, and a {field} block is rejected by the runner
-    labels = ("atom",) if params["mode"] == "semiclassical" else ("atom", "field")
+def _ramsey_config(params: dict, field=None, decoherence=None) -> RamseyConfig:
+    """The run's RamseyConfig; a field or partition given is used as is."""
+    if field is None:
+        field = FockField(params["n"]) if params["field"] == "fock" else CoherentField(params["alpha"])
+    if decoherence is None:
+        # the classical field is not part of the semiclassical state: the atom
+        # is the whole system, and a {field} block is rejected by the runner
+        labels = ("atom",) if params["mode"] == "semiclassical" else ("atom", "field")
+        decoherence = _partition(params["sigma"], params["partition"], labels)
     return RamseyConfig(
         omega0=params["omega0"],
         wait=params["wait"],
-        decoherence=_partition(params["sigma"], params["partition"], labels),
-        field=field_state,
+        decoherence=decoherence,
+        field=field,
         pulse_area=params["pulse_area"],
         detuning=params["detuning"],
         phase_points=params["phase_points"],
@@ -344,12 +346,16 @@ def _handle_ramsey(params: dict) -> ExperimentOutput:
     return ExperimentOutput(points, headline, headline)
 
 
-def _sweep_ramsey(rows: list[dict]) -> list[dict]:
-    cfgs = [_ramsey_config(p) for p in rows]
-    # sweeps are numeric, so every row has the same mode
-    quantized = rows[0]["mode"] == "quantized"
-    results = run_ramsey_batch(cfgs) if quantized else map(run_ramsey_semiclassical, cfgs)
-    return [{"visibility": r.visibility} for r in results]
+def _sweep_ramsey(key: str, rows: list[dict]) -> list[dict]:
+    """Each row's visibility. A numeric sweep keeps the mode, field kind and
+    partition, so only the swept key can call for a new field or partition."""
+    first = _ramsey_config(rows[0])
+    field = None if key == ("n" if rows[0]["field"] == "fock" else "alpha") else first.field
+    decoherence = None if key == "sigma" else first.decoherence
+    cfgs = [first, *(_ramsey_config(p, field, decoherence) for p in rows[1:])]
+    if rows[0]["mode"] == "quantized":
+        return [{"visibility": visibility} for visibility, _ in iter_ramsey_batch(cfgs)]
+    return [{"visibility": run_ramsey_semiclassical(cfg).visibility} for cfg in cfgs]
 
 
 def _handle_michelson(params: dict) -> ExperimentOutput:
@@ -505,7 +511,7 @@ def run(cfg: RunConfig) -> int:
         meta["sweep_key"] = key
         params = [{**cfg.parameters, key: v} for v in cfg.sweep_values]
         if cfg.command == "ramsey":  # quantized rows run as one batch
-            headlines = _sweep_ramsey(params)
+            headlines = _sweep_ramsey(key, params)
         else:
             headlines = [handler(p).headline for p in params]
         rows = [{key: v, **headline} for v, headline in zip(cfg.sweep_values, headlines)]
@@ -513,12 +519,12 @@ def run(cfg: RunConfig) -> int:
     summary = {"command": cfg.command, "parameters": dict(sorted(cfg.parameters.items())), **output.summary}
     meta["elapsed_seconds"] = time.perf_counter() - start
     # serialize everything first and remove this call's files if a write
-    # fails, so a failure leaves no partial BASE.* files
-    texts = {
-        ".csv": _csv_text(output.points),
-        ".json": _json_text(summary),
-        ".meta.json": _json_text(meta),
-    }
+    # fails, so a failure leaves no partial BASE.* files; without --out
+    # only the printed text is built
+    printed = ".csv" if cfg.output_format == "csv" else ".json"
+    serializers = {".csv": lambda: _csv_text(output.points), ".json": lambda: _json_text(summary),
+                   ".meta.json": lambda: _json_text(meta)}
+    texts = {suffix: text() for suffix, text in serializers.items() if cfg.output_path or suffix == printed}
     for line in output.lines:
         print(line)
     if cfg.output_path:
@@ -540,7 +546,7 @@ def run(cfg: RunConfig) -> int:
             for path in written:
                 Path(path).unlink(missing_ok=True)
             raise
-    print(texts[".csv" if cfg.output_format == "csv" else ".json"], end="")
+    print(texts[printed], end="")
     if output.failed:
         _print_error("SelftestFailure", "one or more criteria failed")
         return 1

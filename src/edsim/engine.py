@@ -75,10 +75,10 @@ def evolve_analytic(rho0: DensityMatrix, drive, duration: float, sigma: float = 
     ValueError otherwise). Each coherence picks up exp(-i*gap*t) from the
     drive and exp(-sigma*gap_b**2*t) from each block, so coherences
     between states degenerate in every block are exactly invariant under
-    the dephasing. The output is the plain entrywise product of rho0 and
-    a multiplier Hermitian by construction, so a Hermitian rho0 gives an
-    exactly Hermitian state and no other rho0 is repaired: checking rho0
-    is the caller's job, through validate_density.
+    the dephasing, as are populations. The output is the plain entrywise
+    product of rho0 and a multiplier Hermitian by construction, so a
+    Hermitian rho0 gives an exactly Hermitian state and no other rho0 is
+    repaired: checking rho0 is the caller's job, through validate_density.
     """
     _check_sigma_duration(sigma, duration)
     dim = rho0.entries.shape[0]
@@ -89,11 +89,13 @@ def evolve_analytic(rho0: DensityMatrix, drive, duration: float, sigma: float = 
     if not math.isfinite(float(np.abs(spectra[0]).max()) * duration):
         raise ValueError("|drive|*duration overflows double range")
     # exp(-i*w_j*t) * exp(+i*w_k*t) = c_j*c_k + s_j*s_k + i*(c_j*s_k - s_j*c_k):
-    # entry (k, j) is the exact conjugate of entry (j, k), the diagonal real
+    # entry (k, j) is the exact conjugate of entry (j, k); the diagonal, where
+    # c*c + s*s may miss 1 by an ulp, is exactly 1 (populations stay put)
     wt = spectra[0] * duration
     c, s = np.cos(wt), np.sin(wt)
     cs = c[:, None] * s
     mult = c[:, None] * c + s[:, None] * s + 1j * (cs - cs.T)
+    np.fill_diagonal(mult, 1.0)
     if sigma > 0.0 and duration > 0.0:
         # a squared gap beyond double range is inf: full decay, exp(-inf) = 0
         with np.errstate(over="ignore"):

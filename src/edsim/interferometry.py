@@ -9,11 +9,12 @@ compared against the closed-form decay laws.
 
 The dephasing partition decides which subsystems lose energy coherence
 jointly, and every runner takes its dephasing rate from the one law,
-DecoherencePartition.decay_rate: a single block over all labels (global)
-leaves every interference observable unchanged, while per-subsystem
-blocks (local) damp the fringes. Configs and fields check their values.
-Each config field changes a result, save that the semiclassical runner
-never reads RamseyConfig.field.
+decay_rate(gaps) = sigma * DecoherencePartition.strength(gaps): a single
+block over all labels (global) leaves every interference observable
+unchanged, while per-subsystem blocks (local) damp the fringes. D needs
+no sigma, so a Ramsey batch takes it once. Configs and fields check
+their values. Each config field changes a result, save that the
+semiclassical runner never reads RamseyConfig.field.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "run_ramsey_semiclassical",
     "run_ramsey_quantized",
     "run_ramsey_batch",
+    "iter_ramsey_batch",
     "run_michelson",
     "run_ghz",
 ]
@@ -76,15 +78,15 @@ class DecoherencePartition:
                 raise ValueError("partition blocks must be disjoint")
             seen |= set(labels)
 
-    def decay_rate(self, gaps: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
-        """sigma * sum over blocks of (sum of the block's label gaps)**2.
+    def strength(self, gaps: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+        """D = sum over blocks of (sum of the block's label gaps)**2.
 
         `gaps` maps each subsystem label the experiment supports to that
         subsystem's free-energy gap (rad/s) across a coherence, a scalar
-        or an array of them; the coherence decays as exp(-rate*t). Terms
-        are added in the mapping's order. A block naming any other label,
-        or no label, raises ValueError. A squared gap beyond double range
-        gives an infinite rate (full decay) without a warning.
+        or an array of them; D does not depend on sigma. Terms are added
+        in the mapping's order. A block naming any other label, or no
+        label, raises ValueError. A squared gap beyond double range gives
+        an infinite D without a warning.
         """
         total = 0.0
         with np.errstate(over="ignore"):
@@ -93,7 +95,14 @@ class DecoherencePartition:
                     raise ValueError(f"unsupported dephasing block {sorted(labels)}")
                 gap = sum(g for lab, g in gaps.items() if lab in labels)
                 total = total + gap * gap
-            return self.sigma * total if self.sigma > 0.0 else 0.0
+        return total
+
+    def decay_rate(self, gaps: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+        """sigma * strength(gaps), the rate of the coherence's decay
+        exp(-rate*t), or 0.0 at sigma = 0 even for an infinite D."""
+        d = self.strength(gaps)  # raises whatever sigma is
+        with np.errstate(over="ignore"):
+            return self.sigma * d if self.sigma > 0.0 else 0.0
 
     @staticmethod
     def none() -> "DecoherencePartition":
@@ -262,9 +271,9 @@ def _contrast(hi: float, lo: float) -> float:
     return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
 
 
-def _fringe(gg, ee, eg, u_g, u_e, phases) -> list[FringeResult]:
+def _fringe(gg, ee, eg, u_g, u_e, phases) -> Iterator[tuple[float, np.ndarray]]:
     """Ground-state fringes of waited sector blocks [[gg, eg*], [eg, ee]], in
-    closed form, one per row of the (rows, pairs) arrays gg, ee and eg.
+    closed form: (visibility, p_g) per row of the (rows, pairs) arrays.
 
     Each block lives on a pair (|g,k>, |e,k-1>), or the bare atom's
     (|g>, |e>), that the phase shift, the second pulse and the ground
@@ -285,9 +294,7 @@ def _fringe(gg, ee, eg, u_g, u_e, phases) -> list[FringeResult]:
         bad = p_g[(p_g < -1e-10) | (p_g > 1.0 + 1e-10)]
         raise ValueError(f"probability {float(bad[0])!r} outside [0, 1] beyond tolerance")
     p_g = np.minimum(1.0, np.maximum(0.0, p_g))
-    scan = phi.tolist()
-    return [FringeResult(tuple(zip(scan, row)), _contrast(hi, lo))
-            for row, hi, lo in zip(p_g.tolist(), p_g.max(axis=-1).tolist(), p_g.min(axis=-1).tolist())]
+    return zip(map(_contrast, p_g.max(axis=-1).tolist(), p_g.min(axis=-1).tolist()), p_g)
 
 
 # a block of a Ramsey batch holds at most this many pair entries and phase
@@ -297,9 +304,9 @@ def _fringe(gg, ee, eg, u_g, u_e, phases) -> list[FringeResult]:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def run_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> list[FringeResult]:
-    """run_ramsey_quantized's fringe of every config in order, each equal
-    to its single run.
+def iter_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> Iterator[tuple[float, np.ndarray]]:
+    """The visibility and p_g over cfg.phases of every config in order,
+    as run_ramsey_quantized reads them out, with no fringe points built.
 
     Consecutive configs with the same field, pulse_area and phase_points
     share one pulse stage. Each config's wait then acts on its own row of
@@ -309,7 +316,6 @@ def run_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> list[FringeResult]:
     row of a block before the next stage, so the first row that fails the
     first failing stage raises.
     """
-    results: list[FringeResult] = []
     for _, rows in itertools.groupby(cfgs, lambda cfg: (cfg.field, cfg.pulse_area, cfg.phase_points)):
         rows = list(rows)
         pulse, u_g, u_e = _quantized_pulse(rows[0])
@@ -318,9 +324,15 @@ def run_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> list[FringeResult]:
             waited = _quantized_wait(rows[lo:lo + size], pulse)
             if lo + size >= len(rows):
                 pulse = None  # frees the shared pulse before the group's last readout
-            results += _fringe(*waited, u_g, u_e, rows[0].phases)
+            yield from _fringe(*waited, u_g, u_e, rows[0].phases)
             del waited  # before the next block's wait allocates its own
-    return results
+
+
+def run_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> list[FringeResult]:
+    """run_ramsey_quantized's fringe of every config in order, each equal
+    to its single run: iter_ramsey_batch's rows with their points."""
+    return [FringeResult(tuple(zip(cfg.phases.tolist(), p_g.tolist())), visibility)
+            for cfg, (visibility, p_g) in zip(cfgs, iter_ramsey_batch(cfgs))]
 
 
 def _quantized_pulse(cfg: RamseyConfig) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
@@ -335,13 +347,21 @@ def _quantized_pulse(cfg: RamseyConfig) -> tuple[tuple[np.ndarray, ...], np.ndar
 
 def _quantized_wait(rows: Sequence[RamseyConfig], pulse: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """(gg, ee, eg) of the pulsed pairs after each config's wait, as
-    (rows, pairs) arrays. A row with no wait gets the factors (0, 1, 1),
-    which keep the pulsed pairs exactly, whatever its dephasing rate."""
+    (rows, pairs) arrays, from one strength call per block set. A row
+    with no wait gets the factors (0, 1, 1), which keep the pulsed pairs
+    exactly, whatever its dephasing rate."""
     gg, ee, eg = pulse
+    # gaps across |e,k-1><g,k|: omega0 on the atom, -omega on the field, for every k
+    gaps = {"atom": np.array([cfg.omega0 for cfg in rows], dtype=float),
+            "field": np.array([-(cfg.omega0 - cfg.detuning) for cfg in rows], dtype=float)}
+    strengths: dict[tuple, list[float]] = {}
+    for part in (cfg.decoherence for cfg in rows):  # in row order: the first unsupported block raises
+        if part.blocks not in strengths:
+            strengths[part.blocks] = part.strength(gaps).tolist() if part.blocks else []
     factors = []
-    for cfg in rows:
-        # gaps across |e,k-1><g,k|: omega0 on the atom, -omega on the field, for every k
-        rate = cfg.decoherence.decay_rate({"atom": cfg.omega0, "field": -(cfg.omega0 - cfg.detuning)})
+    for i, cfg in enumerate(rows):
+        part = cfg.decoherence  # rate = decay_rate(gaps), bit for bit (sigma * 0.0 without blocks)
+        rate = part.sigma * strengths[part.blocks][i] if part.sigma > 0.0 and part.blocks else 0.0
         if cfg.wait > 0.0:
             factors.append((
                 -math.expm1(-cfg.spontaneous_rate * cfg.wait),
@@ -383,7 +403,8 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     rho = np.array([[c * c + lost * s * s, 1j * c * s * coherence],
                     [-1j * c * s * coherence, kept * kept * s * s]])
     rho = evolve_analytic(DensityMatrix(rho), (0.0, cfg.detuning), cfg.wait).entries
-    return _fringe(rho[:1, :1], rho[1:, 1:], rho[1:, :1], c, 1j * s, cfg.phases)[0]
+    [(visibility, p_g)] = _fringe(rho[:1, :1], rho[1:, 1:], rho[1:, :1], c, 1j * s, cfg.phases)
+    return FringeResult(tuple(zip(cfg.phases.tolist(), p_g.tolist())), visibility)
 
 
 def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:

@@ -443,6 +443,36 @@ class TestBadInput:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == {"type": "ConfigError", "message": message}
 
+    def test_stdout_run_builds_only_the_printed_text(self, monkeypatch, capsys):
+        # without --out, a JSON run builds no CSV and no meta text, a CSV run no JSON
+        def refuse(*args):
+            raise AssertionError("built a text that is not printed")
+
+        monkeypatch.setattr(cli, "_csv_text", refuse)
+        code, out, err = _run(["ramsey", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)) == {"command", "parameters", "visibility"}
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_json_text", refuse)
+        code, out, err = _run(["ramsey", "--format", "csv"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("phi,p_g\r\n")
+
+    def test_failed_meta_text_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        # with --out, the meta text, built last, is built before any file opens
+        json_text = cli._json_text
+
+        def no_meta(obj):
+            if "elapsed_seconds" in obj:
+                raise ValueError("meta text refused")
+            return json_text(obj)
+
+        monkeypatch.setattr(cli, "_json_text", no_meta)
+        code, out, err = _run(["ghz", "--out", str(tmp_path / "B")], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "meta text refused"
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_serialization_leaves_no_files(self, tmp_path, monkeypatch, capsys):
         def nan_summary(params):
             return cli.ExperimentOutput([{"x": 1.0}], {"x": math.nan}, {})
@@ -762,16 +792,21 @@ class TestSweep:
     # dephasing rate, full decay after any wait and none without one
     SWEEP_FLAGS = {("alpha", "0.5,2,5,40"): ("--field", "coherent"), ("wait", "0,1,0"): ("--omega0", "1e200")}
 
+    # the field flags of each mode: a quantized coherent sweep shares its
+    # field across an n sweep and makes a new one per alpha value
+    MODES = {"semiclassical": ("--mode", "semiclassical"), "quantized": ("--mode", "quantized"),
+             "coherent": ("--mode", "quantized", "--field", "coherent", "--alpha", "2.5")}
+
     @pytest.mark.parametrize("key, values", [
         ("sigma", "0,1e-31,3e-31,1e-30"), ("detuning", "0,1,1000,123456789"),
         ("wait", "0,0.5,1,0,2.5"), ("wait", "0,1,0"), ("gamma_sp", "0,0.1,0.3,5"),
         ("omega0", "1e10,1e15,3e15,1e200"), ("pulse_area", "0.3,1.2,1.2,3.141592653589793"),
         ("n", "0,1,5,60"), ("alpha", "0.5,2,5,40"), ("phase_points", "2,3,17,32"),
     ])
-    @pytest.mark.parametrize("mode", ["semiclassical", "quantized"])
+    @pytest.mark.parametrize("mode", ["semiclassical", "quantized", "coherent"])
     def test_ramsey_sweep_rows_match_runs(self, mode, key, values, capsys):
         # a sweep computes its rows as one batch; each row must be its single run
-        base = ["ramsey", "--mode", mode, "--partition", "local", "--sigma", "2e-31",
+        base = ["ramsey", *self.MODES[mode], "--partition", "local", "--sigma", "2e-31",
                 "--gamma-sp", "0.2", "--phase-points", "17", *self.SWEEP_FLAGS.get((key, values), ())]
         code, out, _ = _run([*base, "--sweep", key, "--sweep-values", values], capsys)
         assert code == 0
@@ -781,6 +816,23 @@ class TestSweep:
             code, out, _ = _run([*base, f"--{key}", value], capsys)
             assert code == 0
             assert row == {key: float(value), "visibility": json.loads(out)["visibility"]}
+
+    @pytest.mark.parametrize("key, values", [
+        ("wait", "1,0.5,-1,2"), ("sigma", "0,1e-31,-1,1e-30"), ("phase_points", "2,32,1,8"),
+        ("pulse_area", "0.3,1.2,4,3"), ("n", "0,5,-1,2"),
+    ])
+    @pytest.mark.parametrize("mode", ["semiclassical", "quantized", "coherent"])
+    def test_invalid_third_value_fails_as_its_run(self, mode, key, values, capsys):
+        # every row still checks its values: the sweep exits 2 with the
+        # error of the third value's own run (a coherent field reads no n)
+        third = values.split(",")[2]
+        single = _run(["ramsey", *self.MODES[mode], f"--{key}", third], capsys)
+        swept = _run(["ramsey", *self.MODES[mode], "--sweep", key, "--sweep-values", values], capsys)
+        if (mode, key) == ("coherent", "n"):
+            assert single[0] == swept[0] == 0
+        else:
+            assert single[:2] == (2, "")
+            assert swept == single
 
     def test_single_element_sweep_matches_run(self, capsys):
         code, out, _ = _run(["ghz", "--sweep", "sigma", "--sweep-values", "1e-34"], capsys)

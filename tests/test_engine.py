@@ -137,6 +137,15 @@ class TestEvolveAnalytic:
             out = evolve_analytic(DensityMatrix(rho0), w, 1.0, sigma, (w,)).entries
             assert np.array_equal(out, out.conj().T), dim
 
+    def test_pure_drive_keeps_populations_exactly(self):
+        # c*c + s*s misses 1 by an ulp for many phases near 1.5e15 rad;
+        # the multiplier's diagonal is exactly 1, so no population moves
+        rng = np.random.default_rng(66)
+        rho0 = _rand_density(rng, 1000)
+        w = 1.5e15 * (1.0 + rng.random(1000))
+        out = evolve_analytic(DensityMatrix(rho0), w, 1.0).entries
+        assert np.diagonal(out).tobytes() == np.diagonal(rho0).tobytes()
+
     def test_integer_spectra_match_float_spectra(self):
         ints, floats = [0, 3], np.array([0.0, 3.0])
         out = evolve_analytic(_superposition(), ints, 0.7, 0.1, (ints,))

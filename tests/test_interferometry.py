@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import operator
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -153,8 +154,31 @@ class TestDecoherencePartition:
     @pytest.mark.parametrize("labels", [set(), {"c"}, {"a", "c"}],
                              ids=["empty", "unknown", "partly-unknown"])
     def test_decay_rate_rejects_unsupported_block(self, labels):
-        with pytest.raises(ValueError, match="unsupported dephasing block"):
-            DecoherencePartition(1.0, (frozenset(labels),)).decay_rate({"a": 1.0, "b": 1.0})
+        # strength raises the same error, and decay_rate raises it at sigma = 0 too
+        for sigma in (1.0, 0.0):
+            part = DecoherencePartition(sigma, (frozenset({"b"}), frozenset(labels)))
+            for law in (part.decay_rate, part.strength):
+                with pytest.raises(ValueError, match=re.escape(f"unsupported dephasing block {sorted(labels)}")):
+                    law({"a": 1.0, "b": 1.0})
+
+    @pytest.mark.parametrize("gaps", [
+        {"a": 2.0, "b": -0.7}, {"a": 1.5e15, "b": np.array([1.0, -1.5e15, 3e14, 1e200])},
+        {"a": 1e200, "b": 1.0}, {"a": math.inf, "b": 1.0},
+    ], ids=["scalar", "array", "overflow", "inf"])
+    @pytest.mark.parametrize("part", [
+        DecoherencePartition.global_over(0.3, "a", "b"), DecoherencePartition.local_over(2e-31, "b", "a"),
+        DecoherencePartition.local_over(0.0, "a", "b"), DecoherencePartition(1e-31, (frozenset({"a"}),)),
+        DecoherencePartition.none(),
+    ], ids=["global", "local", "sigma-zero", "one-block", "none"])
+    def test_decay_rate_is_sigma_times_strength(self, part, gaps):
+        # bit for bit, with no warning: an overflowing or infinite gap is an
+        # infinite D, and sigma = 0 is a rate of exactly 0.0 whatever D is
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            d, rate = part.strength(gaps), part.decay_rate(gaps)
+        want = part.sigma * d if part.sigma > 0.0 else 0.0
+        assert np.asarray(rate).tobytes() == np.asarray(want).tobytes()
+        assert type(rate) is type(want)
 
     def test_global_michelson_rate_is_exactly_zero(self):
         # equal-total arm states: the two arm gaps cancel in floating point
@@ -169,6 +193,9 @@ class TestDecoherencePartition:
         # warning; sigma = 0 stays exactly zero
         assert DecoherencePartition.local_over(1e-31, "a").decay_rate({"a": 1e200}) == math.inf
         assert DecoherencePartition.local_over(0.0, "a").decay_rate({"a": 1e200}) == 0.0
+        for gap in (1e200, math.inf):
+            assert DecoherencePartition.local_over(0.0, "a").strength({"a": gap}) == math.inf
+            assert DecoherencePartition.local_over(0.0, "a").decay_rate({"a": gap}) == 0.0
 
 
 class TestVisibility:
@@ -731,10 +758,10 @@ class TestClosedFormReadout:
         # the block diag(1 + 4e-11, -4e-11) passes validation (smallest
         # eigenvalue above -PSD_TOL); its p_g of 1 + 4e-11 or -4e-11 lies
         # within the 1e-10 slack and is clamped onto the edge
-        [result] = _fringe(np.array([[1.0 + 4e-11]]), np.array([[-4e-11]]), np.array([[0j]]),
-                           u_g, u_e, (0.0, 1.0, 2.0))
-        assert result.points == ((0.0, edge), (1.0, edge), (2.0, edge))
-        assert result.visibility == 0.0
+        [(visibility, p_g)] = _fringe(np.array([[1.0 + 4e-11]]), np.array([[-4e-11]]), np.array([[0j]]),
+                                      u_g, u_e, (0.0, 1.0, 2.0))
+        assert p_g.tolist() == [edge, edge, edge]
+        assert visibility == 0.0
 
     @pytest.mark.parametrize("mode", ["quantized", "semiclassical"])
     def test_visibility_is_that_of_the_points(self, mode):
@@ -1016,21 +1043,8 @@ def _random_blocks(rng, labels):
                  for b in sorted(set(ids.tolist()) - {-1}))
 
 
-def _ramsey_d(blocks, omega0, detuning):
-    """D per block, from the decay-law table (omega = omega0 - detuning)."""
-    table = {frozenset({"atom"}): omega0**2, frozenset({"field"}): (omega0 - detuning) ** 2,
-             frozenset({"atom", "field"}): detuning**2}
-    return sum(table[b] for b in blocks)
-
-
-def _michelson_d(blocks, omega):
-    table = {frozenset({"arm_c"}): omega**2, frozenset({"arm_d"}): omega**2,
-             frozenset({"arm_c", "arm_d"}): 0.0}
-    return sum(table[b] for b in blocks)
-
-
 def _random_ramsey(rng, mode):
-    """A seeded Ramsey draw and its D: whole rad/s detunings keep
+    """A seeded Ramsey draw and its strength D: whole rad/s detunings keep
     omega0 - detuning exact, and an even phase scan samples antipodal
     phases, so the sampled visibility is exactly proportional to |B|."""
     labels = ("atom",) if mode == "semiclassical" else ("atom", "field")
@@ -1045,12 +1059,14 @@ def _random_ramsey(rng, mode):
         decoherence=DecoherencePartition(0.0, blocks), spontaneous_rate=float(rng.uniform(0.0, 1.0)),
         phase_points=2 * int(rng.integers(2, 33)),
     )
-    return cfg, _ramsey_d(blocks, W0, detuning)
+    # gaps across |e,k-1><g,k| (the semiclassical blocks name the atom only)
+    return cfg, cfg.decoherence.strength({"atom": W0, "field": -(W0 - detuning)})
 
 
 class TestDecayLaw:
     """Seeded property checks of the one decay law: every interference
-    observable carries exp(-sigma*D*t), with D from the README table."""
+    observable carries exp(-sigma*D*t), with D = strength(gaps) of the
+    partition (test_readme checks it against the README table)."""
 
     @pytest.mark.parametrize("mode", ["quantized", "semiclassical"])
     def test_ramsey_visibility_ratio(self, mode):
@@ -1080,7 +1096,8 @@ class TestDecayLaw:
             got = (res.mean_photons_out_a, res.mean_photons_out_b)
             for g, want in zip(got, _michelson_sectors(cfg)):
                 assert abs(g - want) <= 1e-13 * max(1.0, abs(want))
-            x = cfg.decoherence.sigma * _michelson_d(blocks, omega) * cfg.arm_time
+            d = cfg.decoherence.strength({"arm_c": omega, "arm_d": -omega})
+            x = cfg.decoherence.sigma * d * cfg.arm_time
             assert abs((got[0] - got[1]) / (got[0] + got[1]) - math.exp(-x)) <= 1e-12
 
     def test_visibility_monotone_in_sigma(self):

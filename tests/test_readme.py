@@ -80,6 +80,7 @@ def test_decay_law_table_row_is_decay_rate(experiment, partition, d_cell):
     assert len(d_values) == len(blocks_each)
     for blocks, d in zip(blocks_each, d_values):
         part = DecoherencePartition(SIGMA, tuple(frozenset(b) for b in blocks))
+        assert math.isclose(part.strength(GAPS[experiment]), d, rel_tol=1e-12)
         assert math.isclose(part.decay_rate(GAPS[experiment]), SIGMA * d, rel_tol=1e-12)
         if experiment == "GHZ":
             rate = run_ghz(GhzConfig(n_atoms=N_ATOMS, omega0=OMEGA0, wait=1.0, decoherence=part)).effective_rate
