@@ -36,7 +36,6 @@ from .interferometry import (
     iter_ramsey_batch,
     run_ghz,
     run_michelson,
-    run_ramsey_batch,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
 )

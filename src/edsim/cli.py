@@ -12,9 +12,10 @@ all but --config may also come from the config file. parse_config turns
 the merged keys into one RunConfig, and run executes it: one run, or one
 run per sweep value with a row each. A Ramsey sweep builds its field
 and partition once, unless the swept key changes them; a quantized one
-reads its rows' visibilities as one batch (iter_ramsey_batch, one
-dephasing strength D per batch), with the bytes of one run per row and
-about one run's memory. `-h` or `--help` anywhere prints the usage,
+runs its rows as one batch (iter_ramsey_batch, one dephasing strength D
+per batch), with the bytes of one run per row and about one run's
+memory, and either mode reads only each row's FringeResult.visibility.
+`-h` or `--help` anywhere prints the usage,
 built from SCHEMAS, and exits 0. Units are fixed per key and listed in
 the schema help strings: seconds, rad/s, eV, kg, m, m^3/s, m^6/s.
 Numeric values accept scientific notation and never carry unit suffixes.
@@ -340,8 +341,9 @@ def _ramsey_config(params: dict, field=None, decoherence=None) -> RamseyConfig:
 
 def _handle_ramsey(params: dict) -> ExperimentOutput:
     runner = run_ramsey_semiclassical if params["mode"] == "semiclassical" else run_ramsey_quantized
-    result = runner(_ramsey_config(params))
-    points = [{"phi": phi, "p_g": p} for phi, p in result.points]
+    cfg = _ramsey_config(params)
+    result = runner(cfg)
+    points = [{"phi": phi, "p_g": p} for phi, p in zip(cfg.phases.tolist(), result.p_g.tolist())]
     headline = {"visibility": result.visibility}
     return ExperimentOutput(points, headline, headline)
 
@@ -353,9 +355,9 @@ def _sweep_ramsey(key: str, rows: list[dict]) -> list[dict]:
     field = None if key == ("n" if rows[0]["field"] == "fock" else "alpha") else first.field
     decoherence = None if key == "sigma" else first.decoherence
     cfgs = [first, *(_ramsey_config(p, field, decoherence) for p in rows[1:])]
-    if rows[0]["mode"] == "quantized":
-        return [{"visibility": visibility} for visibility, _ in iter_ramsey_batch(cfgs)]
-    return [{"visibility": run_ramsey_semiclassical(cfg).visibility} for cfg in cfgs]
+    quantized = rows[0]["mode"] == "quantized"
+    results = iter_ramsey_batch(cfgs) if quantized else map(run_ramsey_semiclassical, cfgs)
+    return [{"visibility": result.visibility} for result in results]
 
 
 def _handle_michelson(params: dict) -> ExperimentOutput:

@@ -5,7 +5,8 @@ two-level atom (with the driving field treated classically or as a
 quantized mode), a balanced Michelson interferometer fed with a coherent
 state, and the dephasing of N-atom GHZ states. Each run returns fringe
 data, output photon numbers or coherence decay figures that can be
-compared against the closed-form decay laws.
+compared against the closed-form decay laws. A Ramsey run, like a row of
+iter_ramsey_batch, returns FringeResult(visibility, p_g over cfg.phases).
 
 The dephasing partition decides which subsystems lose energy coherence
 jointly, and every runner takes its dephasing rate from the one law,
@@ -25,7 +26,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
     "GhzResult",
     "run_ramsey_semiclassical",
     "run_ramsey_quantized",
-    "run_ramsey_batch",
     "iter_ramsey_batch",
     "run_michelson",
     "run_ghz",
@@ -206,12 +206,12 @@ class RamseyConfig:
         return cutoff
 
 
-@dataclass(frozen=True)
-class FringeResult:
-    """Fringe scan (phi, p_g) plus its visibility."""
+class FringeResult(NamedTuple):
+    """A Ramsey fringe: its visibility and the read-only ground-state
+    probabilities p_g over the config's phases."""
 
-    points: tuple[tuple[float, float], ...]
     visibility: float
+    p_g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -271,9 +271,9 @@ def _contrast(hi: float, lo: float) -> float:
     return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
 
 
-def _fringe(gg, ee, eg, u_g, u_e, phases) -> Iterator[tuple[float, np.ndarray]]:
+def _fringe(gg, ee, eg, u_g, u_e, phases) -> Iterator[FringeResult]:
     """Ground-state fringes of waited sector blocks [[gg, eg*], [eg, ee]], in
-    closed form: (visibility, p_g) per row of the (rows, pairs) arrays.
+    closed form: one FringeResult per row of the (rows, pairs) arrays.
 
     Each block lives on a pair (|g,k>, |e,k-1>), or the bare atom's
     (|g>, |e>), that the phase shift, the second pulse and the ground
@@ -294,7 +294,8 @@ def _fringe(gg, ee, eg, u_g, u_e, phases) -> Iterator[tuple[float, np.ndarray]]:
         bad = p_g[(p_g < -1e-10) | (p_g > 1.0 + 1e-10)]
         raise ValueError(f"probability {float(bad[0])!r} outside [0, 1] beyond tolerance")
     p_g = np.minimum(1.0, np.maximum(0.0, p_g))
-    return zip(map(_contrast, p_g.max(axis=-1).tolist(), p_g.min(axis=-1).tolist()), p_g)
+    p_g.flags.writeable = False  # and so is every row yielded
+    return map(FringeResult, map(_contrast, p_g.max(axis=-1).tolist(), p_g.min(axis=-1).tolist()), p_g)
 
 
 # a block of a Ramsey batch holds at most this many pair entries and phase
@@ -304,9 +305,9 @@ def _fringe(gg, ee, eg, u_g, u_e, phases) -> Iterator[tuple[float, np.ndarray]]:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def iter_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> Iterator[tuple[float, np.ndarray]]:
-    """The visibility and p_g over cfg.phases of every config in order,
-    as run_ramsey_quantized reads them out, with no fringe points built.
+def iter_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> Iterator[FringeResult]:
+    """The quantized Ramsey fringe of every config in order, each equal to
+    its single run (run_ramsey_quantized, the one-row case).
 
     Consecutive configs with the same field, pulse_area and phase_points
     share one pulse stage. Each config's wait then acts on its own row of
@@ -326,13 +327,6 @@ def iter_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> Iterator[tuple[float, np.
                 pulse = None  # frees the shared pulse before the group's last readout
             yield from _fringe(*waited, u_g, u_e, rows[0].phases)
             del waited  # before the next block's wait allocates its own
-
-
-def run_ramsey_batch(cfgs: Sequence[RamseyConfig]) -> list[FringeResult]:
-    """run_ramsey_quantized's fringe of every config in order, each equal
-    to its single run: iter_ramsey_batch's rows with their points."""
-    return [FringeResult(tuple(zip(cfg.phases.tolist(), p_g.tolist())), visibility)
-            for cfg, (visibility, p_g) in zip(cfgs, iter_ramsey_batch(cfgs))]
 
 
 def _quantized_pulse(cfg: RamseyConfig) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
@@ -393,7 +387,7 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     V = exp(-rate*wait) * exp(-gamma_sp*wait/2). The classical
     field is not part of the state: only {atom} blocks are supported. The
     atom is one pair, so a sweep runs this once per row rather than
-    through run_ramsey_batch.
+    through iter_ramsey_batch.
     """
     rate = cfg.decoherence.decay_rate({"atom": cfg.omega0})  # raises unless every block is {atom}
     c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
@@ -403,13 +397,12 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     rho = np.array([[c * c + lost * s * s, 1j * c * s * coherence],
                     [-1j * c * s * coherence, kept * kept * s * s]])
     rho = evolve_analytic(DensityMatrix(rho), (0.0, cfg.detuning), cfg.wait).entries
-    [(visibility, p_g)] = _fringe(rho[:1, :1], rho[1:, 1:], rho[1:, :1], c, 1j * s, cfg.phases)
-    return FringeResult(tuple(zip(cfg.phases.tolist(), p_g.tolist())), visibility)
+    return next(_fringe(rho[:1, :1], rho[1:, 1:], rho[1:, :1], c, 1j * s, cfg.phases))
 
 
 def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     """Ramsey fringe with the driving field kept as a quantized mode, the
-    one-row case of run_ramsey_batch.
+    one-row case of iter_ramsey_batch.
 
     The pulses apply the excitation-exchange unitary generated by
     a |e><g| + a^dag |g><e|, held until the rotation angle at the field's
@@ -429,7 +422,7 @@ def run_ramsey_quantized(cfg: RamseyConfig) -> FringeResult:
     the frame rotating at omega, multiplies that coherence by
     exp(-i*detuning*t) and its decay.
     """
-    return run_ramsey_batch((cfg,))[0]
+    return next(iter_ramsey_batch((cfg,)))
 
 
 def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:

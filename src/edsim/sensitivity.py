@@ -195,8 +195,11 @@ def default_design_grids(
     _check_grid_axis(count)
     half = decades / 2.0 if count > 1 else 0.0  # logspace(lo, hi, 1) is [10**lo], not the center
     ref = ghz_design(p)
-    n_grid = np.logspace(math.log10(ref.n_opt) - half, math.log10(ref.n_opt) + half, count)
-    v_grid = np.logspace(math.log10(ref.v_opt) - half, math.log10(ref.v_opt) + half, count)
+    with np.errstate(over="ignore", under="ignore"):
+        n_grid = np.logspace(math.log10(ref.n_opt) - half, math.log10(ref.n_opt) + half, count)
+        v_grid = np.logspace(math.log10(ref.v_opt) - half, math.log10(ref.v_opt) + half, count)
+    if not all(0.0 < grid[0] and grid[-1] < math.inf for grid in (n_grid, v_grid)):  # ascending axes
+        raise ValueError(f"decades={decades!r} takes the design grid beyond double range")
     return n_grid, v_grid
 
 
@@ -374,12 +377,19 @@ def distance_reach(gamma: float, gamma_sp: float, coherence_time: float) -> Dist
     if not all(0.0 <= v < math.inf for v in (gamma, gamma_sp, coherence_time)):
         raise ValueError("inputs must be non-negative and finite")
     l_laser = C_LIGHT * coherence_time
+    if l_laser == math.inf:  # inf is kept for a limit that does not apply
+        raise ValueError(f"l_laser = c*coherence_time overflows to inf for coherence_time={coherence_time!r}")
     if gamma > 0.0 and gamma_sp > 0.0:
         if gamma_sp * gamma_sp == 0.0:
             raise ValueError(f"gamma_sp**2 underflows to 0 for gamma_sp={gamma_sp!r}")
         l_dec = C_LIGHT * gamma / (gamma_sp * gamma_sp)
-        if l_dec == 0.0:  # the square overflowed or the quotient underflowed: not "no reach"
+        if not 0.0 < l_dec < math.inf:  # c*gamma or the square left double range: divide first
+            l_dec = C_LIGHT * (gamma / gamma_sp / gamma_sp)
+        if l_dec == 0.0:  # the quotient underflowed: not "no reach"
             raise ValueError(f"l_decoherence = c*gamma/gamma_sp**2 underflows to 0 for "
+                             f"gamma={gamma!r}, gamma_sp={gamma_sp!r}")
+        if l_dec == math.inf:
+            raise ValueError(f"l_decoherence = c*gamma/gamma_sp**2 overflows to inf for "
                              f"gamma={gamma!r}, gamma_sp={gamma_sp!r}")
     else:
         l_dec = math.inf
@@ -393,4 +403,6 @@ def cosmic_bound(sigma: float, age: float) -> float:
         raise ValueError("sigma and age must be positive and finite")
     if sigma * age == 0.0:
         raise ValueError(f"sigma*age underflows to 0 for sigma={sigma!r}, age={age!r}")
+    if sigma * age == math.inf:  # would give a 0 eV bound
+        raise ValueError(f"sigma*age overflows to inf for sigma={sigma!r}, age={age!r}")
     return HBAR / math.sqrt(sigma * age) / EV

@@ -391,6 +391,12 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, quantity", [
         ("bounds --single-atom --delta-e 1e-200", "(delta_e/hbar)**2"),
         ("bounds --cosmic --sigma 5e-324 --age-years 1e-10", "sigma*age"),
+        # an overflow read as a 0 eV bound, or as an unbounded reach
+        ("bounds --cosmic --sigma 1e200 --age-years 1e200", "sigma*age overflows to inf"),
+        ("bounds --distance --gamma 1e301 --gamma-sp 1e-3 --coherence-time 1",
+         "l_decoherence = c*gamma/gamma_sp**2 overflows to inf"),
+        ("bounds --distance --gamma 1e-8 --gamma-sp 1e-3 --coherence-time 1e301",
+         "l_laser = c*coherence_time overflows to inf"),
         ("bounds --distance --gamma 1e-300 --gamma-sp 1e-200", "gamma_sp**2"),
         ("design --gamma-sp 1e-200 --kappa 1e-17 --k3 1e-100", "gamma_min"),
         ("design --gamma-sp 1e-200 --kappa 1e-17 --k3 1e-200", "gamma_sp*k3"),
@@ -412,6 +418,11 @@ class TestBadInput:
         pytest.param("design --species Sr --grid-points-per-decade 1" + "0" * 400,
                      f"design grid axis limit {DESIGN_MAX_GRID_AXIS}",
                      id="design --grid-points-per-decade 10**400-grid axis limit"),
+        # a species whose l_max overflowed printed "unbounded"
+        ("design --gamma-sp 1e-150 --kappa 1e-150 --k3 1e150",
+         "l_decoherence = c*gamma/gamma_sp**2 overflows to inf"),
+        # grid cells past double range used to be numpy's unnamed overflow
+        ("design --species Sr --grid-decades 700 --grid-points-per-decade 1", "decades=700.0"),
     ])
     def test_out_of_range_arithmetic_is_a_value_error(self, argv, quantity, capsys):
         # these divided by an underflowed 0 (ZeroDivisionError), failed

@@ -26,12 +26,13 @@ from edsim.interferometry import (
     CoherentField,
     DecoherencePartition,
     FockField,
+    FringeResult,
     GhzConfig,
     MichelsonConfig,
     RamseyConfig,
+    iter_ramsey_batch,
     run_ghz,
     run_michelson,
-    run_ramsey_batch,
     run_ramsey_quantized,
     run_ramsey_semiclassical,
 )
@@ -53,6 +54,11 @@ def visibility(points):
     values = np.asarray(points, dtype=float)[:, 1]
     hi, lo = float(values.max()), float(values.min())
     return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
+
+
+def _same_fringe(a, b):
+    # == on two FringeResults would compare the p_g arrays elementwise
+    return a.visibility == b.visibility and np.array_equal(a.p_g, b.p_g)
 
 
 def _atom_partition(sigma):
@@ -225,8 +231,8 @@ class TestRamseySemiclassical:
         cfg = RamseyConfig(omega0=W0, wait=1.0, decoherence=DecoherencePartition.none())
         result = run_ramsey_semiclassical(cfg)
         assert abs(result.visibility - 1.0) <= 1e-12
-        by_phi = dict(result.points)
-        assert abs(by_phi[0.0] - 1.0) <= 1e-12  # zero phase returns to ground
+        assert cfg.phases[0] == 0.0
+        assert abs(result.p_g[0] - 1.0) <= 1e-12  # zero phase returns to ground
 
     def test_half_life_visibility(self):
         sigma = math.log(2.0) / (W0 * W0)
@@ -238,7 +244,7 @@ class TestRamseySemiclassical:
         cfg = RamseyConfig(omega0=W0, wait=1.0, decoherence=_atom_partition(sigma))
         result = run_ramsey_semiclassical(cfg)
         assert result.visibility <= 1e-10
-        for _, p in result.points:
+        for p in result.p_g:
             assert abs(p - 0.5) <= 1e-10
 
     def test_closed_form_with_damping(self):
@@ -252,7 +258,7 @@ class TestRamseySemiclassical:
             result = run_ramsey_semiclassical(cfg)
             expected_v = 0.5**wait * math.exp(-gamma * wait / 2.0)
             assert abs(result.visibility - expected_v) <= 1e-9
-            for phi, p in result.points:
+            for phi, p in zip(cfg.phases, result.p_g):
                 assert abs(p - 0.5 * (1.0 + expected_v * math.cos(phi))) <= 1e-9
 
     def test_zero_wait_keeps_the_pulsed_state(self):
@@ -264,7 +270,8 @@ class TestRamseySemiclassical:
             warnings.simplefilter("error")
             kept = run_ramsey_semiclassical(cfg)
             waited = run_ramsey_semiclassical(dataclasses.replace(cfg, wait=1.0))
-        assert kept == run_ramsey_semiclassical(dataclasses.replace(cfg, decoherence=DecoherencePartition.none()))
+        undephased = dataclasses.replace(cfg, decoherence=DecoherencePartition.none())
+        assert _same_fringe(kept, run_ramsey_semiclassical(undephased))
         assert kept.visibility == 1.0
         assert waited.visibility == 0.0
 
@@ -394,7 +401,7 @@ class TestRamseyQuantized:
                                  _block_hamiltonians(partition, free), ((0.4, lower),), step=1e-3)
         reference = _dense_readout(pulse, stepped.entries, cfg.phases)
         result = run_ramsey_quantized(cfg)
-        assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-8
+        assert max(abs(p - q) for p, q in zip(result.p_g, reference)) <= 1e-8
 
     @pytest.mark.parametrize("runner,labels", [
         (run_ramsey_quantized, {"nope"}),
@@ -551,8 +558,8 @@ class TestSectorPipelines:
         cfg = RamseyConfig(omega0=W0, wait=0.5, field=CoherentField(2.0), spontaneous_rate=0.3,
                            decoherence=DecoherencePartition.local_over(0.2 / W0**2, "atom", "field"))
         monkeypatch.setattr(np, "angle", boom)
-        assert run_ramsey_quantized(cfg) == run_ramsey_quantized(
-            dataclasses.replace(cfg, field=CoherentField(2.0j)))
+        assert _same_fringe(run_ramsey_quantized(cfg),
+                            run_ramsey_quantized(dataclasses.replace(cfg, field=CoherentField(2.0j))))
 
     def test_pipelines_need_no_dense_machinery(self, monkeypatch):
         # every pulse, wait and readout conserves an excitation number, so
@@ -669,10 +676,11 @@ class TestGhz:
             GhzConfig(n_atoms=2, omega0=1.0, wait=-1.0)
 
 
-def _fringe_phase(result):
-    """Phase of the fringe's e^{i*phi} Fourier coefficient: pi on resonance,
-    pi - detuning*wait (mod 2*pi) with a detuning."""
-    return cmath.phase(sum(p * cmath.exp(-1j * phi) for phi, p in result.points))
+def _fringe_phase(cfg):
+    """Phase of the quantized fringe's e^{i*phi} Fourier coefficient: pi on
+    resonance, pi - detuning*wait (mod 2*pi) with a detuning."""
+    p_g = run_ramsey_quantized(cfg).p_g
+    return cmath.phase(sum(p * cmath.exp(-1j * phi) for phi, p in zip(cfg.phases, p_g)))
 
 
 def _phase_distance(a, b):
@@ -686,7 +694,7 @@ class TestRamseyFringePhase:
     @pytest.mark.parametrize("n", [4, 12, 40])
     def test_small_detuning_is_kept(self, n):
         cfg = RamseyConfig(omega0=1e9, wait=1.0, field=FockField(n), detuning=0.7)
-        phase = _fringe_phase(run_ramsey_quantized(cfg))
+        phase = _fringe_phase(cfg)
         assert _phase_distance(phase, math.pi - 0.7) <= 1e-9
 
     def test_one_ev_phase_is_exact_and_n_independent(self):
@@ -699,7 +707,7 @@ class TestRamseyFringePhase:
                 omega0=W0, wait=1.0, field=FockField(n), detuning=delta,
                 decoherence=DecoherencePartition.local_over(sigma, "atom", "field"),
             )
-            phase = _fringe_phase(run_ramsey_quantized(cfg))
+            phase = _fringe_phase(cfg)
             assert _phase_distance(phase, math.pi - reduced) <= 1e-9
 
 
@@ -713,8 +721,8 @@ class TestClosedFormReadout:
         )
         reference, _ = _dense_ramsey(cfg)
         result = run_ramsey_quantized(cfg)
-        assert [phi for phi, _ in result.points] == list(cfg.phases)
-        assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-12
+        assert result.p_g.shape == (cfg.phase_points,) and not result.p_g.flags.writeable
+        assert max(abs(p - q) for p, q in zip(result.p_g, reference)) <= 1e-12
         assert 0.1 <= result.visibility <= 0.9
 
     @pytest.mark.parametrize("partition", PARTITIONS)
@@ -732,7 +740,7 @@ class TestClosedFormReadout:
                 reference, rho = _dense_ramsey(cfg, np.repeat([0.0, detuning], d))
                 validate_density(DensityMatrix(rho))
                 result = run_ramsey_quantized(cfg)
-                assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-13
+                assert max(abs(p - q) for p, q in zip(result.p_g, reference)) <= 1e-13
                 assert abs(result.visibility - visibility(list(zip(cfg.phases, reference)))) <= 1e-13
 
     def test_validates_the_waited_state_once(self, monkeypatch):
@@ -774,9 +782,10 @@ class TestClosedFormReadout:
             sigma = float(rng.uniform(0.0, 2.0)) / (d * cfg.wait) if d > 0.0 else 0.0
             blocks = cfg.decoherence.blocks
             result = runner(dataclasses.replace(cfg, decoherence=DecoherencePartition(sigma, blocks)))
-            assert [phi for phi, _ in result.points] == list(cfg.phases)
-            assert all(type(phi) is float and type(p) is float for phi, p in result.points)
-            assert result.visibility == visibility(result.points)
+            assert type(result) is FringeResult and type(result.visibility) is float
+            assert result.p_g.shape == (cfg.phase_points,) and result.p_g.dtype == np.float64
+            assert not result.p_g.flags.writeable
+            assert result.visibility == visibility(list(zip(cfg.phases, result.p_g)))
 
 
 class TestDiagonalFrame:
@@ -848,7 +857,7 @@ class TestNumberSectors:
         cfg = RamseyConfig(omega0=W0, wait=0.0, field=field, pulse_area=area)
         reference, _ = _dense_ramsey(cfg, coupling=coupling)
         result = run_ramsey_quantized(cfg)
-        assert max(abs(p - q) for (_, p), q in zip(result.points, reference)) <= 1e-13
+        assert max(abs(p - q) for p, q in zip(result.p_g, reference)) <= 1e-13
 
 
 BAD = [math.nan, math.inf, -math.inf]
@@ -911,8 +920,8 @@ class TestConfigTypes:
 
     def test_numpy_integers_are_accepted(self):
         cfg = RamseyConfig(omega0=W0, wait=1.0, field=FockField(np.int64(3)))
-        assert run_ramsey_quantized(cfg) == run_ramsey_quantized(
-            dataclasses.replace(cfg, field=FockField(3)))
+        assert _same_fringe(run_ramsey_quantized(cfg),
+                            run_ramsey_quantized(dataclasses.replace(cfg, field=FockField(3))))
         # np.int32 squared would wrap at 50000 atoms
         big = run_ghz(GhzConfig(n_atoms=np.int32(50_000), omega0=1.0, wait=0.0, decoherence=_atoms(1.0)))
         assert big == run_ghz(GhzConfig(n_atoms=50_000, omega0=1.0, wait=0.0, decoherence=_atoms(1.0)))
@@ -978,8 +987,13 @@ class TestSizeLimits:
             CoherentField(1e200).dominant_n
 
 
+def _rows_are_single_runs(rows, cfgs):
+    return len(rows) == len(cfgs) and all(
+        _same_fringe(row, run_ramsey_quantized(cfg)) for row, cfg in zip(rows, cfgs))
+
+
 class TestRamseyBatch:
-    """run_ramsey_batch computes many configs as rows of one pipeline."""
+    """iter_ramsey_batch computes many configs as rows of one pipeline."""
 
     def test_sweep_memory_stays_at_one_run(self):
         # 12 sigma rows at alpha=300 (cutoff 92410) share one pulse and run
@@ -998,10 +1012,10 @@ class TestRamseyBatch:
                 tracemalloc.stop()
 
         one, one_peak = peak(lambda: run_ramsey_quantized(cfgs[-1]))
-        rows, rows_peak = peak(lambda: run_ramsey_batch(cfgs))
+        rows, rows_peak = peak(lambda: list(iter_ramsey_batch(cfgs)))
         assert rows_peak <= 1.5 * one_peak, (rows_peak, one_peak)
-        assert rows[-1] == one
-        assert rows == [run_ramsey_quantized(cfg) for cfg in cfgs]
+        assert _same_fringe(rows[-1], one)
+        assert _rows_are_single_runs(rows, cfgs)
 
     def test_rows_equal_single_runs(self):
         # seeded draws, in runs of configs that share the pulse stage and
@@ -1016,7 +1030,12 @@ class TestRamseyBatch:
                     detuning=float(rng.integers(0, 10**12)),
                     decoherence=DecoherencePartition(float(rng.uniform(0.0, 1e-30)), cfg.decoherence.blocks),
                 ))
-        assert run_ramsey_batch(cfgs) == [run_ramsey_quantized(cfg) for cfg in cfgs]
+        rows = list(iter_ramsey_batch(cfgs))
+        assert _rows_are_single_runs(rows, cfgs)
+        assert FringeResult._fields == ("visibility", "p_g")  # a row unpacks as (visibility, p_g)
+        for row, cfg in zip(rows, cfgs):
+            assert type(row) is FringeResult and type(row.visibility) is float
+            assert row.p_g.shape == (cfg.phase_points,) and not row.p_g.flags.writeable
 
     def test_zero_wait_rows_keep_the_pulsed_pairs(self):
         # omega0=1e200 makes the dephasing rate infinite: the waited row
@@ -1027,12 +1046,12 @@ class TestRamseyBatch:
         cfgs = [dataclasses.replace(base, wait=w) for w in (0.0, 1.0, 0.0)]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            rows = run_ramsey_batch(cfgs)
+            rows = list(iter_ramsey_batch(cfgs))
         undephased = run_ramsey_quantized(dataclasses.replace(base, decoherence=DecoherencePartition.none()))
-        assert rows[0] == rows[2] == undephased
+        assert _same_fringe(rows[0], undephased) and _same_fringe(rows[2], undephased)
         assert undephased.visibility > 0.5
-        assert not any(math.isnan(p) for row in rows for _, p in row.points)
-        assert rows[1] == run_ramsey_quantized(cfgs[1])
+        assert not any(np.isnan(row.p_g).any() for row in rows)
+        assert _same_fringe(rows[1], run_ramsey_quantized(cfgs[1]))
 
 
 def _random_blocks(rng, labels):

@@ -162,11 +162,13 @@ class TestGhzDesignGrid:
         (6.0, 10**400, f"^points_per_decade beyond double range exceeds the design grid axis limit "
                        f"{DESIGN_MAX_GRID_AXIS}$"),
         (0.0, 10**400, "^points_per_decade beyond double range"),
-    ], ids=["1e+308-10", "inf-1", "inf-0", "6-10**400", "0-10**400"])
+        (700.0, 1, r"^decades=700\.0 takes the design grid beyond double range"),
+    ], ids=["1e+308-10", "inf-1", "inf-0", "6-10**400", "0-10**400", "700-1"])
     def test_default_grids_refuse_an_overflowing_span(self, decades, per_decade, message):
         # decades*points_per_decade overflows to inf, or has no float value
-        # (inf*0 is nan, an int past double range an OverflowError): a
-        # ValueError that names the cause
+        # (inf*0 is nan, an int past double range an OverflowError), or the
+        # axes' cells reach 0 or inf (numpy warned, and ghz_design_grid then
+        # blamed n_grid): a ValueError that names the cause, with no warning
         with pytest.raises(ValueError, match=message):
             default_design_grids(SR, decades, per_decade)
 
@@ -414,6 +416,25 @@ class TestDistanceReach:
         with pytest.raises(ValueError, match=r"^l_decoherence = c\*gamma/gamma_sp\*\*2 underflows to 0"):
             distance_reach(gamma, gamma_sp, 1.0)
 
+    @pytest.mark.parametrize("gamma, coherence_time, message", [
+        (1e301, 1.0, r"^l_decoherence = c\*gamma/gamma_sp\*\*2 overflows to inf"),
+        (1e-8, 1e301, r"^l_laser = c\*coherence_time overflows to inf"),
+    ], ids=["l_decoherence", "l_laser"])
+    def test_infinite_length_is_refused(self, gamma, coherence_time, message):
+        # inf is kept for a limit that does not apply; an overflow used to read as one
+        with pytest.raises(ValueError, match=message):
+            distance_reach(gamma, 1e-3, coherence_time)
+
+    @pytest.mark.parametrize("gamma, gamma_sp, length", [
+        (1e301, 1e10, 1e281), (1e301, 1e200, 1e-99), (1e250, 1e200, 1e-150),
+    ], ids=["c*gamma", "both", "square"])
+    def test_intermediate_overflow_keeps_the_length(self, gamma, gamma_sp, length):
+        # c*gamma or gamma_sp**2 overflows although c*gamma/gamma_sp**2 is a
+        # double: this used to be inf, NaN or a refusal as an underflow
+        res = distance_reach(gamma, gamma_sp, 1.0)
+        assert abs(res.l_decoherence / (C_LIGHT * length) - 1.0) <= 1e-14
+        assert res.l_max == min(res.l_decoherence, C_LIGHT)
+
     def test_one_second_coherence(self):
         assert abs(distance_reach(0.0, 0.0, 1.0).l_laser / 2.998e8 - 1.0) <= 1e-3
 
@@ -428,6 +449,11 @@ class TestDistanceReach:
 
 
 class TestCosmicBound:
+    def test_overflowing_product_is_refused(self):
+        # sigma*age = inf used to give a 0 eV bound
+        with pytest.raises(ValueError, match=r"^sigma\*age overflows to inf for sigma=1e\+200, age=1e\+200$"):
+            cosmic_bound(1e200, 1e200)
+
     def test_age_scaling(self):
         base = cosmic_bound(PLANCK_TIME, 1e17)
         assert abs(cosmic_bound(PLANCK_TIME, 4e17) / base - 0.5) <= 1e-12
