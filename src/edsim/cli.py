@@ -49,6 +49,7 @@ import numpy as np
 
 from .constants import NA_MASS, OMEGA_PER_EV, PLANCK_TIME, YEAR_SECONDS
 from .interferometry import (
+    EXPERIMENTS,
     CoherentField,
     DecoherencePartition,
     FockField,
@@ -103,7 +104,7 @@ SPECIES: dict[str, SpeciesParams] = {
     "Sr": SpeciesParams(gamma_sp=1e-3, delta_e=1.0, kappa=1e-17, k3=1e-41),
 }
 
-_PARTITIONS = ("global", "local", "atom", "field", "none")
+_PARTITIONS = ("global", "local", *EXPERIMENTS["ramsey_quantized"][0], "none")
 
 SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     "ramsey": {
@@ -322,10 +323,8 @@ def _ramsey_config(params: dict, field=None, decoherence=None) -> RamseyConfig:
     """The run's RamseyConfig; a field or partition given is used as is."""
     if field is None:
         field = FockField(params["n"]) if params["field"] == "fock" else CoherentField(params["alpha"])
-    if decoherence is None:
-        # the classical field is not part of the semiclassical state: the atom
-        # is the whole system, and a {field} block is rejected by the runner
-        labels = ("atom",) if params["mode"] == "semiclassical" else ("atom", "field")
+    if decoherence is None:  # a {field} block is refused by the semiclassical runner
+        labels, _ = EXPERIMENTS[f"ramsey_{params['mode']}"]
         decoherence = _partition(params["sigma"], params["partition"], labels)
     return RamseyConfig(
         omega0=params["omega0"],
@@ -365,7 +364,7 @@ def _handle_michelson(params: dict) -> ExperimentOutput:
         alpha=params["alpha"],
         arm_time=params["arm_time"],
         mode_frequency=params["omega"],
-        decoherence=_partition(params["sigma"], params["partition"], ("arm_c", "arm_d")),
+        decoherence=_partition(params["sigma"], params["partition"], EXPERIMENTS["michelson"][0]),
     )
     headline = asdict(run_michelson(cfg))
     points = [{"output_mode": m, "mean_photons": headline[f"mean_photons_out_{m}"]} for m in "ab"]
@@ -377,7 +376,7 @@ def _handle_ghz(params: dict) -> ExperimentOutput:
         n_atoms=params["n_atoms"],
         omega0=params["omega0"],
         wait=params["wait"],
-        decoherence=_partition(params["sigma"], "global", ("atoms",)),
+        decoherence=_partition(params["sigma"], "global", EXPERIMENTS["ghz"][0]),
         gamma_sp=params["gamma_sp"],
         three_body_rate=params["three_body_rate"],
     )

@@ -8,8 +8,8 @@ data, output photon numbers or coherence decay figures that can be
 compared against the closed-form decay laws. A Ramsey run, like a row of
 iter_ramsey_batch, returns FringeResult(visibility, p_g over cfg.phases).
 
-The dephasing partition decides which subsystems lose energy coherence
-jointly, and every runner takes its dephasing rate from the one law,
+A partition decides which subsystems lose energy coherence jointly, and
+every runner takes its rate from one law and one table of gaps (EXPERIMENTS),
 decay_rate(gaps) = sigma * DecoherencePartition.strength(gaps): a single
 block over all labels (global) leaves every interference observable
 unchanged, while per-subsystem blocks (local) damp the fringes. D needs
@@ -26,7 +26,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "MichelsonResult",
     "GhzConfig",
     "GhzResult",
+    "EXPERIMENTS",
     "run_ramsey_semiclassical",
     "run_ramsey_quantized",
     "iter_ramsey_batch",
@@ -72,11 +73,14 @@ class DecoherencePartition:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and non-negative")
-        seen: set[str] = set()
+        if any(isinstance(labels, str) for labels in self.blocks):
+            raise ValueError(f"a partition block must be a set of labels, not a str: {self.blocks!r}")
+        object.__setattr__(self, "blocks", tuple(map(frozenset, self.blocks)))  # hashable, like a batch key
+        seen: frozenset[str] = frozenset()
         for labels in self.blocks:
-            if seen & set(labels):
+            if seen & labels:
                 raise ValueError("partition blocks must be disjoint")
-            seen |= set(labels)
+            seen |= labels
 
     def strength(self, gaps: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
         """D = sum over blocks of (sum of the block's label gaps)**2.
@@ -267,6 +271,22 @@ class GhzResult:
     effective_rate: float
 
 
+# each experiment family's subsystem labels, and its config's gaps (rad/s) on them, in label
+# order, across the coherence its readout sees (gaps() maps them for strength): the Ramsey pair
+# |e,k-1><g,k|, the bare atom's |e><g|, a photon moved between the Michelson arms, the GHZ branches
+EXPERIMENTS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "ramsey_quantized": (("atom", "field"), lambda cfg: (cfg.omega0, -(cfg.omega0 - cfg.detuning))),
+    "ramsey_semiclassical": (("atom",), lambda cfg: (cfg.omega0,)),
+    "michelson": (("arm_c", "arm_d"), lambda cfg: (cfg.mode_frequency, -cfg.mode_frequency)),
+    "ghz": (("atoms",), lambda cfg: (int(cfg.n_atoms) * cfg.omega0,)),
+}
+
+
+def gaps(experiment: str, cfg) -> dict[str, float]:
+    labels, gaps_of = EXPERIMENTS[experiment]
+    return dict(zip(labels, gaps_of(cfg)))
+
+
 def _contrast(hi: float, lo: float) -> float:
     return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
 
@@ -345,13 +365,12 @@ def _quantized_wait(rows: Sequence[RamseyConfig], pulse: tuple[np.ndarray, ...])
     with no wait gets the factors (0, 1, 1), which keep the pulsed pairs
     exactly, whatever its dephasing rate."""
     gg, ee, eg = pulse
-    # gaps across |e,k-1><g,k|: omega0 on the atom, -omega on the field, for every k
-    gaps = {"atom": np.array([cfg.omega0 for cfg in rows], dtype=float),
-            "field": np.array([-(cfg.omega0 - cfg.detuning) for cfg in rows], dtype=float)}
+    labels, gaps_of = EXPERIMENTS["ramsey_quantized"]  # each label's gaps over the rows, as one array
+    columns = dict(zip(labels, np.array([gaps_of(cfg) for cfg in rows], dtype=float).T))
     strengths: dict[tuple, list[float]] = {}
     for part in (cfg.decoherence for cfg in rows):  # in row order: the first unsupported block raises
         if part.blocks not in strengths:
-            strengths[part.blocks] = part.strength(gaps).tolist() if part.blocks else []
+            strengths[part.blocks] = part.strength(columns).tolist() if part.blocks else []
     factors = []
     for i, cfg in enumerate(rows):
         part = cfg.decoherence  # rate = decay_rate(gaps), bit for bit (sigma * 0.0 without blocks)
@@ -389,7 +408,7 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     atom is one pair, so a sweep runs this once per row rather than
     through iter_ramsey_batch.
     """
-    rate = cfg.decoherence.decay_rate({"atom": cfg.omega0})  # raises unless every block is {atom}
+    rate = cfg.decoherence.decay_rate(gaps("ramsey_semiclassical", cfg))  # only {atom} blocks pass
     c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
     lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
     kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
@@ -439,7 +458,7 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     global block, 2*sigma*omega^2 for one block per arm.
     """
     mean = _mean_photons(cfg.alpha)
-    rate = cfg.decoherence.decay_rate({"arm_c": cfg.mode_frequency, "arm_d": -cfg.mode_frequency})
+    rate = cfg.decoherence.decay_rate(gaps("michelson", cfg))
     fringe = math.exp(-rate * cfg.arm_time) if cfg.arm_time > 0.0 else 1.0
     return MichelsonResult(mean / 2.0 * (1.0 + fringe), mean / 2.0 * (1.0 - fringe))
 
@@ -458,7 +477,7 @@ def run_ghz(cfg: GhzConfig) -> GhzResult:
     """
     n = int(cfg.n_atoms)  # a Python float overflows to inf without numpy's warning
     loss = n * cfg.gamma_sp + cfg.three_body_rate
-    rate = cfg.decoherence.decay_rate({"atoms": n * cfg.omega0}) + loss
+    rate = cfg.decoherence.decay_rate(gaps("ghz", cfg)) + loss
     if cfg.wait == 0.0:  # an infinite rate times a zero wait is NaN
         return GhzResult(coherence=0.5, survival=1.0, effective_rate=rate)
     return GhzResult(

@@ -332,8 +332,11 @@ def matterwave_bound(
     """Exclusion reach of a beam interferometer with separated paths.
 
     If the dephasing acts separately on paths split by more than its
-    locality scale, each branch carries the full rest energy and the
-    fringes decay at rate sigma*(m*c^2/hbar)**2. The atoms travel
+    locality scale, the branches' rest energies dephase apart and the
+    fringes decay at rate sigma*(m*c^2/hbar)**2. That rate counts the
+    gap w = m*c^2/hbar on one branch only: the package's local law, one
+    block per path as for Michelson's arms, would see gaps (w, -w) and
+    give twice it. The atoms travel
     decoherence_length = velocity/rate before losing coherence; observed
     fringes therefore exclude the tested sigma at locality scales up to
     path_separation whenever that length is shorter than the distance
@@ -380,10 +383,10 @@ def distance_reach(gamma: float, gamma_sp: float, coherence_time: float) -> Dist
     if l_laser == math.inf:  # inf is kept for a limit that does not apply
         raise ValueError(f"l_laser = c*coherence_time overflows to inf for coherence_time={coherence_time!r}")
     if gamma > 0.0 and gamma_sp > 0.0:
-        if gamma_sp * gamma_sp == 0.0:
-            raise ValueError(f"gamma_sp**2 underflows to 0 for gamma_sp={gamma_sp!r}")
-        l_dec = C_LIGHT * gamma / (gamma_sp * gamma_sp)
-        if not 0.0 < l_dec < math.inf:  # c*gamma or the square left double range: divide first
+        l_dec = 0.0
+        if gamma_sp * gamma_sp >= sys.float_info.min:  # a subnormal square has lost bits
+            l_dec = C_LIGHT * gamma / (gamma_sp * gamma_sp)
+        if not 0.0 < l_dec < math.inf:  # c*gamma or the square left the normal range: divide first
             l_dec = C_LIGHT * (gamma / gamma_sp / gamma_sp)
         if l_dec == 0.0:  # the quotient underflowed: not "no reach"
             raise ValueError(f"l_decoherence = c*gamma/gamma_sp**2 underflows to 0 for "

@@ -18,7 +18,9 @@ import pytest
 from edsim import cli, selftest
 from edsim.cli import ConfigError, parse_config
 from edsim.core import DensityMatrix
+from edsim.interferometry import EXPERIMENTS
 from edsim.constants import (
+    C_LIGHT,
     DESIGN_MAX_GRID_AXIS,
     MAX_PHASE_POINTS,
     RAMSEY_MAX_CUTOFF,
@@ -276,6 +278,28 @@ class TestRunCommands:
         assert fringes[0] == fringes[1]
         assert fringes[0]["visibility"] == 1.0
 
+    def test_bounds_distance_with_subnormal_gamma_sp_square(self, capsys):
+        # gamma_sp**2 underflows to 0 here, but c*gamma/gamma_sp**2 is a double;
+        # this used to be refused
+        code, out, err = _run(["bounds", "--distance", "--gamma", "1e-300", "--gamma-sp", "1e-200"], capsys)
+        assert (code, err) == (0, "")
+        exact = Fraction(C_LIGHT) * Fraction(1e-300) / Fraction(1e-200) ** 2
+        assert abs(Fraction(json.loads(out)["distance"]["l_decoherence"]) / exact - 1) <= 1e-15
+
+    @pytest.mark.parametrize("argv, family", [
+        (["ramsey", "--mode", "semiclassical"], "ramsey_semiclassical"),
+        (["ramsey", "--mode", "quantized"], "ramsey_quantized"),
+        (["michelson"], "michelson"),
+    ], ids=["ramsey-semiclassical", "ramsey-quantized", "michelson"])
+    def test_local_partition_is_one_block_per_table_label(self, argv, family, monkeypatch, capsys):
+        seen, runner = [], f"run_{family}"
+        real = getattr(cli, runner)
+        monkeypatch.setattr(cli, runner, lambda cfg: seen.append(cfg) or real(cfg))
+        code, _, err = _run([*argv, "--partition", "local", "--sigma", "1e-33"], capsys)
+        assert (code, err) == (0, "")
+        labels, _ = EXPERIMENTS[family]
+        assert [cfg.decoherence.blocks for cfg in seen] == [tuple(frozenset({lab}) for lab in labels)]
+
     def test_bounds_distance_requires_gamma(self, capsys):
         code, _, err = _run(["bounds", "--distance"], capsys)
         assert code == 2
@@ -397,7 +421,6 @@ class TestBadInput:
          "l_decoherence = c*gamma/gamma_sp**2 overflows to inf"),
         ("bounds --distance --gamma 1e-8 --gamma-sp 1e-3 --coherence-time 1e301",
          "l_laser = c*coherence_time overflows to inf"),
-        ("bounds --distance --gamma 1e-300 --gamma-sp 1e-200", "gamma_sp**2"),
         ("design --gamma-sp 1e-200 --kappa 1e-17 --k3 1e-100", "gamma_min"),
         ("design --gamma-sp 1e-200 --kappa 1e-17 --k3 1e-200", "gamma_sp*k3"),
         ("bounds --matterwave --mass 1e-300 --sigma 1e-40", "sigma*(m*c**2/hbar)**2"),

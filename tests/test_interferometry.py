@@ -22,6 +22,7 @@ from edsim.constants import MAX_PHASE_POINTS, OMEGA_PER_EV, RAMSEY_MAX_CUTOFF
 from edsim.core import DensityMatrix, fock_cutoff, poisson_weights, validate_density, validate_pairs
 from edsim.engine import evolve_analytic, evolve_stepped
 from edsim.interferometry import (
+    EXPERIMENTS,
     _fringe,
     CoherentField,
     DecoherencePartition,
@@ -66,6 +67,24 @@ def _atom_partition(sigma):
 
 
 _S_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|, with |g> = index 0
+
+# one run of each EXPERIMENTS family under a given partition
+_FAMILY_RUNS = {
+    "ramsey_quantized": lambda part: run_ramsey_quantized(
+        RamseyConfig(omega0=W0, wait=1.0, field=FockField(3), decoherence=part)),
+    "ramsey_semiclassical": lambda part: run_ramsey_semiclassical(
+        RamseyConfig(omega0=W0, wait=1.0, field=FockField(3), decoherence=part)),
+    "michelson": lambda part: run_michelson(
+        MichelsonConfig(alpha=1.0, arm_time=1.0, mode_frequency=W0, decoherence=part)),
+    "ghz": lambda part: run_ghz(GhzConfig(n_atoms=3, omega0=W0, wait=1.0, decoherence=part)),
+}
+# each family with every label only other families have, one no family has, and none
+_ALL_LABELS = sorted({lab for labels, _ in EXPERIMENTS.values() for lab in labels})
+_FOREIGN_BLOCKS = [
+    (family, frozenset(block))
+    for family, (labels, _) in EXPERIMENTS.items()
+    for block in [*({lab} for lab in _ALL_LABELS if lab not in labels), {"nope"}, set()]
+]
 
 
 def _block_hamiltonians(partition, free):
@@ -140,6 +159,31 @@ PARTITIONS = {
 
 
 class TestDecoherencePartition:
+    @pytest.mark.parametrize("family, block", _FOREIGN_BLOCKS,
+                             ids=[f"{family}-{'+'.join(block) or 'empty'}" for family, block in _FOREIGN_BLOCKS])
+    def test_invalid_partition(self, family, block):
+        # every runner rejects an empty block or one over a label its experiment lacks
+        with pytest.raises(ValueError, match="unsupported dephasing block"):
+            _FAMILY_RUNS[family](DecoherencePartition(1e-30, (block,)))
+
+    def test_blocks_are_stored_as_frozensets(self):
+        # a list of sets ran semiclassically, but the quantized batch keys its
+        # cache on blocks and raised TypeError; hash() did too
+        loose, strict = DecoherencePartition(1e-33, [{"atom"}]), _atom_partition(1e-33)
+        assert loose.blocks == (frozenset({"atom"}),)
+        assert loose == strict and hash(loose) == hash(strict)
+        for family in ("ramsey_semiclassical", "ramsey_quantized"):
+            fringes = [_FAMILY_RUNS[family](part) for part in (loose, strict)]
+            assert _same_fringe(*fringes)
+            assert fringes[0].visibility < 1.0
+
+    @pytest.mark.parametrize("blocks", [("atom",), [frozenset({"field"}), "atom"], "atom"],
+                             ids=["str-block", "mixed", "str-blocks"])
+    def test_str_block_is_refused(self, blocks):
+        # a bare string used to be a TypeError from a set comparison in strength
+        with pytest.raises(ValueError, match="a partition block must be a set of labels, not a str"):
+            DecoherencePartition(1e-33, blocks)
+
     def test_overlapping_blocks_rejected(self):
         with pytest.raises(ValueError):
             DecoherencePartition(1.0, (frozenset({"a"}), frozenset({"a", "b"})))
@@ -403,21 +447,6 @@ class TestRamseyQuantized:
         result = run_ramsey_quantized(cfg)
         assert max(abs(p - q) for p, q in zip(result.p_g, reference)) <= 1e-8
 
-    @pytest.mark.parametrize("runner,labels", [
-        (run_ramsey_quantized, {"nope"}),
-        (run_ramsey_quantized, set()),
-        (run_ramsey_semiclassical, {"field"}),
-        (run_michelson, {"atom"}),
-    ], ids=["quantized-nope", "quantized-empty", "semiclassical-field", "michelson-atom"])
-    def test_invalid_partition(self, runner, labels):
-        # every runner rejects an empty block or one over a label its experiment lacks
-        partition = DecoherencePartition(1e-30, (frozenset(labels),))
-        if runner is run_michelson:
-            cfg = MichelsonConfig(alpha=1.0, arm_time=1.0, mode_frequency=W0, decoherence=partition)
-        else:
-            cfg = RamseyConfig(omega0=W0, wait=1.0, field=FockField(3), decoherence=partition)
-        with pytest.raises(ValueError):
-            runner(cfg)
 
 
 class TestMichelson:

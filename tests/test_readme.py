@@ -1,6 +1,7 @@
 """The README's examples run against the code they document."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from edsim import DecoherencePartition, GhzConfig, cli, run_ghz
+from edsim import DecoherencePartition, GhzConfig, MichelsonConfig, RamseyConfig, cli, run_ghz
+from edsim.interferometry import EXPERIMENTS, gaps
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -47,25 +49,23 @@ DECAY_TABLE = [
 ]
 OMEGA0, DETUNING, N_ATOMS, SIGMA = 3.0, 1.0, 5, 0.25
 OMEGA = OMEGA0 - DETUNING
-# the gaps of the coherence each experiment reads: the Ramsey pair
-# (|e,k-1>, |g,k>), the bare atom, a photon moved between the Michelson
-# arms, and the two GHZ branches
-GAPS = {
-    "quantized Ramsey": {"atom": OMEGA0, "field": -OMEGA},
-    "semiclassical Ramsey": {"atom": OMEGA0},
-    "Michelson": {"arm_c": OMEGA, "arm_d": -OMEGA},
-    "GHZ": {"atoms": N_ATOMS * OMEGA0},
+# the EXPERIMENTS family of each row, and a config of it; the gaps come
+# from the table the runners read
+FAMILIES = {
+    "quantized Ramsey": ("ramsey_quantized", RamseyConfig(omega0=OMEGA0, wait=1.0, detuning=DETUNING)),
+    "semiclassical Ramsey": ("ramsey_semiclassical", RamseyConfig(omega0=OMEGA0, wait=1.0, detuning=DETUNING)),
+    "Michelson": ("michelson", MichelsonConfig(alpha=1.0, arm_time=1.0, mode_frequency=OMEGA)),
+    "GHZ": ("ghz", GhzConfig(n_atoms=N_ATOMS, omega0=OMEGA0, wait=1.0)),
 }
-# the blocks of each partition a row names
-PARTITIONS = {
-    ("quantized Ramsey", "global"): [(("atom", "field"),)],
-    ("quantized Ramsey", "local"): [(("atom",), ("field",))],
-    ("quantized Ramsey", "atom / field only"): [(("atom",),), (("field",),)],
-    ("semiclassical Ramsey", "atom"): [(("atom",),)],
-    ("Michelson", "global"): [(("arm_c", "arm_d"),)],
-    ("Michelson", "local"): [(("arm_c",), ("arm_d",))],
-    ("Michelson", "one arm only"): [(("arm_c",),), (("arm_d",),)],
-    ("GHZ", "one block over the N atoms"): [(("atoms",),)],
+# the partitions a row names, as block lists over the family's labels: one
+# block over all of them, one block per label, or one partition per label
+SPLITS = {
+    "global": lambda labels: [[labels]],
+    "atom": lambda labels: [[labels]],
+    "one block over the N atoms": lambda labels: [[labels]],
+    "local": lambda labels: [[(lab,) for lab in labels]],
+    "atom / field only": lambda labels: [[(lab,)] for lab in labels],
+    "one arm only": lambda labels: [[(lab,)] for lab in labels],
 }
 
 
@@ -74,18 +74,21 @@ PARTITIONS = {
 def test_decay_law_table_row_is_decay_rate(experiment, partition, d_cell):
     names = {"omega0": OMEGA0, "omega": OMEGA, "detuning": DETUNING, "N": N_ATOMS}
     d_values = [eval(expr, {}, names) for expr in re.findall(r"`([^`]+)`", d_cell) or [d_cell]]
-    blocks_each = PARTITIONS[experiment, partition]
+    family, cfg = FAMILIES[experiment]
+    blocks_each = SPLITS[partition](EXPERIMENTS[family][0])
     if len(d_values) == 1:
         d_values *= len(blocks_each)
     assert len(d_values) == len(blocks_each)
     for blocks, d in zip(blocks_each, d_values):
-        part = DecoherencePartition(SIGMA, tuple(frozenset(b) for b in blocks))
-        assert math.isclose(part.strength(GAPS[experiment]), d, rel_tol=1e-12)
-        assert math.isclose(part.decay_rate(GAPS[experiment]), SIGMA * d, rel_tol=1e-12)
-        if experiment == "GHZ":
-            rate = run_ghz(GhzConfig(n_atoms=N_ATOMS, omega0=OMEGA0, wait=1.0, decoherence=part)).effective_rate
+        part = DecoherencePartition(SIGMA, blocks)
+        assert math.isclose(part.strength(gaps(family, cfg)), d, rel_tol=1e-12)
+        assert math.isclose(part.decay_rate(gaps(family, cfg)), SIGMA * d, rel_tol=1e-12)
+        if family == "ghz":
+            rate = run_ghz(dataclasses.replace(cfg, decoherence=part)).effective_rate
             assert math.isclose(rate, SIGMA * d, rel_tol=1e-12)
 
 
 def test_decay_law_table_covers_every_partition():
-    assert [(e, p) for e, p, _ in DECAY_TABLE] == list(PARTITIONS)
+    # every table family has a README row, every row a family, every partition a split
+    assert sorted({FAMILIES[e][0] for e, _, _ in DECAY_TABLE}) == sorted(EXPERIMENTS)
+    assert {p for _, p, _ in DECAY_TABLE} == set(SPLITS)

@@ -3,8 +3,10 @@
 import dataclasses
 import math
 import re
+import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -434,6 +436,23 @@ class TestDistanceReach:
         res = distance_reach(gamma, gamma_sp, 1.0)
         assert abs(res.l_decoherence / (C_LIGHT * length) - 1.0) <= 1e-14
         assert res.l_max == min(res.l_decoherence, C_LIGHT)
+
+    @pytest.mark.parametrize("gamma, gamma_sp", [(1e-300, 1e-200), (1e-300, 1e-160)],
+                             ids=["square-underflows-to-0", "square-subnormal"])
+    def test_subnormal_square_divides_first(self, gamma, gamma_sp):
+        # gamma_sp**2 is 0 or subnormal: the first was refused, the second
+        # lost about 1e-5 of the length to the square's missing bits
+        assert gamma_sp * gamma_sp < sys.float_info.min
+        exact = Fraction(C_LIGHT) * Fraction(gamma) / Fraction(gamma_sp) ** 2
+        res = distance_reach(gamma, gamma_sp, 1.0)
+        assert abs(Fraction(res.l_decoherence) / exact - 1) <= 4e-16
+        assert res.l_max == C_LIGHT
+
+    def test_normal_square_keeps_its_bits(self):
+        gamma_sp = math.sqrt(sys.float_info.min) * 1.5  # the smallest squares left on the first form
+        assert gamma_sp * gamma_sp >= sys.float_info.min
+        for g_sp in (gamma_sp, 1e-3):
+            assert distance_reach(1e-300, g_sp, 1.0).l_decoherence == C_LIGHT * 1e-300 / (g_sp * g_sp)
 
     def test_one_second_coherence(self):
         assert abs(distance_reach(0.0, 0.0, 1.0).l_laser / 2.998e8 - 1.0) <= 1e-3
