@@ -73,9 +73,10 @@ class DecoherencePartition:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and non-negative")
-        if any(isinstance(labels, str) for labels in self.blocks):
-            raise ValueError(f"a partition block must be a set of labels, not a str: {self.blocks!r}")
-        object.__setattr__(self, "blocks", tuple(map(frozenset, self.blocks)))  # hashable, like a batch key
+        blocks = tuple(self.blocks)  # read once: a generator of blocks is used up
+        if any(isinstance(labels, str) for labels in blocks):
+            raise ValueError(f"a partition block must be a set of labels, not a str: {blocks!r}")
+        object.__setattr__(self, "blocks", tuple(map(frozenset, blocks)))  # hashable, like a batch key
         seen: frozenset[str] = frozenset()
         for labels in self.blocks:
             if seen & labels:

@@ -177,6 +177,11 @@ class TestDecoherencePartition:
             assert _same_fringe(*fringes)
             assert fringes[0].visibility < 1.0
 
+    def test_generator_of_blocks_is_read_once(self):
+        # the str check used to use up a generator, leaving no blocks at all
+        part = DecoherencePartition(1e-33, (frozenset({lab}) for lab in ("atom", "field")))
+        assert part == DecoherencePartition.local_over(1e-33, "atom", "field")
+
     @pytest.mark.parametrize("blocks", [("atom",), [frozenset({"field"}), "atom"], "atom"],
                              ids=["str-block", "mixed", "str-blocks"])
     def test_str_block_is_refused(self, blocks):

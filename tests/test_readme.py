@@ -57,15 +57,29 @@ FAMILIES = {
     "Michelson": ("michelson", MichelsonConfig(alpha=1.0, arm_time=1.0, mode_frequency=OMEGA)),
     "GHZ": ("ghz", GhzConfig(n_atoms=N_ATOMS, omega0=OMEGA0, wait=1.0)),
 }
-# the partitions a row names, as block lists over the family's labels: one
-# block over all of them, one block per label, or one partition per label
+# the partitions each row names, as block lists over its family's labels:
+# one block over all of them, one block per label, or one partition per label
+def one_block(labels):
+    return [[labels]]
+
+
+def per_label_blocks(labels):
+    return [[(lab,) for lab in labels]]
+
+
+def per_label_partitions(labels):
+    return [[(lab,)] for lab in labels]
+
+
 SPLITS = {
-    "global": lambda labels: [[labels]],
-    "atom": lambda labels: [[labels]],
-    "one block over the N atoms": lambda labels: [[labels]],
-    "local": lambda labels: [[(lab,) for lab in labels]],
-    "atom / field only": lambda labels: [[(lab,)] for lab in labels],
-    "one arm only": lambda labels: [[(lab,)] for lab in labels],
+    ("quantized Ramsey", "global"): one_block,
+    ("quantized Ramsey", "local"): per_label_blocks,
+    ("quantized Ramsey", "atom / field only"): per_label_partitions,
+    ("semiclassical Ramsey", "atom"): one_block,
+    ("Michelson", "global"): one_block,
+    ("Michelson", "local"): per_label_blocks,
+    ("Michelson", "one arm only"): per_label_partitions,
+    ("GHZ", "one block over the N atoms"): one_block,
 }
 
 
@@ -75,7 +89,7 @@ def test_decay_law_table_row_is_decay_rate(experiment, partition, d_cell):
     names = {"omega0": OMEGA0, "omega": OMEGA, "detuning": DETUNING, "N": N_ATOMS}
     d_values = [eval(expr, {}, names) for expr in re.findall(r"`([^`]+)`", d_cell) or [d_cell]]
     family, cfg = FAMILIES[experiment]
-    blocks_each = SPLITS[partition](EXPERIMENTS[family][0])
+    blocks_each = SPLITS[experiment, partition](EXPERIMENTS[family][0])
     if len(d_values) == 1:
         d_values *= len(blocks_each)
     assert len(d_values) == len(blocks_each)
@@ -89,6 +103,6 @@ def test_decay_law_table_row_is_decay_rate(experiment, partition, d_cell):
 
 
 def test_decay_law_table_covers_every_partition():
-    # every table family has a README row, every row a family, every partition a split
+    # every (experiment, partition) row in order, and every table family has a row
+    assert [(e, p) for e, p, _ in DECAY_TABLE] == list(SPLITS)
     assert sorted({FAMILIES[e][0] for e, _, _ in DECAY_TABLE}) == sorted(EXPERIMENTS)
-    assert {p for _, p, _ in DECAY_TABLE} == set(SPLITS)
