@@ -40,10 +40,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps' C encoder
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,16 +79,14 @@ class ConfigError(ValueError):
     """Configuration problem: unknown key, malformed value or missing input."""
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     ptype: str                      # float | int | str | bool
     default: object = None          # None means "absent unless provided"
     choices: tuple[str, ...] = ()
     help: str = ""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     parameters: dict
     output_path: str | None
@@ -168,8 +165,7 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentOutput:
+class ExperimentOutput(NamedTuple):
     points: list
     summary: dict                   # run adds command and parameters
     headline: dict                  # the row a sweep records for this run
@@ -366,7 +362,7 @@ def _handle_michelson(params: dict) -> ExperimentOutput:
         mode_frequency=params["omega"],
         decoherence=_partition(params["sigma"], params["partition"], EXPERIMENTS["michelson"][0]),
     )
-    headline = asdict(run_michelson(cfg))
+    headline = run_michelson(cfg)._asdict()
     points = [{"output_mode": m, "mean_photons": headline[f"mean_photons_out_{m}"]} for m in "ab"]
     return ExperimentOutput(points, headline, headline)
 
@@ -380,7 +376,7 @@ def _handle_ghz(params: dict) -> ExperimentOutput:
         gamma_sp=params["gamma_sp"],
         three_body_rate=params["three_body_rate"],
     )
-    headline = asdict(run_ghz(cfg))
+    headline = run_ghz(cfg)._asdict()
     return ExperimentOutput([{"wait": cfg.wait, **headline}], headline, headline)
 
 
@@ -411,7 +407,7 @@ def _handle_design(params: dict) -> ExperimentOutput:
     )
     grid = ghz_design_grid(species, n_grid, v_grid)
     summary: dict = {
-        method: {**asdict(r), "creation_constraint_ok": r.creation_constraint_ok}
+        method: {**r._asdict(), "rates": r.rates._asdict(), "creation_constraint_ok": r.creation_constraint_ok}
         for method, r in (("closed_form", closed), ("grid", grid))
     }
     points = [
@@ -448,12 +444,12 @@ def _handle_bounds(params: dict) -> ExperimentOutput:
             params["mass"], params["velocity"], params["path_separation"],
             params["sigma"], params["flight_path"],
         )
-        emit("matterwave", asdict(mw))
+        emit("matterwave", mw._asdict())
     if "distance" in selected:
         if params.get("gamma") is None:
             raise ConfigError("missing required key for --distance: gamma")
         reach = distance_reach(params["gamma"], params["gamma_sp"], params["coherence_time"])
-        emit("distance", asdict(reach))
+        emit("distance", reach._asdict())
     if "cosmic" in selected:
         de = cosmic_bound(params["sigma"], params["age_years"] * YEAR_SECONDS)
         emit("cosmic", {"delta_e_ev": de})

@@ -21,6 +21,7 @@ semiclassical runner never reads RamseyConfig.field.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
 import numbers
@@ -56,6 +57,11 @@ __all__ = [
 def _require_finite(*values: complex) -> None:
     if not all(cmath.isfinite(v) for v in values):
         raise ValueError("config values must be finite (no NaN or inf)")
+
+
+def _quiet_overflow(*values):
+    # Python floats overflow to inf silently; numpy's float64, a float subclass, warns
+    return contextlib.nullcontext() if all(type(v) is float for v in values) else np.errstate(over="ignore")
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ class DecoherencePartition:
         an infinite D without a warning.
         """
         total = 0.0
-        with np.errstate(over="ignore"):
+        with _quiet_overflow(*gaps.values()):
             for labels in self.blocks:
                 if not labels or not labels <= gaps.keys():
                     raise ValueError(f"unsupported dephasing block {sorted(labels)}")
@@ -106,7 +112,7 @@ class DecoherencePartition:
         """sigma * strength(gaps), the rate of the coherence's decay
         exp(-rate*t), or 0.0 at sigma = 0 even for an infinite D."""
         d = self.strength(gaps)  # raises whatever sigma is
-        with np.errstate(over="ignore"):
+        with _quiet_overflow(self.sigma, d):
             return self.sigma * d if self.sigma > 0.0 else 0.0
 
     @staticmethod
@@ -234,8 +240,7 @@ class MichelsonConfig:
             raise ValueError("arm_time must be non-negative")
 
 
-@dataclass(frozen=True)
-class MichelsonResult:
+class MichelsonResult(NamedTuple):
     """Output photon means of the two recombined modes."""
 
     mean_photons_out_a: float
@@ -265,8 +270,7 @@ class GhzConfig:
             raise ValueError("rates and times must be non-negative")
 
 
-@dataclass(frozen=True)
-class GhzResult:
+class GhzResult(NamedTuple):
     coherence: float
     survival: float
     effective_rate: float

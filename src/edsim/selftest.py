@@ -14,9 +14,9 @@ import json
 import math
 import time
 from contextlib import redirect_stdout
-from dataclasses import dataclass
 from pathlib import Path
 from tempfile import TemporaryDirectory
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ from .sensitivity import (
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "beamsplitter_sector", "phase_average_check"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: int
     description: str
     passed: bool

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ class SpeciesParams:
             raise ValueError("gamma_sp, kappa, k3 and delta_e must be positive")
 
 
-@dataclass(frozen=True)
-class DesignRates:
+class DesignRates(NamedTuple):
     """Competing rates at the design point, all in 1/s of detectable gamma."""
 
     gravitational: float
@@ -79,8 +79,7 @@ class DesignRates:
     three_body: float
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(NamedTuple):
     """Optimizer output for the GHZ experiment.
 
     creation_margin is the ratio of the creation rate kappa/(N*V) to
@@ -309,8 +308,7 @@ def ghz_design_grid(p: SpeciesParams, n_grid: np.ndarray, v_grid: np.ndarray) ->
     return _design_from_point(p, float(n[best_cell[0]]), float(v[best_cell[1]]), best)
 
 
-@dataclass(frozen=True)
-class MatterWaveBound:
+class MatterWaveBound(NamedTuple):
     """Outcome of a matter-wave interferometry exclusion estimate.
 
     decoherence_length is math.inf when sigma is zero; serializers must
@@ -357,8 +355,7 @@ def matterwave_bound(
     return MatterWaveBound(rate=rate, decoherence_length=length, excluded=length < flight_path)
 
 
-@dataclass(frozen=True)
-class DistanceReach:
+class DistanceReach(NamedTuple):
     """Separation limits for a long-distance Ramsey experiment.
 
     l_decoherence is math.inf when the dephasing-rate limit does not

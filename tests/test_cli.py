@@ -18,14 +18,21 @@ import pytest
 from edsim import cli, selftest
 from edsim.cli import ConfigError, parse_config
 from edsim.core import DensityMatrix
-from edsim.interferometry import EXPERIMENTS
+from edsim.interferometry import EXPERIMENTS, GhzResult, MichelsonResult
 from edsim.constants import (
     C_LIGHT,
     DESIGN_MAX_GRID_AXIS,
     MAX_PHASE_POINTS,
     RAMSEY_MAX_CUTOFF,
 )
-from edsim.sensitivity import default_design_grids, ghz_design
+from edsim.sensitivity import (
+    DesignRates,
+    DesignResult,
+    DistanceReach,
+    MatterWaveBound,
+    default_design_grids,
+    ghz_design,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -1047,3 +1054,22 @@ class TestJsonText:
     def test_other_types_are_a_type_error(self, doc):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             cli._json_text(doc)
+
+
+class TestRecordShape:
+    """Records that validate nothing are named tuples, whose _asdict() the CLI serializes."""
+
+    @pytest.mark.parametrize("record", [
+        MichelsonResult, GhzResult, DesignRates, DesignResult, MatterWaveBound, DistanceReach,
+        cli.ParamSpec, cli.RunConfig, cli.ExperimentOutput, selftest.CriterionResult,
+    ], ids=lambda record: record.__name__)
+    def test_result_is_a_named_tuple(self, record):
+        assert issubclass(record, tuple) and record._fields
+
+    @pytest.mark.parametrize("method", ["closed_form", "grid"])
+    def test_design_rates_are_a_json_object(self, method, tmp_path, capsys):
+        # _asdict() leaves the nested DesignRates a tuple, which JSON would write as a list
+        code, _, _ = _run(["design", "--species", "Sr", "--out", str(tmp_path / "d")], capsys)
+        assert code == 0
+        rates = json.loads((tmp_path / "d.json").read_text())[method]["rates"]
+        assert isinstance(rates, dict) and sorted(rates) == ["gravitational", "spontaneous", "three_body"]

@@ -218,8 +218,8 @@ class TestDecoherencePartition:
 
     @pytest.mark.parametrize("gaps", [
         {"a": 2.0, "b": -0.7}, {"a": 1.5e15, "b": np.array([1.0, -1.5e15, 3e14, 1e200])},
-        {"a": 1e200, "b": 1.0}, {"a": math.inf, "b": 1.0},
-    ], ids=["scalar", "array", "overflow", "inf"])
+        {"a": 1e200, "b": 1.0}, {"a": np.float64(1e200), "b": 1.0}, {"a": math.inf, "b": 1.0},
+    ], ids=["scalar", "array", "overflow", "numpy-overflow", "inf"])
     @pytest.mark.parametrize("part", [
         DecoherencePartition.global_over(0.3, "a", "b"), DecoherencePartition.local_over(2e-31, "b", "a"),
         DecoherencePartition.local_over(0.0, "a", "b"), DecoherencePartition(1e-31, (frozenset({"a"}),)),
@@ -245,9 +245,13 @@ class TestDecoherencePartition:
 
     def test_overflowing_gap_is_full_decay(self):
         # a squared gap beyond double range is an infinite rate, with no
-        # warning; sigma = 0 stays exactly zero
-        assert DecoherencePartition.local_over(1e-31, "a").decay_rate({"a": 1e200}) == math.inf
-        assert DecoherencePartition.local_over(0.0, "a").decay_rate({"a": 1e200}) == 0.0
+        # warning even where overflow raises; sigma = 0 stays exactly zero
+        with np.errstate(over="raise"):
+            for gap in (1e200, np.float64(1e200), np.array([1e200, 1e200])):
+                assert np.all(DecoherencePartition.local_over(1e-31, "a").decay_rate({"a": gap}) == math.inf)
+                assert DecoherencePartition.local_over(0.0, "a").decay_rate({"a": gap}) == 0.0
+            # a numpy sigma times a finite D that overflows
+            assert DecoherencePartition.local_over(np.float64(10.0), "a").decay_rate({"a": 1e154}) == math.inf
         for gap in (1e200, math.inf):
             assert DecoherencePartition.local_over(0.0, "a").strength({"a": gap}) == math.inf
             assert DecoherencePartition.local_over(0.0, "a").decay_rate({"a": gap}) == 0.0
