@@ -21,7 +21,6 @@ semiclassical runner never reads RamseyConfig.field.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import itertools
 import math
 import numbers
@@ -57,11 +56,6 @@ __all__ = [
 def _require_finite(*values: complex) -> None:
     if not all(cmath.isfinite(v) for v in values):
         raise ValueError("config values must be finite (no NaN or inf)")
-
-
-def _quiet_overflow(*values):
-    # Python floats overflow to inf silently; numpy's float64, a float subclass, warns
-    return contextlib.nullcontext() if all(type(v) is float for v in values) else np.errstate(over="ignore")
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class DecoherencePartition:
         an infinite D without a warning.
         """
         total = 0.0
-        with _quiet_overflow(*gaps.values()):
+        with np.errstate(over="ignore"):
             for labels in self.blocks:
                 if not labels or not labels <= gaps.keys():
                     raise ValueError(f"unsupported dephasing block {sorted(labels)}")
@@ -112,7 +106,7 @@ class DecoherencePartition:
         """sigma * strength(gaps), the rate of the coherence's decay
         exp(-rate*t), or 0.0 at sigma = 0 even for an infinite D."""
         d = self.strength(gaps)  # raises whatever sigma is
-        with _quiet_overflow(self.sigma, d):
+        with np.errstate(over="ignore"):
             return self.sigma * d if self.sigma > 0.0 else 0.0
 
     @staticmethod
