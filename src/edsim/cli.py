@@ -35,6 +35,7 @@ as failures.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -515,9 +516,9 @@ def run(cfg: RunConfig) -> int:
         output = ExperimentOutput(rows, {"sweep_key": key, "rows": rows}, {})
     summary = {"command": cfg.command, "parameters": dict(sorted(cfg.parameters.items())), **output.summary}
     meta["elapsed_seconds"] = time.perf_counter() - start
-    # serialize everything first and remove this call's files if a write
-    # fails, so a failure leaves no partial BASE.* files; without --out
-    # only the printed text is built
+    # serialize everything first; once a file is opened (so truncated), a
+    # failed write removes the whole BASE.* set, leaving no file of this run
+    # or an earlier one; without --out only the printed text is built
     printed = ".csv" if cfg.output_format == "csv" else ".json"
     serializers = {".csv": lambda: _csv_text(output.points), ".json": lambda: _json_text(summary),
                    ".meta.json": lambda: _json_text(meta)}
@@ -529,19 +530,20 @@ def run(cfg: RunConfig) -> int:
         base.parent.mkdir(parents=True, exist_ok=True)
         blobs = {f"{base}{suffix}": text.encode() for suffix, text in texts.items()}
         flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
-        written: list[str] = []
+        opened = False
         try:
             for path, data in blobs.items():
                 fd = os.open(path, flags, 0o666)
-                written.append(path)
+                opened = True
                 try:
                     while data:
                         data = data[os.write(fd, data):]
                 finally:
                     os.close(fd)
         except OSError:
-            for path in written:
-                Path(path).unlink(missing_ok=True)
+            for path in blobs if opened else ():
+                with contextlib.suppress(OSError):  # missing, or not removable
+                    os.unlink(path)
             raise
     print(texts[printed], end="")
     if output.failed:

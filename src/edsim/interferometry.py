@@ -274,16 +274,21 @@ class GhzResult(NamedTuple):
 # order, across the coherence its readout sees (gaps() maps them for strength): the Ramsey pair
 # |e,k-1><g,k|, the bare atom's |e><g|, a photon moved between the Michelson arms, the GHZ branches
 EXPERIMENTS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "ramsey_quantized": (("atom", "field"), lambda cfg: (cfg.omega0, -(cfg.omega0 - cfg.detuning))),
+    "ramsey_quantized": (("atom", "field"), lambda cfg: (cfg.omega0, -(float(cfg.omega0) - cfg.detuning))),
     "ramsey_semiclassical": (("atom",), lambda cfg: (cfg.omega0,)),
     "michelson": (("arm_c", "arm_d"), lambda cfg: (cfg.mode_frequency, -cfg.mode_frequency)),
-    "ghz": (("atoms",), lambda cfg: (int(cfg.n_atoms) * cfg.omega0,)),
+    "ghz": (("atoms",), lambda cfg: (float(cfg.n_atoms) * cfg.omega0,)),
 }
 
 
 def gaps(experiment: str, cfg) -> dict[str, float]:
-    labels, gaps_of = EXPERIMENTS[experiment]
-    return dict(zip(labels, gaps_of(cfg)))
+    labels, gaps_of = EXPERIMENTS[experiment]  # floats: an integer gap's square may leave double range
+    return {label: float(gap) for label, gap in zip(labels, gaps_of(cfg))}
+
+
+def _exponent(rate: float, t: float) -> float:
+    """rate * t, the exponent of every decay exp(-rate*t), or 0.0 at t = 0 even for an infinite rate."""
+    return rate * t if t > 0.0 else 0.0
 
 
 def _contrast(hi: float, lo: float) -> float:
@@ -360,9 +365,7 @@ def _quantized_pulse(cfg: RamseyConfig) -> tuple[tuple[np.ndarray, ...], np.ndar
 
 def _quantized_wait(rows: Sequence[RamseyConfig], pulse: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """(gg, ee, eg) of the pulsed pairs after each config's wait, as
-    (rows, pairs) arrays, from one strength call per block set. A row
-    with no wait gets the factors (0, 1, 1), which keep the pulsed pairs
-    exactly, whatever its dephasing rate."""
+    (rows, pairs) arrays, from one strength call per block set."""
     gg, ee, eg = pulse
     labels, gaps_of = EXPERIMENTS["ramsey_quantized"]  # each label's gaps over the rows, as one array
     columns = dict(zip(labels, np.array([gaps_of(cfg) for cfg in rows], dtype=float).T))
@@ -374,15 +377,12 @@ def _quantized_wait(rows: Sequence[RamseyConfig], pulse: tuple[np.ndarray, ...])
     for i, cfg in enumerate(rows):
         part = cfg.decoherence  # rate = decay_rate(gaps), bit for bit (sigma * 0.0 without blocks)
         rate = part.sigma * strengths[part.blocks][i] if part.sigma > 0.0 and part.blocks else 0.0
-        if cfg.wait > 0.0:
-            factors.append((
-                -math.expm1(-cfg.spontaneous_rate * cfg.wait),
-                math.exp(-cfg.spontaneous_rate * cfg.wait),
-                math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait - rate * cfg.wait)
-                * cmath.exp(-1j * cfg.detuning * cfg.wait),
-            ))
-        else:  # an infinite rate times a zero wait is NaN
-            factors.append((0.0, 1.0, 1.0))
+        factors.append((
+            -math.expm1(-cfg.spontaneous_rate * cfg.wait),
+            math.exp(-cfg.spontaneous_rate * cfg.wait),
+            math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait - _exponent(rate, cfg.wait))
+            * cmath.exp(-1j * cfg.detuning * cfg.wait),
+        ))
     lost, kept, coherence = (np.array(column)[:, None] for column in zip(*factors))
     waited = np.repeat(gg[None], len(rows), axis=0), ee * kept, eg * coherence
     # decay moves the |e,k> population of pair k+1 onto |g,k>
@@ -411,7 +411,7 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
     lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
     kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
-    coherence = kept * math.exp(-rate * cfg.wait) if cfg.wait > 0.0 else kept  # inf * 0 is NaN
+    coherence = kept * math.exp(-_exponent(rate, cfg.wait))
     rho = np.array([[c * c + lost * s * s, 1j * c * s * coherence],
                     [-1j * c * s * coherence, kept * kept * s * s]])
     rho = evolve_analytic(DensityMatrix(rho), (0.0, cfg.detuning), cfg.wait).entries
@@ -458,7 +458,7 @@ def run_michelson(cfg: MichelsonConfig) -> MichelsonResult:
     """
     mean = _mean_photons(cfg.alpha)
     rate = cfg.decoherence.decay_rate(gaps("michelson", cfg))
-    fringe = math.exp(-rate * cfg.arm_time) if cfg.arm_time > 0.0 else 1.0
+    fringe = math.exp(-_exponent(rate, cfg.arm_time))
     return MichelsonResult(mean / 2.0 * (1.0 + fringe), mean / 2.0 * (1.0 - fringe))
 
 
@@ -474,13 +474,11 @@ def run_ghz(cfg: GhzConfig) -> GhzResult:
         coherence(t)   = 0.5 * exp(-effective_rate * t)
         survival(t)    = exp(-(N*gamma_sp + three_body_rate) * t)
     """
-    n = int(cfg.n_atoms)  # a Python float overflows to inf without numpy's warning
+    n = float(cfg.n_atoms)  # a Python float overflows to inf without numpy's warning
     loss = n * cfg.gamma_sp + cfg.three_body_rate
     rate = cfg.decoherence.decay_rate(gaps("ghz", cfg)) + loss
-    if cfg.wait == 0.0:  # an infinite rate times a zero wait is NaN
-        return GhzResult(coherence=0.5, survival=1.0, effective_rate=rate)
     return GhzResult(
-        coherence=0.5 * math.exp(-rate * cfg.wait),
-        survival=math.exp(-loss * cfg.wait),
+        coherence=0.5 * math.exp(-_exponent(rate, cfg.wait)),
+        survival=math.exp(-_exponent(loss, cfg.wait)),
         effective_rate=rate,
     )

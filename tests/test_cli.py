@@ -531,7 +531,10 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["B.json"]
 
-    def test_failed_write_on_second_file_removes_every_file(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _fail_second_write(monkeypatch) -> list:
+        """Make the CLI's write to the second file it opens raise ENOSPC;
+        returns the list of paths it opens."""
         opened = []
         real_open, real_write = os.open, os.write
 
@@ -546,6 +549,10 @@ class TestBadInput:
 
         monkeypatch.setattr(cli.os, "open", counting_open)
         monkeypatch.setattr(cli.os, "write", write)
+        return opened
+
+    def test_failed_write_on_second_file_removes_every_file(self, tmp_path, monkeypatch, capsys):
+        opened = self._fail_second_write(monkeypatch)
         code, out, err = _run(["ghz", "--out", str(tmp_path / "B")], capsys)
         monkeypatch.undo()
         assert (code, out, len(opened)) == (2, "", 2)
@@ -553,6 +560,33 @@ class TestBadInput:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "OSError"
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rerun_leaves_no_file_of_the_earlier_run(self, tmp_path, monkeypatch, capsys):
+        # a failed rerun has truncated some of the earlier run's files: the
+        # whole set goes, so no BASE.meta.json of the sweep outlives it
+        base = str(tmp_path / "B")
+        argv = ["ghz", "--sweep", "sigma", "--sweep-values", "0,1e-36", "--out", base]
+        assert _run(argv, capsys)[0] == 0
+        assert json.loads((tmp_path / "B.meta.json").read_bytes())["sweep_key"] == "sigma"
+        opened = self._fail_second_write(monkeypatch)
+        code, out, err = _run(["ghz", "--out", base], capsys)
+        monkeypatch.undo()
+        assert (code, out, len(opened), len(err.splitlines())) == (2, "", 2, 1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_before_the_first_open_keeps_the_earlier_run(self, tmp_path, monkeypatch, capsys):
+        base = str(tmp_path / "B")
+        assert _run(["ghz", "--out", base], capsys)[0] == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(*args):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "open", refuse)
+        code, _, err = _run(["ghz", "--n-atoms", "3", "--out", base], capsys)
+        monkeypatch.undo()
+        assert (code, len(err.splitlines())) == (2, 1)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("argv", [
         ["ramsey", "--coupling", "1"],
@@ -729,6 +763,10 @@ class TestFrontEnd:
         for suffix in (".csv", ".json"):
             assert ((tmp_path / f"B{suffix}").read_bytes()
                     == (tmp_path / f"fresh{suffix}").read_bytes())
+        # the sweep's meta carries a sweep_key; the rerun's must not
+        metas = [json.loads((tmp_path / f"{name}.meta.json").read_bytes()) for name in ("B", "fresh")]
+        assert [m.pop("elapsed_seconds") > 0.0 for m in metas] == [True, True]
+        assert metas[0] == metas[1] == {"command": "ghz"}
 
     def test_short_writes_give_the_same_files(self, tmp_path, monkeypatch, capsys):
         # os.write may write fewer bytes than asked; every byte must still go out

@@ -464,6 +464,16 @@ class TestMichelson:
         assert abs(res.mean_photons_out_b) <= 1e-9
         assert abs(res.mean_photons_out_a - 4.0) <= 1e-8
 
+    def test_zero_arm_time_with_infinite_rate(self):
+        # omega=1e200 makes the local rate infinite: a zero arm time keeps
+        # the undecayed fringe, with no NaN from an infinite rate times 0
+        cfg = MichelsonConfig(alpha=2.0, arm_time=0.0, mode_frequency=1e200,
+                              decoherence=DecoherencePartition.local_over(1e-30, "arm_c", "arm_d"))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert run_michelson(cfg) == (4.0, 0.0)
+            assert run_michelson(dataclasses.replace(cfg, arm_time=1.0)) == (2.0, 2.0)
+
     def test_global_dephasing_changes_nothing(self):
         sigma = 50.0 / (W0 * W0)
         res = run_michelson(
@@ -963,6 +973,28 @@ class TestConfigTypes:
         # np.int32 squared would wrap at 50000 atoms
         big = run_ghz(GhzConfig(n_atoms=np.int32(50_000), omega0=1.0, wait=0.0, decoherence=_atoms(1.0)))
         assert big == run_ghz(GhzConfig(n_atoms=50_000, omega0=1.0, wait=0.0, decoherence=_atoms(1.0)))
+
+    @pytest.mark.parametrize("run, build, first", [
+        (run_ramsey_semiclassical, lambda num: RamseyConfig(
+            omega0=num(10**160), wait=1.0, decoherence=_atom_partition(1e-30)), 0.0),
+        (run_ramsey_quantized, lambda num: RamseyConfig(
+            omega0=num(10**308), detuning=num(-10**308), wait=1.0,
+            decoherence=DecoherencePartition.local_over(1e-30, "atom", "field")), 0.0),
+        (run_michelson, lambda num: MichelsonConfig(
+            alpha=2.0, arm_time=1.0, mode_frequency=num(10**160),
+            decoherence=DecoherencePartition.local_over(1e-30, "arm_c", "arm_d")), 2.0),
+        (run_ghz, lambda num: GhzConfig(
+            n_atoms=10**100, omega0=num(10**100), wait=1.0, decoherence=_atoms(1e-30)), 0.0),
+        (run_ghz, lambda num: GhzConfig(
+            n_atoms=10**200, omega0=num(10**200), wait=1.0, gamma_sp=num(10**200), decoherence=_atoms(1e-30)), 0.0),
+    ], ids=["semiclassical", "quantized", "michelson", "ghz", "ghz-loss"])
+    def test_integer_values_run_as_their_float_twins(self, run, build, first):
+        # an integer gap, gap sum or loss beyond double range used to raise
+        # OverflowError ("int too large to convert to float") where its float
+        # twin decays fully
+        got, twin = run(build(int)), run(build(float))
+        assert [np.asarray(v).tolist() for v in got] == [np.asarray(v).tolist() for v in twin]
+        assert got[0] == first
 
     @pytest.mark.parametrize("points, message", [
         (0, "need at least two phase points"),
