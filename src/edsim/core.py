@@ -10,6 +10,7 @@ integrator may transiently violate positivity without aborting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,7 @@ def validate_pairs(gg, ee, eg) -> None:
 def _mean_photons(alpha: complex) -> float:
     """|alpha|**2, or ValueError where it overflows."""
     a = abs(alpha)
-    if not math.isfinite(a * a):
+    if not a * a <= sys.float_info.max:
         raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}")
     return a * a
 

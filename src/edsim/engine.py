@@ -32,6 +32,7 @@ only, as an independent dense oracle.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -43,9 +44,9 @@ __all__ = ["evolve_analytic", "evolve_stepped"]
 
 
 def _check_sigma_duration(sigma: float, duration: float) -> None:
-    if not (math.isfinite(sigma) and sigma >= 0.0):
+    if not 0.0 <= sigma <= sys.float_info.max:
         raise ValueError("sigma must be finite and non-negative")
-    if not (math.isfinite(duration) and duration >= 0.0):
+    if not 0.0 <= duration <= sys.float_info.max:
         raise ValueError("duration must be finite and non-negative")
 
 
@@ -116,7 +117,7 @@ def evolve_stepped(rho0: DensityMatrix, hamiltonian, duration: float, sigma: flo
     unretouched; it must pass validate_density or an InvariantError is
     raised.
     """
-    if any(not (math.isfinite(rate) and rate >= 0.0) for rate, _ in losses):
+    if any(not 0.0 <= rate <= sys.float_info.max for rate, _ in losses):
         raise ValueError("loss rate must be finite and non-negative")
     _check_sigma_duration(sigma, duration)
     shape = rho0.entries.shape

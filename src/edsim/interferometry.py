@@ -54,7 +54,7 @@ __all__ = [
 
 
 def _require_finite(*values: complex) -> None:
-    if not all(cmath.isfinite(v) for v in values):
+    if not all(abs(v) <= sys.float_info.max for v in values):  # exact for an int of any size
         raise ValueError("config values must be finite (no NaN or inf)")
 
 
@@ -71,7 +71,7 @@ class DecoherencePartition:
     blocks: tuple[frozenset[str], ...] = ()
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not 0.0 <= self.sigma <= sys.float_info.max:
             raise ValueError("sigma must be finite and non-negative")
         blocks = tuple(self.blocks)  # read once: a generator of blocks is used up
         if any(isinstance(labels, str) for labels in blocks):
@@ -193,7 +193,7 @@ class RamseyConfig:
             raise ValueError("pulse_area must lie in (0, pi]")
         if self.wait < 0.0 or self.spontaneous_rate < 0.0:
             raise ValueError("wait and spontaneous_rate must be non-negative")
-        if not math.isfinite(self.detuning * self.wait):
+        if not abs(self.detuning * self.wait) <= sys.float_info.max:
             raise ValueError(f"detuning*wait overflows for detuning={self.detuning!r}, wait={self.wait!r}")
 
     @property
@@ -291,6 +291,12 @@ def _exponent(rate: float, t: float) -> float:
     return rate * t if t > 0.0 else 0.0
 
 
+def _damping(gamma: float, t: float, rate: float) -> tuple[float, float, float]:
+    """Amplitude damping at gamma over t: |e>'s lost and kept shares, and its coherence, dephased at rate."""
+    gt = float(gamma) * t  # a float, as the product of float inputs is: an int one may leave double range
+    return -math.expm1(-gt), math.exp(-gt), math.exp(-0.5 * gt - _exponent(rate, t))
+
+
 def _contrast(hi: float, lo: float) -> float:
     return (hi - lo) / (hi + lo) if hi + lo != 0.0 else 0.0
 
@@ -377,12 +383,8 @@ def _quantized_wait(rows: Sequence[RamseyConfig], pulse: tuple[np.ndarray, ...])
     for i, cfg in enumerate(rows):
         part = cfg.decoherence  # rate = decay_rate(gaps), bit for bit (sigma * 0.0 without blocks)
         rate = part.sigma * strengths[part.blocks][i] if part.sigma > 0.0 and part.blocks else 0.0
-        factors.append((
-            -math.expm1(-cfg.spontaneous_rate * cfg.wait),
-            math.exp(-cfg.spontaneous_rate * cfg.wait),
-            math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait - _exponent(rate, cfg.wait))
-            * cmath.exp(-1j * cfg.detuning * cfg.wait),
-        ))
+        lost, kept, coherence = _damping(cfg.spontaneous_rate, cfg.wait, rate)
+        factors.append((lost, kept, coherence * cmath.exp(-1j * cfg.detuning * cfg.wait)))
     lost, kept, coherence = (np.array(column)[:, None] for column in zip(*factors))
     waited = np.repeat(gg[None], len(rows), axis=0), ee * kept, eg * coherence
     # decay moves the |e,k> population of pair k+1 onto |g,k>
@@ -409,11 +411,9 @@ def run_ramsey_semiclassical(cfg: RamseyConfig) -> FringeResult:
     """
     rate = cfg.decoherence.decay_rate(gaps("ramsey_semiclassical", cfg))  # only {atom} blocks pass
     c, s = math.cos(cfg.pulse_area / 2.0), math.sin(cfg.pulse_area / 2.0)
-    lost = -math.expm1(-cfg.spontaneous_rate * cfg.wait)
-    kept = math.exp(-0.5 * cfg.spontaneous_rate * cfg.wait)
-    coherence = kept * math.exp(-_exponent(rate, cfg.wait))
+    lost, kept, coherence = _damping(cfg.spontaneous_rate, cfg.wait, rate)
     rho = np.array([[c * c + lost * s * s, 1j * c * s * coherence],
-                    [-1j * c * s * coherence, kept * kept * s * s]])
+                    [-1j * c * s * coherence, kept * s * s]])
     rho = evolve_analytic(DensityMatrix(rho), (0.0, cfg.detuning), cfg.wait).entries
     return next(_fringe(rho[:1, :1], rho[1:, 1:], rho[1:, :1], c, 1j * s, cfg.phases))
 

@@ -63,7 +63,7 @@ class SpeciesParams:
 
     def __post_init__(self):
         values = (self.gamma_sp, self.delta_e, self.kappa, self.k3)
-        if not all(math.isfinite(v) for v in values):
+        if not all(abs(v) <= sys.float_info.max for v in values):  # exact for an int of any size
             raise ValueError("species parameters must be finite (no NaN or inf)")
         if min(values) < 0.0:
             raise ValueError("species parameters must be non-negative")
@@ -105,7 +105,7 @@ class DesignResult(NamedTuple):
 def single_atom_reach(gamma_detectable: float, delta_e_ev: float) -> float:
     """Smallest dephasing strength sigma a single-atom experiment resolves:
     sigma = gamma / (delta_e/hbar)**2."""
-    if not (0.0 < gamma_detectable < math.inf and 0.0 < delta_e_ev < math.inf):
+    if not (0.0 < gamma_detectable <= sys.float_info.max and 0.0 < delta_e_ev <= sys.float_info.max):
         raise ValueError("inputs must be positive and finite")
     w = delta_e_ev * OMEGA_PER_EV
     if w * w == 0.0:
@@ -183,14 +183,14 @@ def default_design_grids(
     for key, value in (("decades", decades), ("points_per_decade", points_per_decade)):
         if not value >= 0:
             raise ValueError(f"{key} must be non-negative, got {value!r}")
-    if not math.isfinite(decades):  # inf*0 would be a NaN span
+    if not decades <= sys.float_info.max:  # inf*0 would be a NaN span
         raise ValueError(f"decades must be finite, got {decades!r}")
     if points_per_decade > sys.float_info.max:  # an int no double holds has no float product
         raise ValueError(f"points_per_decade beyond double range exceeds the design grid axis limit "
                          f"{DESIGN_MAX_GRID_AXIS}")
     span = decades * points_per_decade
-    # an overflowing span is refused as it stands, before int() or logspace
-    count = 2 * int(round(span / 2.0)) + 1 if math.isfinite(span) else span
+    # an overflowing span is refused as inf, as a float product is, before int() or logspace
+    count = 2 * int(round(span / 2.0)) + 1 if span <= sys.float_info.max else math.inf
     _check_grid_axis(count)
     half = decades / 2.0 if count > 1 else 0.0  # logspace(lo, hi, 1) is [10**lo], not the center
     ref = ghz_design(p)
@@ -341,8 +341,8 @@ def matterwave_bound(
     flown through the instrument (flight_path, 1 m by default for a
     laboratory beam machine).
     """
-    if not (all(0.0 < v < math.inf for v in (mass, velocity, path_separation, flight_path))
-            and 0.0 <= sigma < math.inf):
+    if not (all(0.0 < v <= sys.float_info.max for v in (mass, velocity, path_separation, flight_path))
+            and 0.0 <= sigma <= sys.float_info.max):
         raise ValueError("inputs must be finite, sigma non-negative and the rest positive")
     w = mass * C_LIGHT * C_LIGHT / HBAR
     rate = sigma * w * w if sigma > 0.0 else 0.0  # no dephasing, even where w*w overflows
@@ -374,14 +374,14 @@ def distance_reach(gamma: float, gamma_sp: float, coherence_time: float) -> Dist
     laser limits the wait to its coherence time, i.e. a distance
     c*coherence_time. The overall reach is the smaller applicable limit.
     """
-    if not all(0.0 <= v < math.inf for v in (gamma, gamma_sp, coherence_time)):
+    if not all(0.0 <= v <= sys.float_info.max for v in (gamma, gamma_sp, coherence_time)):
         raise ValueError("inputs must be non-negative and finite")
     l_laser = C_LIGHT * coherence_time
     if l_laser == math.inf:  # inf is kept for a limit that does not apply
         raise ValueError(f"l_laser = c*coherence_time overflows to inf for coherence_time={coherence_time!r}")
     if gamma > 0.0 and gamma_sp > 0.0:
         l_dec = 0.0
-        if gamma_sp * gamma_sp >= sys.float_info.min:  # a subnormal square has lost bits
+        if sys.float_info.min <= gamma_sp * gamma_sp <= sys.float_info.max:  # a subnormal square has lost bits
             l_dec = C_LIGHT * gamma / (gamma_sp * gamma_sp)
         if not 0.0 < l_dec < math.inf:  # c*gamma or the square left the normal range: divide first
             l_dec = C_LIGHT * (gamma / gamma_sp / gamma_sp)
@@ -399,10 +399,10 @@ def distance_reach(gamma: float, gamma_sp: float, coherence_time: float) -> Dist
 def cosmic_bound(sigma: float, age: float) -> float:
     """Level splitting (eV) whose coherence would have decayed exactly once
     over the given age: sigma*(dE/hbar)**2*age = 1."""
-    if not (0.0 < sigma < math.inf and 0.0 < age < math.inf):
+    if not (0.0 < sigma <= sys.float_info.max and 0.0 < age <= sys.float_info.max):
         raise ValueError("sigma and age must be positive and finite")
     if sigma * age == 0.0:
         raise ValueError(f"sigma*age underflows to 0 for sigma={sigma!r}, age={age!r}")
-    if sigma * age == math.inf:  # would give a 0 eV bound
+    if sigma * age > sys.float_info.max:  # would give a 0 eV bound
         raise ValueError(f"sigma*age overflows to inf for sigma={sigma!r}, age={age!r}")
     return HBAR / math.sqrt(sigma * age) / EV

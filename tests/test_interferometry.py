@@ -5,6 +5,7 @@ import dataclasses
 import math
 import operator
 import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -38,6 +39,14 @@ from edsim.interferometry import (
     run_ramsey_semiclassical,
 )
 from edsim.selftest import _michelson_sectors, beamsplitter_sector, phase_average_check
+from edsim.sensitivity import (
+    SpeciesParams,
+    cosmic_bound,
+    default_design_grids,
+    distance_reach,
+    matterwave_bound,
+    single_atom_reach,
+)
 
 from dense_oracles import beamsplitter_5050, coherent_amplitudes, mode_ops
 
@@ -944,6 +953,64 @@ class TestNonFiniteConfig:
     def test_ghz(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             GhzConfig(**{"n_atoms": 2, "omega0": 1.0, "wait": 1.0, name: value})
+
+
+def _float_twin(value: int) -> float:
+    return float(value) if value <= sys.float_info.max else math.inf
+
+
+_RHO = DensityMatrix(np.eye(2) / 2.0)
+_SR = SpeciesParams(gamma_sp=0.01, delta_e=1.0, kappa=1e-17, k3=1e-41)
+
+
+class TestDoubleRange:
+    """An integer is refused exactly where its float twin is: one past
+    double range like inf, and a product past it like the float product."""
+
+    @pytest.mark.parametrize("build", [
+        lambda num: RamseyConfig(omega0=num(10**400), wait=1.0),
+        lambda num: MichelsonConfig(alpha=num(10**400), arm_time=1.0, mode_frequency=1.0),
+        lambda num: CoherentField(num(10**400)),
+        lambda num: GhzConfig(n_atoms=2, omega0=num(10**400), wait=1.0),
+        lambda num: DecoherencePartition(num(10**400)),
+        lambda num: RamseyConfig(omega0=1.0, wait=num(10**200), detuning=num(10**200)),
+        lambda num: SpeciesParams(num(10**400), 1, 1, 1),
+        lambda num: single_atom_reach(num(10**400), 1.0),
+        lambda num: matterwave_bound(num(10**400), 1.0, 1.0, 0.0),
+        lambda num: distance_reach(num(10**400), 1.0, 1.0),
+        lambda num: distance_reach(1, num(10**200), 1),
+        lambda num: cosmic_bound(num(10**400), 1.0),
+        lambda num: cosmic_bound(num(10**300), num(10**300)),
+        lambda num: default_design_grids(_SR, num(10**400), 50),
+        lambda num: default_design_grids(_SR, num(10**200), num(10**200)),
+        lambda num: evolve_analytic(_RHO, (0.0, 0.0), 1.0, sigma=num(10**400)),
+        lambda num: evolve_analytic(_RHO, (0.0, 0.0), num(10**400)),
+        lambda num: evolve_stepped(_RHO, np.zeros((2, 2)), 1.0, losses=[(num(10**400), np.eye(2))], step=0.1),
+        lambda num: fock_cutoff(num(10**400)),
+        lambda num: run_michelson(MichelsonConfig(alpha=num(10**200), arm_time=1.0, mode_frequency=1.0)),
+    ], ids=["ramsey", "michelson", "coherent", "ghz", "partition", "detuning*wait", "species",
+            "single-atom", "matterwave", "distance", "distance-gamma_sp**2", "cosmic", "cosmic-sigma*age",
+            "grid-decades", "grid-span", "engine-sigma", "engine-duration", "engine-loss-rate",
+            "mean-photons", "michelson-|alpha|**2"])
+    def test_integer_is_refused_as_its_float_twin(self, build):
+        # these used to raise OverflowError ("int too large to convert to float")
+        with pytest.raises(ValueError) as twin:
+            build(_float_twin)
+        ints = []
+        with pytest.raises(ValueError) as got:
+            build(lambda value: ints.append(value) or value)
+        text = str(got.value)
+        for value in sorted(set(ints), key=lambda v: -len(repr(v))):  # 10**300 before 10**200
+            text = text.replace(repr(value), repr(_float_twin(value)))
+        assert text == str(twin.value)
+
+    @pytest.mark.parametrize("run", [run_ramsey_semiclassical, run_ramsey_quantized],
+                             ids=["semiclassical", "quantized"])
+    def test_integer_damping_product_runs_as_its_float_twin(self, run):
+        # spontaneous_rate*wait past double range used to be an OverflowError from math.expm1
+        got, twin = (run(RamseyConfig(omega0=1.0, wait=num(10**200), spontaneous_rate=num(10**200)))
+                     for num in (int, float))
+        assert got.visibility == twin.visibility and got.p_g.tolist() == twin.p_g.tolist()
 
 
 class TestConfigTypes:
