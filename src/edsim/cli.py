@@ -104,6 +104,25 @@ SPECIES: dict[str, SpeciesParams] = {
 
 _PARTITIONS = ("global", "local", *EXPERIMENTS["ramsey_quantized"][0], "none")
 
+
+def _distance(params: dict) -> dict:
+    if params.get("gamma") is None:
+        raise ConfigError("missing required key for --distance: gamma")
+    return distance_reach(params["gamma"], params["gamma_sp"], params["coherence_time"])._asdict()
+
+
+# flag -> (help, {quantity: value} of the parameters), in output order; each
+# calculator is looked up by module name at call time, where tracers patch it
+_BOUNDS: dict[str, tuple[str, Callable[[dict], dict]]] = {
+    "single_atom": ("compute the single-atom reach",
+                    lambda p: {"sigma_reach": single_atom_reach(p["gamma_detectable"], p["delta_e"])}),
+    "matterwave": ("compute the matter-wave bound", lambda p: matterwave_bound(
+        p["mass"], p["velocity"], p["path_separation"], p["sigma"], p["flight_path"])._asdict()),
+    "distance": ("compute the distance reach", _distance),
+    "cosmic": ("compute the cosmic-age bound",
+               lambda p: {"delta_e_ev": cosmic_bound(p["sigma"], p["age_years"] * YEAR_SECONDS)}),
+}
+
 SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     "ramsey": {
         "mode": ParamSpec("str", "semiclassical", ("semiclassical", "quantized")),
@@ -144,10 +163,7 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "grid_points_per_decade": ParamSpec("int", 50),
     },
     "bounds": {
-        "single_atom": ParamSpec("bool", False, help="compute the single-atom reach"),
-        "matterwave": ParamSpec("bool", False, help="compute the matter-wave bound"),
-        "distance": ParamSpec("bool", False, help="compute the distance reach"),
-        "cosmic": ParamSpec("bool", False, help="compute the cosmic-age bound"),
+        **{flag: ParamSpec("bool", False, help=text) for flag, (text, _) in _BOUNDS.items()},
         "sigma": ParamSpec("float", PLANCK_TIME, help="dephasing strength, s"),
         "age_years": ParamSpec("float", 1e10, help="age for the cosmic bound, yr"),
         "mass": ParamSpec("float", NA_MASS, help="particle mass, kg (Na default)"),
@@ -422,39 +438,12 @@ def _handle_design(params: dict) -> ExperimentOutput:
 
 
 def _handle_bounds(params: dict) -> ExperimentOutput:
-    selected = [k for k in ("single_atom", "matterwave", "distance", "cosmic") if params.get(k)]
-    if not selected:
-        raise ConfigError(
-            "no bound selected; pass at least one of --single-atom --matterwave --distance --cosmic"
-        )
-    summary: dict = {}
-    points = []
-    headline: dict = {}
-
-    def emit(bound: str, values: dict) -> None:
-        summary[bound] = values
-        for quantity, value in values.items():
-            points.append({"bound": bound, "quantity": quantity, "value": value})
-            headline[f"{bound}_{quantity}"] = value
-
-    if "single_atom" in selected:
-        sigma = single_atom_reach(params["gamma_detectable"], params["delta_e"])
-        emit("single_atom", {"sigma_reach": sigma})
-    if "matterwave" in selected:
-        mw = matterwave_bound(
-            params["mass"], params["velocity"], params["path_separation"],
-            params["sigma"], params["flight_path"],
-        )
-        emit("matterwave", mw._asdict())
-    if "distance" in selected:
-        if params.get("gamma") is None:
-            raise ConfigError("missing required key for --distance: gamma")
-        reach = distance_reach(params["gamma"], params["gamma_sp"], params["coherence_time"])
-        emit("distance", reach._asdict())
-    if "cosmic" in selected:
-        de = cosmic_bound(params["sigma"], params["age_years"] * YEAR_SECONDS)
-        emit("cosmic", {"delta_e_ev": de})
-    return ExperimentOutput(points, summary, headline)
+    summary = {name: bound(params) for name, (_, bound) in _BOUNDS.items() if params.get(name)}
+    if not summary:
+        flags = " ".join(f"--{name.replace('_', '-')}" for name in _BOUNDS)
+        raise ConfigError(f"no bound selected; pass at least one of {flags}")
+    points = [{"bound": b, "quantity": q, "value": v} for b, values in summary.items() for q, v in values.items()]
+    return ExperimentOutput(points, summary, {f"{p['bound']}_{p['quantity']}": p["value"] for p in points})
 
 
 def _handle_selftest(params: dict) -> ExperimentOutput:
@@ -514,7 +503,7 @@ def run(cfg: RunConfig) -> int:
             headlines = [handler(p).headline for p in params]
         rows = [{key: v, **headline} for v, headline in zip(cfg.sweep_values, headlines)]
         output = ExperimentOutput(rows, {"sweep_key": key, "rows": rows}, {})
-    summary = {"command": cfg.command, "parameters": dict(sorted(cfg.parameters.items())), **output.summary}
+    summary = {"command": cfg.command, "parameters": cfg.parameters, **output.summary}
     meta["elapsed_seconds"] = time.perf_counter() - start
     # serialize everything first; once a file is opened (so truncated), a
     # failed write removes the whole BASE.* set, leaving no file of this run

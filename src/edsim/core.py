@@ -105,7 +105,7 @@ def validate_pairs(gg, ee, eg) -> None:
 
 def _mean_photons(alpha: complex) -> float:
     """|alpha|**2, or ValueError where it overflows."""
-    a = abs(alpha)
+    a = math.hypot(alpha.real, alpha.imag) if isinstance(alpha, complex) else abs(alpha)  # abs(complex) can raise
     if not a * a <= sys.float_info.max:
         raise ValueError(f"|alpha|**2 overflows for alpha={alpha!r}")
     return a * a

@@ -22,11 +22,11 @@ integrates the general generator, losses given as `(rate, lowering)`
 pairs, with a fixed-step classical RK4 (fixed step keeps repeated runs
 bit-stable) on square arrays of the state's shape.
 
-The pipelines in `interferometry` take every dephasing rate from
-`DecoherencePartition.decay_rate` and call the engine only for the
-drive of the semiclassical Ramsey wait, on the bare atom's 2x2 state;
-for dephasing the engine serves the acceptance suite and the tests
-only, as an independent dense oracle.
+The pipelines in `interferometry` take each dephasing rate from
+`DecoherencePartition.decay_rate` (the quantized Ramsey batch forms that
+sigma * strength itself, bit for bit) and call the engine only for the
+semiclassical Ramsey wait's drive, on the bare atom's 2x2 state; for
+dephasing the engine is only the dense oracle of the tests and selftest.
 """
 
 from __future__ import annotations

@@ -54,8 +54,9 @@ __all__ = [
 
 
 def _require_finite(*values: complex) -> None:
-    if not all(abs(v) <= sys.float_info.max for v in values):  # exact for an int of any size
-        raise ValueError("config values must be finite (no NaN or inf)")
+    for v in values:  # exact for an int of any size; a complex by its parts, as abs() of one can raise
+        if not (cmath.isfinite(v) if isinstance(v, complex) else abs(v) <= sys.float_info.max):
+            raise ValueError("config values must be finite (no NaN or inf)")
 
 
 @dataclass(frozen=True)

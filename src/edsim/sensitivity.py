@@ -69,6 +69,8 @@ class SpeciesParams:
             raise ValueError("species parameters must be non-negative")
         if min(values) == 0.0:
             raise ValueError("gamma_sp, kappa, k3 and delta_e must be positive")
+        for name, value in zip(("gamma_sp", "delta_e", "kappa", "k3"), values):
+            object.__setattr__(self, name, float(value))  # the formulas see an integer's float twin
 
 
 class DesignRates(NamedTuple):

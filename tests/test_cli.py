@@ -2,6 +2,7 @@
 
 import cmath
 import errno
+import itertools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from edsim.constants import (
     C_LIGHT,
     DESIGN_MAX_GRID_AXIS,
     MAX_PHASE_POINTS,
+    PLANCK_TIME,
     RAMSEY_MAX_CUTOFF,
 )
 from edsim.sensitivity import (
@@ -39,6 +41,9 @@ SRC = ROOT / "src"
 
 # 2*pi to 50 digits: reduces phases of 1e12 rad well below 1e-9
 TWO_PI = Fraction("6.28318530717958647692528676655900576839433879875021")
+
+# the bounds command's flags, in the order its outputs list them
+BOUNDS = ("single_atom", "matterwave", "distance", "cosmic")
 
 
 
@@ -262,7 +267,37 @@ class TestRunCommands:
     def test_bounds_needs_selector(self, capsys):
         code, _, err = _run(["bounds"], capsys)
         assert code == 2
-        assert "no bound selected" in json.loads(err)["error"]["message"]
+        assert json.loads(err)["error"] == {
+            "type": "ConfigError",
+            "message": "no bound selected; pass at least one of --single-atom --matterwave --distance --cosmic",
+        }
+
+    @pytest.mark.parametrize("names", [s for r in range(1, 5) for s in itertools.combinations(BOUNDS, r)],
+                             ids="+".join)
+    def test_bounds_subset_joins_its_single_bounds_in_order(self, names, capsys):
+        def run(selected, *extra):
+            flags = [f"--{name.replace('_', '-')}" for name in selected]
+            code, out, err = _run(["bounds", *flags, "--gamma", "1e-10", *extra], capsys)
+            assert (code, err) == (0, "")
+            return out
+
+        singles = {name: json.loads(run([name])) for name in names}
+        summary = json.loads(run(names))
+        assert {k: summary["parameters"].pop(k) for k in BOUNDS} == {k: k in names for k in BOUNDS}
+        for single in singles.values():
+            assert all(single["parameters"].pop(k) == (k in single) for k in BOUNDS)
+        assert summary == {k: v for name in names for k, v in singles[name].items()}
+        header, *rows = run(names, "--format", "csv").splitlines()
+        single_csvs = [run([name], "--format", "csv").splitlines() for name in names]
+        assert {lines[0] for lines in single_csvs} == {header} == {"bound,quantity,value"}
+        assert rows == [row for lines in single_csvs for row in lines[1:]]
+        # a one-value sweep's row holds every selected quantity, in the same order
+        keys = ["_".join(row.split(",")[:2]) for row in rows]
+        sweep = ["--sweep", "sigma", "--sweep-values", repr(PLANCK_TIME)]
+        assert run(names, *sweep, "--format", "csv").splitlines()[0] == ",".join(["sigma", *keys])
+        [row] = json.loads(run(names, *sweep))["rows"]
+        values = {f"{name}_{q}": v for name in names for q, v in singles[name][name].items()}
+        assert row == {"sigma": PLANCK_TIME, **values}
 
     @pytest.mark.parametrize("argv, selected", [
         (["bounds", "--cosmic", "false", "--single-atom"], ["single_atom"]),

@@ -44,6 +44,7 @@ from edsim.sensitivity import (
     cosmic_bound,
     default_design_grids,
     distance_reach,
+    ghz_design,
     matterwave_bound,
     single_atom_reach,
 )
@@ -975,6 +976,7 @@ class TestDoubleRange:
         lambda num: DecoherencePartition(num(10**400)),
         lambda num: RamseyConfig(omega0=1.0, wait=num(10**200), detuning=num(10**200)),
         lambda num: SpeciesParams(num(10**400), 1, 1, 1),
+        lambda num: ghz_design(SpeciesParams(num(10**200), 1, 1, num(10**200))),
         lambda num: single_atom_reach(num(10**400), 1.0),
         lambda num: matterwave_bound(num(10**400), 1.0, 1.0, 0.0),
         lambda num: distance_reach(num(10**400), 1.0, 1.0),
@@ -988,7 +990,7 @@ class TestDoubleRange:
         lambda num: evolve_stepped(_RHO, np.zeros((2, 2)), 1.0, losses=[(num(10**400), np.eye(2))], step=0.1),
         lambda num: fock_cutoff(num(10**400)),
         lambda num: run_michelson(MichelsonConfig(alpha=num(10**200), arm_time=1.0, mode_frequency=1.0)),
-    ], ids=["ramsey", "michelson", "coherent", "ghz", "partition", "detuning*wait", "species",
+    ], ids=["ramsey", "michelson", "coherent", "ghz", "partition", "detuning*wait", "species", "species-design",
             "single-atom", "matterwave", "distance", "distance-gamma_sp**2", "cosmic", "cosmic-sigma*age",
             "grid-decades", "grid-span", "engine-sigma", "engine-duration", "engine-loss-rate",
             "mean-photons", "michelson-|alpha|**2"])
@@ -1118,10 +1120,13 @@ class TestSizeLimits:
         with pytest.raises(ValueError, match="exceeds the limit"):
             RamseyConfig(omega0=1.0, wait=1.0, phase_points=points)
 
-    def test_overflowing_dominant_n(self):
-        # |alpha|**2 overflows: a ValueError, like fock_cutoff's, not an OverflowError
+    @pytest.mark.parametrize("alpha", [1e200, 1.7e308 + 1.7e308j], ids=["real", "complex"])
+    def test_overflowing_dominant_n(self, alpha):
+        # |alpha|**2 overflows: a ValueError, like fock_cutoff's, not an OverflowError;
+        # a complex alpha whose parts are finite is built first, and refused the same way
+        field = CoherentField(alpha)
         with pytest.raises(ValueError, match="overflows"):
-            CoherentField(1e200).dominant_n
+            field.dominant_n
 
 
 def _rows_are_single_runs(rows, cfgs):
