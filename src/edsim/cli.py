@@ -240,6 +240,8 @@ def parse_config(file_contents: str, overrides: Sequence[tuple[str, str]]) -> Ru
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}; choose from {sorted(SCHEMAS)}")
     out = merged.pop("out", None)
+    if out == "":  # an empty base would silently write no file
+        raise ConfigError("key 'out' needs a non-empty file base")
     fmt = merged.pop("format", "json")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -322,14 +324,14 @@ def _json_text(obj) -> str:
     return _json(obj) + "\n"
 
 
-def _partition(sigma: float, name: str, labels: tuple[str, ...]) -> DecoherencePartition:
-    if name == "none":
-        return DecoherencePartition(sigma, ())
+def _partition(params: dict, family: str) -> DecoherencePartition:
+    # ghz has no --partition: one block over its labels
+    sigma, name, labels = params["sigma"], params.get("partition", "global"), EXPERIMENTS[family][0]
     if name == "global":
         return DecoherencePartition.global_over(sigma, *labels)
     if name == "local":
         return DecoherencePartition.local_over(sigma, *labels)
-    return DecoherencePartition(sigma, (frozenset({name}),))
+    return DecoherencePartition(sigma, () if name == "none" else (frozenset({name}),))
 
 
 def _ramsey_config(params: dict, field=None, decoherence=None) -> RamseyConfig:
@@ -337,8 +339,7 @@ def _ramsey_config(params: dict, field=None, decoherence=None) -> RamseyConfig:
     if field is None:
         field = FockField(params["n"]) if params["field"] == "fock" else CoherentField(params["alpha"])
     if decoherence is None:  # a {field} block is refused by the semiclassical runner
-        labels, _ = EXPERIMENTS[f"ramsey_{params['mode']}"]
-        decoherence = _partition(params["sigma"], params["partition"], labels)
+        decoherence = _partition(params, f"ramsey_{params['mode']}")
     return RamseyConfig(
         omega0=params["omega0"],
         wait=params["wait"],
@@ -377,7 +378,7 @@ def _handle_michelson(params: dict) -> ExperimentOutput:
         alpha=params["alpha"],
         arm_time=params["arm_time"],
         mode_frequency=params["omega"],
-        decoherence=_partition(params["sigma"], params["partition"], EXPERIMENTS["michelson"][0]),
+        decoherence=_partition(params, "michelson"),
     )
     headline = run_michelson(cfg)._asdict()
     points = [{"output_mode": m, "mean_photons": headline[f"mean_photons_out_{m}"]} for m in "ab"]
@@ -389,7 +390,7 @@ def _handle_ghz(params: dict) -> ExperimentOutput:
         n_atoms=params["n_atoms"],
         omega0=params["omega0"],
         wait=params["wait"],
-        decoherence=_partition(params["sigma"], "global", EXPERIMENTS["ghz"][0]),
+        decoherence=_partition(params, "ghz"),
         gamma_sp=params["gamma_sp"],
         three_body_rate=params["three_body_rate"],
     )

@@ -19,7 +19,7 @@ import pytest
 from edsim import cli, selftest
 from edsim.cli import ConfigError, parse_config
 from edsim.core import DensityMatrix
-from edsim.interferometry import EXPERIMENTS, GhzResult, MichelsonResult
+from edsim.interferometry import EXPERIMENTS, DecoherencePartition, GhzResult, MichelsonResult
 from edsim.constants import (
     C_LIGHT,
     DESIGN_MAX_GRID_AXIS,
@@ -328,19 +328,39 @@ class TestRunCommands:
         exact = Fraction(C_LIGHT) * Fraction(1e-300) / Fraction(1e-200) ** 2
         assert abs(Fraction(json.loads(out)["distance"]["l_decoherence"]) / exact - 1) <= 1e-15
 
-    @pytest.mark.parametrize("argv, family", [
-        (["ramsey", "--mode", "semiclassical"], "ramsey_semiclassical"),
-        (["ramsey", "--mode", "quantized"], "ramsey_quantized"),
-        (["michelson"], "michelson"),
-    ], ids=["ramsey-semiclassical", "ramsey-quantized", "michelson"])
-    def test_local_partition_is_one_block_per_table_label(self, argv, family, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, family, name", [
+        pytest.param(argv, family, name, id=f"{family}-{name}")
+        for argv, family, names in [
+            (["ramsey", "--mode", "semiclassical"], "ramsey_semiclassical",
+             ("global", "local", "atom", "none", "field")),
+            (["ramsey", "--mode", "quantized"], "ramsey_quantized",
+             ("global", "local", "atom", "field", "none")),
+            (["michelson"], "michelson", ("global", "local", "none")),
+            (["ghz"], "ghz", (None,)),  # no --partition: one block over its labels
+        ]
+        for name in names
+    ])
+    def test_each_partition_choice_gives_its_constructors_blocks(
+            self, argv, family, name, monkeypatch, capsys):
         seen, runner = [], f"run_{family}"
         real = getattr(cli, runner)
         monkeypatch.setattr(cli, runner, lambda cfg: seen.append(cfg) or real(cfg))
-        code, _, err = _run([*argv, "--partition", "local", "--sigma", "1e-33"], capsys)
-        assert (code, err) == (0, "")
+        flag = [] if name is None else ["--partition", name]
+        code, _, err = _run([*argv, *flag, "--sigma", "1e-33"], capsys)
         labels, _ = EXPERIMENTS[family]
-        assert [cfg.decoherence.blocks for cfg in seen] == [tuple(frozenset({lab}) for lab in labels)]
+        expected = {
+            None: DecoherencePartition.global_over(1e-33, *labels),
+            "global": DecoherencePartition.global_over(1e-33, *labels),
+            "local": DecoherencePartition.local_over(1e-33, *labels),
+            "none": DecoherencePartition(1e-33, ()),
+        }.get(name, DecoherencePartition(1e-33, (frozenset({name}),)))
+        assert [cfg.decoherence.blocks for cfg in seen] == [expected.blocks]
+        if (family, name) == ("ramsey_semiclassical", "field"):  # the classical field cannot dephase
+            assert code == 2
+            assert json.loads(err)["error"] == {
+                "type": "ValueError", "message": "unsupported dephasing block ['field']"}
+        else:
+            assert (code, err) == (0, "")
 
     def test_bounds_distance_requires_gamma(self, capsys):
         code, _, err = _run(["bounds", "--distance"], capsys)
@@ -788,6 +808,23 @@ class TestFrontEnd:
         code, out, err = _run(["ghz", "--config", str(cfgfile)], capsys)
         assert (code, out) == (2, "")
         assert "unknown key 'config'" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--out="], ""),
+        (["--out", ""], ""),
+        (["--config", "run.cfg"], "out =\n"),
+    ], ids=["flag-eq", "flag-value", "config-file"])
+    def test_empty_out_is_refused(self, argv, config, tmp_path, monkeypatch, capsys):
+        # an empty base is not "no --out": it would silently write nothing
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(config)
+        code, out, err = _run(["ghz", *argv], capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError" and "'out'" in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_rerun_over_longer_output_leaves_no_stale_tail(self, tmp_path, capsys):
         values = ",".join(f"{k}e-36" for k in range(12))
