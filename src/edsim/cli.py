@@ -276,12 +276,16 @@ def parse_config(file_contents: str, overrides: Sequence[tuple[str, str]]) -> Ru
 
 
 def _fmt_cell(value) -> str:
+    """One CSV field; a string that holds a comma, a quote or a line break
+    is quoted, its quotes doubled (RFC 4180)."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         if math.isinf(value):
             return "unbounded"
         return f"{value:.17g}"
+    if isinstance(value, str) and ("," in value or '"' in value or "\r" in value or "\n" in value):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 

@@ -1,10 +1,12 @@
-"""Built-in acceptance suite: one callable per shipped guarantee.
+"""Built-in acceptance suite: one generator per shipped guarantee.
 
 Each criterion re-derives its expected values from closed forms or an
-independent brute-force construction, runs the library path, and checks
-the stated tolerance. The CLI `selftest` command and the pytest
-acceptance module both execute this registry, so the report is the same
-either way.
+independent brute-force construction, runs the library path, and yields
+one `(name, ok)` check per stated tolerance. `run_all` alone judges the
+checks: a criterion passes when it yields at least one check and every
+check is true, and an exception, even after some checks, fails it. The
+CLI `selftest` command and the pytest acceptance module both go through
+`run_all`, so the report is the same either way.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import io
 import json
 import math
 import time
+from collections.abc import Iterator
 from contextlib import redirect_stdout
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -62,26 +65,6 @@ class CriterionResult(NamedTuple):
     elapsed: float
 
 
-class _Checks:
-    """Collects named pass/fail observations for one criterion."""
-
-    def __init__(self):
-        self.items: list[tuple[str, bool]] = []
-
-    def add(self, name: str, ok: bool) -> None:
-        self.items.append((name, bool(ok)))
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.items) and bool(self.items)
-
-    def details(self) -> str:
-        bad = [name for name, ok in self.items if not ok]
-        if bad:
-            return "failed: " + ", ".join(bad)
-        return f"{len(self.items)} checks"
-
-
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (g + g.conj().T) / 2.0
@@ -94,14 +77,13 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def criterion_01() -> _Checks:
+def criterion_01() -> Iterator[tuple[str, bool]]:
     """Stepped integrator matches the closed-form propagator on commuting systems.
 
     The drive a x I + I x b and its blocks are diagonal in kron(ua, ub),
     the product of the factor eigenbases: the closed form runs on their
     spectra and on the state rotated into that basis, and its result is
     rotated back."""
-    c = _Checks()
     rng = np.random.default_rng(20260811)
     for da, db in ((3, 4), (8, 8)):
         a, b = _random_hermitian(rng, da), _random_hermitian(rng, db)
@@ -120,19 +102,18 @@ def criterion_01() -> _Checks:
             exact = DensityMatrix(u @ rotated.entries @ u.conj().T)
             stepped = evolve_stepped(rho0, drive, 1.0, 0.1, blocks, step=1e-3)
             dist = float(np.linalg.norm(exact.entries - stepped.entries))
-            c.add(f"dim{da * db}_frobenius_{dist:.1e}", dist <= 1e-8)
+            yield f"dim{da * db}_frobenius_{dist:.1e}", dist <= 1e-8
             for state in (exact, stepped):
                 try:
                     validate_density(state)
-                    c.add(f"dim{da * db}_invariants", True)
                 except Exception:
-                    c.add(f"dim{da * db}_invariants", False)
-    return c
+                    yield f"dim{da * db}_invariants", False
+                else:
+                    yield f"dim{da * db}_invariants", True
 
 
-def criterion_02() -> _Checks:
+def criterion_02() -> Iterator[tuple[str, bool]]:
     """Two-level coherence decays as 0.5*exp(-sigma*omega0^2*t) to 1e-9."""
-    c = _Checks()
     omega0 = OMEGA_PER_EV
     sigma = 1e-33
     w = (0.0, omega0)
@@ -143,13 +124,11 @@ def criterion_02() -> _Checks:
         out = evolve_analytic(rho0, w, float(t), sigma, (w,))
         validate_density(out)
         worst = max(worst, abs(abs(out.entries[0, 1]) - 0.5 * math.exp(-x)))
-    c.add(f"decay_law_max_err_{worst:.1e}", worst <= 1e-9)
-    return c
+    yield f"decay_law_max_err_{worst:.1e}", worst <= 1e-9
 
 
-def criterion_03() -> _Checks:
+def criterion_03() -> Iterator[tuple[str, bool]]:
     """Global dephasing leaves the resonant quantized Ramsey fringe unchanged."""
-    c = _Checks()
     vis = []
     for sigma in (0.0, 1e-40, 1e-30, 1e-20):
         cfg = RamseyConfig(
@@ -160,8 +139,7 @@ def criterion_03() -> _Checks:
         )
         vis.append(run_ramsey_quantized(cfg).visibility)
     spread = max(vis) - min(vis)
-    c.add(f"visibility_spread_{spread:.1e}", spread <= 1e-9)
-    return c
+    yield f"visibility_spread_{spread:.1e}", spread <= 1e-9
 
 
 def beamsplitter_sector(n_max: int, total: int) -> np.ndarray:
@@ -216,10 +194,9 @@ def _michelson_sectors(cfg: MichelsonConfig) -> tuple[float, float]:
     return mean_a, mean_b
 
 
-def criterion_04() -> _Checks:
+def criterion_04() -> Iterator[tuple[str, bool]]:
     """Michelson output: global dephasing invisible, per-arm dephasing splits 50/50;
     the closed form agrees with the sector-by-sector brute force."""
-    c = _Checks()
     omega = OMEGA_PER_EV
     sigma_full = 50.0 / (omega * omega)  # complete dephasing over one arm time
     res_global = run_michelson(
@@ -228,16 +205,16 @@ def criterion_04() -> _Checks:
             decoherence=DecoherencePartition.global_over(sigma_full, "arm_c", "arm_d"),
         )
     )
-    c.add(f"global_dark_port_{res_global.mean_photons_out_b:.1e}",
-          res_global.mean_photons_out_b <= 1e-8)
+    yield (f"global_dark_port_{res_global.mean_photons_out_b:.1e}",
+           res_global.mean_photons_out_b <= 1e-8)
     res_local = run_michelson(
         MichelsonConfig(
             alpha=2.0, arm_time=1.0, mode_frequency=omega,
             decoherence=DecoherencePartition.local_over(sigma_full, "arm_c", "arm_d"),
         )
     )
-    c.add("local_mean_a", abs(res_local.mean_photons_out_a - 2.0) <= 1e-6)
-    c.add("local_mean_b", abs(res_local.mean_photons_out_b - 2.0) <= 1e-6)
+    yield "local_mean_a", abs(res_local.mean_photons_out_a - 2.0) <= 1e-6
+    yield "local_mean_b", abs(res_local.mean_photons_out_b - 2.0) <= 1e-6
     sigma = 0.2 / (omega * omega)
     for name, partition in (
         ("global", DecoherencePartition.global_over(sigma, "arm_c", "arm_d")),
@@ -248,8 +225,7 @@ def criterion_04() -> _Checks:
         res = run_michelson(cfg)
         brute = _michelson_sectors(cfg)
         for got, want in zip((res.mean_photons_out_a, res.mean_photons_out_b), brute):
-            c.add(f"sectors_{name}", abs(got - want) <= 1e-13 * max(1.0, abs(want)))
-    return c
+            yield f"sectors_{name}", abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def phase_average_check(alpha: complex, n_max: int) -> float:
@@ -285,22 +261,19 @@ def phase_average_check(alpha: complex, n_max: int) -> float:
     return float(np.linalg.norm(mixture - avg))
 
 
-def criterion_05() -> _Checks:
+def criterion_05() -> Iterator[tuple[str, bool]]:
     """Dephased coherent state equals its uniform phase average."""
-    c = _Checks()
     dist = phase_average_check(2.0, 40)
-    c.add(f"phase_diffusion_distance_{dist:.1e}", dist <= 1e-8)
-    return c
+    yield f"phase_diffusion_distance_{dist:.1e}", dist <= 1e-8
 
 
-def criterion_06() -> _Checks:
+def criterion_06() -> Iterator[tuple[str, bool]]:
     """GHZ dephasing rate scales as N^2; brute force agrees for N <= 4."""
-    c = _Checks()
     atoms = DecoherencePartition.global_over(0.25, "atoms")
     base = run_ghz(GhzConfig(n_atoms=1, omega0=2.0, wait=1.0, decoherence=atoms)).effective_rate
     for n in (2, 3, 8, 10, 100, 100000):
         rate = run_ghz(GhzConfig(n_atoms=n, omega0=2.0, wait=1.0, decoherence=atoms)).effective_rate
-        c.add(f"ratio_n{n}", rate / base == float(n * n))
+        yield f"ratio_n{n}", rate / base == float(n * n)
 
     omega0 = 1.5e15
     sigma = 1e-32
@@ -315,30 +288,26 @@ def criterion_06() -> _Checks:
         validate_density(out)
         sim = abs(out.entries[0, -1])
         model = run_ghz(GhzConfig(n_atoms=n, omega0=omega0, wait=1.0, decoherence=atoms)).coherence
-        c.add(f"brute_force_n{n}", abs(sim - model) <= 1e-9)
-    return c
+        yield f"brute_force_n{n}", abs(sim - model) <= 1e-9
 
 
-def criterion_07() -> _Checks:
+def criterion_07() -> Iterator[tuple[str, bool]]:
     """Strontium working point reproduces the design numbers."""
-    c = _Checks()
     sr = cli.SPECIES["Sr"]
     closed = ghz_design(sr)
     grid = ghz_design_grid(sr, *default_design_grids(sr))
-    c.add("gamma_min_closed", abs(closed.gamma_min / 1e-8 - 1.0) <= 1e-12)
-    c.add("v_opt", abs(closed.v_opt / 1e-14 - 1.0) <= 1e-12)
-    c.add("n_opt", abs(closed.n_opt / 1e5 - 1.0) <= 1e-12)
-    c.add("n_opt_vs_grid", abs(math.log(closed.n_opt / grid.n_opt)) <= math.log(1.5))
-    c.add("sigma_min_window", 1e-39 <= closed.sigma_min <= 1e-38)
+    yield "gamma_min_closed", abs(closed.gamma_min / 1e-8 - 1.0) <= 1e-12
+    yield "v_opt", abs(closed.v_opt / 1e-14 - 1.0) <= 1e-12
+    yield "n_opt", abs(closed.n_opt / 1e5 - 1.0) <= 1e-12
+    yield "n_opt_vs_grid", abs(math.log(closed.n_opt / grid.n_opt)) <= math.log(1.5)
+    yield "sigma_min_window", 1e-39 <= closed.sigma_min <= 1e-38
     reach = distance_reach(closed.gamma_min, sr.gamma_sp, 1.0)
-    c.add("l_decoherence", abs(reach.l_decoherence / 3e6 - 1.0) <= 0.01)
-    c.add("creation_constraint", closed.creation_constraint_ok)
-    return c
+    yield "l_decoherence", abs(reach.l_decoherence / 3e6 - 1.0) <= 0.01
+    yield "creation_constraint", closed.creation_constraint_ok
 
 
-def criterion_08() -> _Checks:
+def criterion_08() -> Iterator[tuple[str, bool]]:
     """Closed-form optimizer agrees with the grid oracle over random species."""
-    c = _Checks()
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(100):
@@ -351,42 +320,34 @@ def criterion_08() -> _Checks:
         closed = ghz_design(p)
         grid = ghz_design_grid(p, *default_design_grids(p))
         worst = max(worst, abs(closed.gamma_min / grid.gamma_min - 1.0))
-    c.add(f"worst_gamma_min_rel_{worst:.1e}", worst <= 0.05)
-    return c
+    yield f"worst_gamma_min_rel_{worst:.1e}", worst <= 0.05
 
 
-def criterion_09() -> _Checks:
+def criterion_09() -> Iterator[tuple[str, bool]]:
     """Single-atom reach for a mHz-resolved 1 eV superposition."""
-    c = _Checks()
     sigma = single_atom_reach(1e-3, 1.0)
-    c.add("value_4.33e-34", abs(sigma / 4.33e-34 - 1.0) <= 1e-3)
-    c.add("within_decade_of_1e-33", 1e-34 <= sigma <= 1e-32)
-    return c
+    yield "value_4.33e-34", abs(sigma / 4.33e-34 - 1.0) <= 1e-3
+    yield "within_decade_of_1e-33", 1e-34 <= sigma <= 1e-32
 
 
-def criterion_10() -> _Checks:
+def criterion_10() -> Iterator[tuple[str, bool]]:
     """Sodium-beam interferometry excludes short-scale dephasing at the Planck benchmark."""
-    c = _Checks()
     bound = matterwave_bound(NA_MASS, 3000.0, 20e-6, PLANCK_TIME)
-    c.add("rate_window", 3e7 <= bound.rate <= 1.5e8)
-    c.add("length_window", 20e-6 <= bound.decoherence_length <= 100e-6)
-    c.add("excluded", bound.excluded)
+    yield "rate_window", 3e7 <= bound.rate <= 1.5e8
+    yield "length_window", 20e-6 <= bound.decoherence_length <= 100e-6
+    yield "excluded", bound.excluded
     quiet = matterwave_bound(NA_MASS, 3000.0, 20e-6, 0.0)
-    c.add("sigma_zero_not_excluded", not quiet.excluded and math.isinf(quiet.decoherence_length))
-    return c
+    yield "sigma_zero_not_excluded", not quiet.excluded and math.isinf(quiet.decoherence_length)
 
 
-def criterion_11() -> _Checks:
+def criterion_11() -> Iterator[tuple[str, bool]]:
     """Cosmic-age coherence bound lands at a few meV for Planck-scale sigma."""
-    c = _Checks()
     de = cosmic_bound(PLANCK_TIME, 1e10 * YEAR_SECONDS)
-    c.add(f"meV_window_{de * 1e3:.2f}", 2e-3 <= de <= 10e-3)
-    return c
+    yield f"meV_window_{de * 1e3:.2f}", 2e-3 <= de <= 10e-3
 
 
-def criterion_12() -> _Checks:
+def criterion_12() -> Iterator[tuple[str, bool]]:
     """Detuned global dephasing decays the fringe at sigma*detuning^2."""
-    c = _Checks()
     omega0 = OMEGA_PER_EV
     for ratio in (1e-3, 1e-2):
         delta = ratio * omega0
@@ -407,14 +368,11 @@ def criterion_12() -> _Checks:
         # so the sampled-visibility ratio isolates the decay factor
         measured = -math.log(fringe(sigma) / fringe(0.0)) / wait
         expected = sigma * delta * delta
-        c.add(f"rate_ratio_{ratio:g}", abs(measured / expected - 1.0) <= 1e-6)
-    return c
+        yield f"rate_ratio_{ratio:g}", abs(measured / expected - 1.0) <= 1e-6
 
 
-def criterion_13() -> _Checks:
+def criterion_13() -> Iterator[tuple[str, bool]]:
     """CLI outputs are byte-identical across runs and round-trip through JSON."""
-    c = _Checks()
-
     def capture(argv: list[str]) -> int:
         with redirect_stdout(io.StringIO()):
             return cli.main(argv)
@@ -430,21 +388,20 @@ def criterion_13() -> _Checks:
             for attempt in (1, 2):
                 base = Path(tmp) / f"{name}_{attempt}"
                 code = capture(argv + ["--out", str(base)])
-                c.add(f"{name}_exit_{attempt}", code == 0)
+                yield f"{name}_exit_{attempt}", code == 0
                 outs.append(
                     (
                         Path(str(base) + ".json").read_bytes(),
                         Path(str(base) + ".csv").read_bytes(),
                     )
                 )
-            c.add(f"{name}_json_identical", outs[0][0] == outs[1][0])
-            c.add(f"{name}_csv_identical", outs[0][1] == outs[1][1])
+            yield f"{name}_json_identical", outs[0][0] == outs[1][0]
+            yield f"{name}_csv_identical", outs[0][1] == outs[1][1]
             parsed = json.loads(outs[0][0].decode("utf-8"))
             again = json.loads(
                 json.dumps(parsed, sort_keys=True, indent=2, allow_nan=False).encode("utf-8")
             )
-            c.add(f"{name}_json_roundtrip", parsed == again)
-    return c
+            yield f"{name}_json_roundtrip", parsed == again
 
 
 CRITERIA: tuple[tuple[int, str, object], ...] = (
@@ -465,16 +422,19 @@ CRITERIA: tuple[tuple[int, str, object], ...] = (
 
 
 def run_all(ids: set[int] | None = None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default) and collect results."""
+    """Run the selected criteria (all by default) and judge each one: it
+    passes when it yields at least one check and every check is true."""
     results = []
     for cid, description, func in CRITERIA:
         if ids is not None and cid not in ids:
             continue
         start = time.perf_counter()
         try:
-            checks = func()
-            passed, details = checks.passed, checks.details()
-        except Exception as exc:  # a crash counts as a failed criterion
+            checks = list(func())
+            failed = [name for name, ok in checks if not ok]
+            passed = bool(checks) and not failed
+            details = "failed: " + ", ".join(failed) if failed else f"{len(checks)} checks"
+        except Exception as exc:  # a crash, even after some checks, fails the criterion
             passed, details = False, f"error: {exc}"
         results.append(
             CriterionResult(cid, description, passed, details, time.perf_counter() - start)

@@ -1,19 +1,19 @@
 """Acceptance gate: runs every shipped criterion at its stated tolerance.
 
-Each criterion prints one pass/fail line; run with `pytest -s` to watch
-them stream, or `edsim selftest` for the same report from the CLI.
+Each criterion goes through `run_all`, the judge `edsim selftest` uses,
+and prints one pass/fail line; run with `pytest -s` to watch them stream,
+or `edsim selftest` for the same report from the CLI.
 """
 
 import pytest
 
-from edsim.selftest import CRITERIA
+from edsim.selftest import CRITERIA, run_all
 
 
-@pytest.mark.parametrize(
-    "cid,description,func", CRITERIA, ids=[f"criterion_{cid:02d}" for cid, _, _ in CRITERIA]
-)
-def test_acceptance_criterion(cid, description, func):
-    checks = func()
-    line = f"{'PASS' if checks.passed else 'FAIL'} {cid:>2}  {description}  [{checks.details()}]"
+@pytest.mark.parametrize("cid", [cid for cid, _, _ in CRITERIA],
+                         ids=[f"criterion_{cid:02d}" for cid, _, _ in CRITERIA])
+def test_acceptance_criterion(cid):
+    (result,) = run_all({cid})
+    line = f"{'PASS' if result.passed else 'FAIL'} {cid:>2}  {result.description}  [{result.details}]"
     print(line)
-    assert checks.passed, line
+    assert result.passed, line

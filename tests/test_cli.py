@@ -1,7 +1,9 @@
 """Tests for config parsing, command dispatch, sweeps and file output."""
 
 import cmath
+import csv
 import errno
+import io
 import itertools
 import json
 import math
@@ -447,6 +449,20 @@ class TestRunCommands:
         assert code == 0
         assert "PASS  9" in out and "PASS 11" in out
 
+    def test_selftest_csv_quotes_a_description_with_commas(self, tmp_path, capsys):
+        # criterion 4's description holds two commas; each row keeps the header's width
+        code, _, _ = _run(["selftest", "--criteria", "4,9", "--out", str(tmp_path / "st")], capsys)
+        assert code == 0
+        with open(tmp_path / "st.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [4, 4, 4]
+        assert [row[1] for row in rows[1:]] == [text for cid, text, _ in selftest.CRITERIA if cid in (4, 9)]
+
+    def test_csv_field_with_quote_or_line_break_reads_back(self):
+        text = 'say "hi",\r\nthen\nleave'
+        rows = list(csv.reader(io.StringIO(cli._csv_text([{"note": text, "value": 1.5}]), newline="")))
+        assert rows == [["note", "value"], [text, "1.5"]]
+
     @pytest.mark.parametrize("criteria", ["99", "3,99", ",", ""])
     def test_selftest_unknown_or_empty_criteria(self, criteria, capsys):
         # nothing runs: a config error, not a failed suite
@@ -875,15 +891,19 @@ class TestFrontEnd:
         expected = parse_config("", [("command", "selftest")]).parameters
         assert (summary["command"], summary["parameters"]) == ("selftest", expected)
 
-    @pytest.mark.parametrize("fault, details", [("check", "failed: broken_check"), ("raise", "error: boom")])
+    @pytest.mark.parametrize("fault, details", [
+        ("check", "failed: broken_check"), ("raise", "error: boom"),
+        ("empty", "0 checks"), ("late_raise", "error: boom"),
+    ])
     def test_selftest_failure_exits_1(self, fault, details, monkeypatch, capsys):
+        # a false check fails a criterion, as do no check at all and a raise,
+        # even one after a passing check
+        yielded = {"check": [("kept", True), ("broken_check", False)], "late_raise": [("kept", True)]}
+
         def criterion():
-            if fault == "raise":
+            yield from yielded.get(fault, ())
+            if fault.endswith("raise"):
                 raise RuntimeError("boom")
-            checks = selftest._Checks()
-            checks.add("kept", True)
-            checks.add("broken_check", False)
-            return checks
 
         # criterion 9 is replaced; criterion 11 still runs and passes
         replaced = tuple((cid, text, criterion if cid == 9 else func)
@@ -910,9 +930,9 @@ class TestFrontEnd:
             return DensityMatrix(2.0 * rho0.entries)
 
         monkeypatch.setattr(selftest, "evolve_stepped", doubled)
-        checks = selftest.criterion_01()
-        assert not checks.passed
-        failed = checks.details().removeprefix("failed: ").split(", ")
+        (result,) = selftest.run_all({1})
+        assert not result.passed
+        failed = result.details.removeprefix("failed: ").split(", ")
         invariants = [name for name in failed if "invariants" in name]
         assert invariants == ["dim12_invariants"] * 2 + ["dim64_invariants"] * 2
         assert sum("frobenius" in name for name in failed) == 4
