@@ -20,17 +20,18 @@ built from SCHEMAS, and exits 0. Units are fixed per key and listed in
 the schema help strings: seconds, rad/s, eV, kg, m, m^3/s, m^6/s.
 Numeric values accept scientific notation and never carry unit suffixes.
 
-When --out BASE is given, BASE.csv (per-point rows) and BASE.json
-(summary) are always written, plus BASE.meta.json with run metadata;
-without it, only the printed text is built. Each file is written as
-UTF-8 bytes through one binary descriptor of its own, so CSV rows end
-in \r\n on every platform (text mode would write \r\r\n on Windows).
-Every JSON summary carries the command and its parameters. The data
-files are deterministic: no timestamps, floats with 17 significant
-digits in CSV, canonical sorted JSON, and infinities serialized as the
-string "unbounded". Any failure exits 2 with one JSON error line on
-stderr; numpy overflow, division by zero and invalid operations count
-as failures.
+Each command prints one document: its JSON summary or its CSV rows.
+--out BASE also writes BASE.csv (per-point rows), BASE.json (summary)
+and BASE.meta.json (command, elapsed time and the handler's
+ExperimentOutput.meta); a BASE whose last part is "", "." or ".." is
+refused. Each file is written as UTF-8 bytes through a binary
+descriptor, so CSV rows end in \r\n on every platform (text mode would
+write \r\r\n on Windows). Every JSON summary carries the command and its
+parameters. The data files are deterministic: no timestamps, floats with
+17 significant digits in CSV, canonical sorted JSON, and infinities
+serialized as the string "unbounded". Any failure exits 2 with one JSON
+error line on stderr; numpy overflow, division by zero and invalid
+operations count as failures.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps' C encoder
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,7 +188,7 @@ class ExperimentOutput(NamedTuple):
     points: list
     summary: dict                   # run adds command and parameters
     headline: dict                  # the row a sweep records for this run
-    lines: tuple[str, ...] = ()
+    meta: Mapping = MappingProxyType({})  # the run's own figures for BASE.meta.json
     failed: bool = False
 
 
@@ -240,8 +242,8 @@ def parse_config(file_contents: str, overrides: Sequence[tuple[str, str]]) -> Ru
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}; choose from {sorted(SCHEMAS)}")
     out = merged.pop("out", None)
-    if out == "":  # an empty base would silently write no file
-        raise ConfigError("key 'out' needs a non-empty file base")
+    if out is not None and os.path.basename(out) in ("", ".", ".."):  # no base, or a directory
+        raise ConfigError(f"key 'out' needs a file base, got {out!r}")
     fmt = merged.pop("format", "json")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -466,18 +468,14 @@ def _handle_selftest(params: dict) -> ExperimentOutput:
         if not ids <= set(known):
             raise ConfigError(f"unknown criteria ids {sorted(ids - set(known))}; known ids: {known}")
     results = selftest.run_all(ids)
-    lines = tuple(
-        f"{'PASS' if r.passed else 'FAIL'} {r.cid:>2}  {r.description}  "
-        f"[{r.details}] ({r.elapsed:.2f}s)"
-        for r in results
-    )
     points = [
         {"criterion": r.cid, "description": r.description, "passed": r.passed, "details": r.details}
         for r in results
     ]
     all_passed = all(r.passed for r in results)
     headline = {"all_passed": all_passed}
-    return ExperimentOutput(points, {"results": points, **headline}, headline, lines, not all_passed)
+    meta = {"criterion_seconds": {str(r.cid): r.elapsed for r in results}}
+    return ExperimentOutput(points, {"results": points, **headline}, headline, meta, not all_passed)
 
 
 _HANDLERS: dict[str, Callable[[dict], ExperimentOutput]] = {
@@ -495,21 +493,19 @@ def run(cfg: RunConfig) -> int:
     Returns the exit status."""
     start = time.perf_counter()
     handler = _HANDLERS[cfg.command]
-    meta = {"command": cfg.command}
     if cfg.sweep_key is None:
         output = handler(cfg.parameters)
     else:
         key = cfg.sweep_key
-        meta["sweep_key"] = key
         params = [{**cfg.parameters, key: v} for v in cfg.sweep_values]
         if cfg.command == "ramsey":  # quantized rows run as one batch
             headlines = _sweep_ramsey(key, params)
         else:
             headlines = [handler(p).headline for p in params]
         rows = [{key: v, **headline} for v, headline in zip(cfg.sweep_values, headlines)]
-        output = ExperimentOutput(rows, {"sweep_key": key, "rows": rows}, {})
+        output = ExperimentOutput(rows, {"sweep_key": key, "rows": rows}, {}, {"sweep_key": key})
     summary = {"command": cfg.command, "parameters": cfg.parameters, **output.summary}
-    meta["elapsed_seconds"] = time.perf_counter() - start
+    meta = {"command": cfg.command, **output.meta, "elapsed_seconds": time.perf_counter() - start}
     # serialize everything first; once a file is opened (so truncated), a
     # failed write removes the whole BASE.* set, leaving no file of this run
     # or an earlier one; without --out only the printed text is built
@@ -517,8 +513,6 @@ def run(cfg: RunConfig) -> int:
     serializers = {".csv": lambda: _csv_text(output.points), ".json": lambda: _json_text(summary),
                    ".meta.json": lambda: _json_text(meta)}
     texts = {suffix: text() for suffix, text in serializers.items() if cfg.output_path or suffix == printed}
-    for line in output.lines:
-        print(line)
     if cfg.output_path:
         base = Path(cfg.output_path)
         base.parent.mkdir(parents=True, exist_ok=True)

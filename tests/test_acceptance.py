@@ -1,8 +1,9 @@
 """Acceptance gate: runs every shipped criterion at its stated tolerance.
 
 Each criterion goes through `run_all`, the judge `edsim selftest` uses,
-and prints one pass/fail line; run with `pytest -s` to watch them stream,
-or `edsim selftest` for the same report from the CLI.
+and prints one pass/fail line; run with `pytest -s` to watch them stream.
+From the CLI, `edsim selftest --format csv` prints one row per criterion
+and `edsim selftest` the JSON report; each exits 1 if a criterion fails.
 """
 
 import pytest

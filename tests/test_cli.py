@@ -439,7 +439,7 @@ class TestRunCommands:
     def test_summary_names_command_and_parameters(self, argv, capsys):
         code, out, _ = _run(argv, capsys)
         assert code == 0
-        summary = json.loads(out[out.index("{"):])  # after selftest's PASS lines
+        summary = json.loads(out)
         pairs = [tuple(flag[2:].split("=", 1)) for flag in argv[1:]]
         expected = parse_config("", [("command", argv[0]), *pairs]).parameters
         assert (summary["command"], summary["parameters"]) == (argv[0], expected)
@@ -447,7 +447,8 @@ class TestRunCommands:
     def test_selftest_subset(self, capsys):
         code, out, _ = _run(["selftest", "--criteria", "9,11"], capsys)
         assert code == 0
-        assert "PASS  9" in out and "PASS 11" in out
+        results = json.loads(out)["results"]
+        assert [(r["criterion"], r["passed"]) for r in results] == [(9, True), (11, True)]
 
     def test_selftest_csv_quotes_a_description_with_commas(self, tmp_path, capsys):
         # criterion 4's description holds two commas; each row keeps the header's width
@@ -829,9 +830,16 @@ class TestFrontEnd:
         (["--out="], ""),
         (["--out", ""], ""),
         (["--config", "run.cfg"], "out =\n"),
-    ], ids=["flag-eq", "flag-value", "config-file"])
+        (["--out", "."], ""),
+        (["--out", ".."], ""),
+        (["--out", "sub/"], ""),
+        (["--out", "sub/."], ""),
+        (["--config", "run.cfg"], "out = ./\n"),
+    ], ids=["flag-eq", "flag-value", "config-file", "dot", "dot-dot", "slash", "slash-dot",
+            "config-file-dir"])
     def test_empty_out_is_refused(self, argv, config, tmp_path, monkeypatch, capsys):
-        # an empty base is not "no --out": it would silently write nothing
+        # an empty base is not "no --out": it would silently write nothing; a
+        # base that names a directory would write files named by no one
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run.cfg").write_text(config)
         code, out, err = _run(["ghz", *argv], capsys)
@@ -881,15 +889,24 @@ class TestFrontEnd:
         assert metas[0] == metas[1]
         assert (tmp_path / "short.csv").read_bytes().endswith(b"\r\n")
 
-    def test_full_selftest_through_main(self, capsys):
+    def test_full_selftest_through_main(self, tmp_path, capsys):
         # also the full-suite case of test_summary_names_command_and_parameters,
         # so the 13 criteria run once here
-        code, out, err = _run(["selftest"], capsys)
+        code, out, err = _run(["selftest", "--out", str(tmp_path / "st")], capsys)
         assert (code, err) == (0, "")
-        assert sum(line.startswith("PASS") for line in out.splitlines()) == 13
-        summary = json.loads(out[out.index("{"):])
+        summary = json.loads(out)
         expected = parse_config("", [("command", "selftest")]).parameters
         assert (summary["command"], summary["parameters"]) == ("selftest", expected)
+        assert [r["passed"] for r in summary["results"]] == [True] * 13
+        assert summary["all_passed"] is True
+        assert (tmp_path / "st.json").read_text(encoding="utf-8") == out
+        # each criterion's time goes to the sidecar, keyed by its id
+        meta = json.loads((tmp_path / "st.meta.json").read_bytes())
+        seconds = meta.pop("criterion_seconds")
+        assert sorted(seconds, key=int) == [str(cid) for cid, _, _ in selftest.CRITERIA]
+        assert all(t > 0.0 for t in seconds.values())
+        assert meta.pop("elapsed_seconds") >= sum(seconds.values())
+        assert meta == {"command": "selftest"}
 
     @pytest.mark.parametrize("fault, details", [
         ("check", "failed: broken_check"), ("raise", "error: boom"),
@@ -911,13 +928,11 @@ class TestFrontEnd:
         monkeypatch.setattr(selftest, "CRITERIA", replaced)
         code, out, err = _run(["selftest", "--criteria", "9,11"], capsys)
         assert code == 1
-        lines = out.splitlines()
-        assert lines[0].startswith(f"FAIL  9  single-atom sigma reach  [{details}] (")
-        assert lines[1].startswith("PASS 11  ")
-        summary = json.loads(out[out.index("{"):])
+        summary = json.loads(out)
         assert summary["all_passed"] is False
-        first = summary["results"][0]
+        first, second = summary["results"]
         assert (first["criterion"], first["passed"], first["details"]) == (9, False, details)
+        assert (second["criterion"], second["passed"]) == (11, True)
         errors = err.splitlines()
         assert len(errors) == 1
         assert json.loads(errors[0])["error"] == {
@@ -936,6 +951,26 @@ class TestFrontEnd:
         invariants = [name for name in failed if "invariants" in name]
         assert invariants == ["dim12_invariants"] * 2 + ["dim64_invariants"] * 2
         assert sum("frobenius" in name for name in failed) == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["ramsey"],
+        ["michelson"],
+        ["ghz"],
+        ["design", "--species", "Sr"],
+        ["bounds", "--cosmic", "--single-atom"],
+        ["selftest", "--criteria", "4,9"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_is_the_document(self, argv, fmt, capsys):
+        # nothing is printed ahead of or after the document, so stdout
+        # redirected to a file gives a file of the chosen format
+        code, out, err = _run([*argv, "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["command"] == argv[0]
+        else:
+            rows = list(csv.reader(io.StringIO(out, newline="")))
+            assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
 
     def test_python_dash_m_process(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
