@@ -6,7 +6,8 @@ one `(name, ok)` check per stated tolerance. `run_all` alone judges the
 checks: a criterion passes when it yields at least one check and every
 check is true, and an exception, even after some checks, fails it. The
 CLI `selftest` command and the pytest acceptance module both go through
-`run_all`, so the report is the same either way.
+`run_all`, so the report is the same either way. Every criterion takes
+its library runs from one builder per experiment family.
 """
 
 from __future__ import annotations
@@ -63,6 +64,22 @@ class CriterionResult(NamedTuple):
     passed: bool
     details: str
     elapsed: float
+
+
+def _ramsey(partition: DecoherencePartition, detuning: float = 0.0) -> RamseyConfig:
+    """The 1 eV quantized Ramsey run on a 12-photon Fock field, waiting 1 s."""
+    return RamseyConfig(omega0=OMEGA_PER_EV, wait=1.0, field=FockField(12), detuning=detuning,
+                        decoherence=partition)
+
+
+def _michelson(partition: DecoherencePartition) -> MichelsonConfig:
+    """The Michelson run at alpha = 2 on a 1 eV mode, 1 s per arm."""
+    return MichelsonConfig(alpha=2.0, arm_time=1.0, mode_frequency=OMEGA_PER_EV, decoherence=partition)
+
+
+def _ghz(n_atoms: int, omega0: float, partition: DecoherencePartition) -> GhzConfig:
+    """The GHZ run of n_atoms at gap omega0, waiting 1 s."""
+    return GhzConfig(n_atoms=n_atoms, omega0=omega0, wait=1.0, decoherence=partition)
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -129,15 +146,8 @@ def criterion_02() -> Iterator[tuple[str, bool]]:
 
 def criterion_03() -> Iterator[tuple[str, bool]]:
     """Global dephasing leaves the resonant quantized Ramsey fringe unchanged."""
-    vis = []
-    for sigma in (0.0, 1e-40, 1e-30, 1e-20):
-        cfg = RamseyConfig(
-            omega0=OMEGA_PER_EV,
-            wait=1.0,
-            field=FockField(12),
-            decoherence=DecoherencePartition.global_over(sigma, "atom", "field"),
-        )
-        vis.append(run_ramsey_quantized(cfg).visibility)
+    vis = [run_ramsey_quantized(_ramsey(DecoherencePartition.global_over(sigma, "atom", "field"))).visibility
+           for sigma in (0.0, 1e-40, 1e-30, 1e-20)]
     spread = max(vis) - min(vis)
     yield f"visibility_spread_{spread:.1e}", spread <= 1e-9
 
@@ -199,32 +209,19 @@ def criterion_04() -> Iterator[tuple[str, bool]]:
     the closed form agrees with the sector-by-sector brute force."""
     omega = OMEGA_PER_EV
     sigma_full = 50.0 / (omega * omega)  # complete dephasing over one arm time
-    res_global = run_michelson(
-        MichelsonConfig(
-            alpha=2.0, arm_time=1.0, mode_frequency=omega,
-            decoherence=DecoherencePartition.global_over(sigma_full, "arm_c", "arm_d"),
-        )
-    )
-    yield (f"global_dark_port_{res_global.mean_photons_out_b:.1e}",
-           res_global.mean_photons_out_b <= 1e-8)
-    res_local = run_michelson(
-        MichelsonConfig(
-            alpha=2.0, arm_time=1.0, mode_frequency=omega,
-            decoherence=DecoherencePartition.local_over(sigma_full, "arm_c", "arm_d"),
-        )
-    )
-    yield "local_mean_a", abs(res_local.mean_photons_out_a - 2.0) <= 1e-6
-    yield "local_mean_b", abs(res_local.mean_photons_out_b - 2.0) <= 1e-6
+    _, dark = run_michelson(_michelson(DecoherencePartition.global_over(sigma_full, "arm_c", "arm_d")))
+    yield f"global_dark_port_{dark:.1e}", dark <= 1e-8
+    local_a, local_b = run_michelson(_michelson(DecoherencePartition.local_over(sigma_full, "arm_c", "arm_d")))
+    yield "local_mean_a", abs(local_a - 2.0) <= 1e-6
+    yield "local_mean_b", abs(local_b - 2.0) <= 1e-6
     sigma = 0.2 / (omega * omega)
     for name, partition in (
         ("global", DecoherencePartition.global_over(sigma, "arm_c", "arm_d")),
         ("local", DecoherencePartition.local_over(sigma, "arm_c", "arm_d")),
         ("arm_c", DecoherencePartition.local_over(sigma, "arm_c")),
     ):
-        cfg = MichelsonConfig(alpha=2.0, arm_time=1.0, mode_frequency=omega, decoherence=partition)
-        res = run_michelson(cfg)
-        brute = _michelson_sectors(cfg)
-        for got, want in zip((res.mean_photons_out_a, res.mean_photons_out_b), brute):
+        cfg = _michelson(partition)
+        for got, want in zip(run_michelson(cfg), _michelson_sectors(cfg)):
             yield f"sectors_{name}", abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
@@ -270,9 +267,9 @@ def criterion_05() -> Iterator[tuple[str, bool]]:
 def criterion_06() -> Iterator[tuple[str, bool]]:
     """GHZ dephasing rate scales as N^2; brute force agrees for N <= 4."""
     atoms = DecoherencePartition.global_over(0.25, "atoms")
-    base = run_ghz(GhzConfig(n_atoms=1, omega0=2.0, wait=1.0, decoherence=atoms)).effective_rate
+    base = run_ghz(_ghz(1, 2.0, atoms)).effective_rate
     for n in (2, 3, 8, 10, 100, 100000):
-        rate = run_ghz(GhzConfig(n_atoms=n, omega0=2.0, wait=1.0, decoherence=atoms)).effective_rate
+        rate = run_ghz(_ghz(n, 2.0, atoms)).effective_rate
         yield f"ratio_n{n}", rate / base == float(n * n)
 
     omega0 = 1.5e15
@@ -287,7 +284,7 @@ def criterion_06() -> Iterator[tuple[str, bool]]:
         out = evolve_analytic(rho0, w, 1.0, sigma, (w,))
         validate_density(out)
         sim = abs(out.entries[0, -1])
-        model = run_ghz(GhzConfig(n_atoms=n, omega0=omega0, wait=1.0, decoherence=atoms)).coherence
+        model = run_ghz(_ghz(n, omega0, atoms)).coherence
         yield f"brute_force_n{n}", abs(sim - model) <= 1e-9
 
 
@@ -348,27 +345,15 @@ def criterion_11() -> Iterator[tuple[str, bool]]:
 
 def criterion_12() -> Iterator[tuple[str, bool]]:
     """Detuned global dephasing decays the fringe at sigma*detuning^2."""
-    omega0 = OMEGA_PER_EV
     for ratio in (1e-3, 1e-2):
-        delta = ratio * omega0
-        wait = 1.0
-        sigma = math.log(4.0) / (delta * delta * wait)
-
-        def fringe(sig: float) -> float:
-            cfg = RamseyConfig(
-                omega0=omega0,
-                wait=wait,
-                field=FockField(12),
-                detuning=delta,
-                decoherence=DecoherencePartition.global_over(sig, "atom", "field"),
-            )
-            return run_ramsey_quantized(cfg).visibility
-
+        delta = ratio * OMEGA_PER_EV
+        sigma = math.log(4.0) / (delta * delta)  # a factor 4 over the 1 s wait
         # the detuning phase shifts the fringe identically for both runs,
         # so the sampled-visibility ratio isolates the decay factor
-        measured = -math.log(fringe(sigma) / fringe(0.0)) / wait
-        expected = sigma * delta * delta
-        yield f"rate_ratio_{ratio:g}", abs(measured / expected - 1.0) <= 1e-6
+        runs = (_ramsey(DecoherencePartition.global_over(sig, "atom", "field"), delta) for sig in (sigma, 0.0))
+        dephased, clean = (run_ramsey_quantized(cfg).visibility for cfg in runs)
+        measured = -math.log(dephased / clean)  # per second of the 1 s wait
+        yield f"rate_ratio_{ratio:g}", abs(measured / (sigma * delta * delta) - 1.0) <= 1e-6
 
 
 def criterion_13() -> Iterator[tuple[str, bool]]:

@@ -1179,6 +1179,63 @@ class TestRamseyBatch:
             assert type(row) is FringeResult and type(row.visibility) is float
             assert row.p_g.shape == (cfg.phase_points,) and not row.p_g.flags.writeable
 
+    def test_row_rates_are_decay_rate(self, monkeypatch):
+        # the batch forms each row's rate from its block set's cached D: it is
+        # the row's own decay_rate bit for bit, for sigma = 0, no blocks and
+        # an infinite D (omega0=1e200) too
+        rates = []
+        damping = edsim.interferometry._damping
+
+        def recording(gamma, t, rate):
+            rates.append(rate)
+            return damping(gamma, t, rate)
+
+        monkeypatch.setattr(edsim.interferometry, "_damping", recording)
+        atom, field = frozenset({"atom"}), frozenset({"field"})
+        blocks = ((atom | field,), (atom, field), (atom,), (field,), ())
+        rng = np.random.default_rng(23)
+        cfgs = [RamseyConfig(
+            omega0=1e200 if rng.random() < 0.25 else W0, wait=float(rng.uniform(0.0, 2.0)),
+            field=FockField(int(rng.integers(1, 4))), detuning=float(rng.integers(0, 10**12)),
+            decoherence=DecoherencePartition(float(rng.choice([0.0, rng.uniform(0.0, 1e-30)])),
+                                             blocks[int(rng.integers(len(blocks)))]),
+        ) for _ in range(40)]
+        list(iter_ramsey_batch(cfgs))
+        want = [cfg.decoherence.decay_rate(edsim.interferometry.gaps("ramsey_quantized", cfg)) for cfg in cfgs]
+        assert {cfg.decoherence.blocks for cfg in cfgs} == set(blocks)
+        assert {0.0, math.inf} < set(want) and any(cfg.decoherence.sigma == 0.0 for cfg in cfgs)
+        assert list(map(float.hex, rates)) == list(map(float.hex, want))
+
+    def test_batch_spans_multi_row_blocks(self, monkeypatch):
+        # 100 entries hold three FockField(12) rows of 32 phase points, so
+        # ten rows run in blocks of 3, 3, 3 and 1
+        monkeypatch.setattr(edsim.interferometry, "_BLOCK_ENTRIES", 100)
+        sizes = []
+        waiting = edsim.interferometry._quantized_wait
+
+        def recording(rows, pulse):
+            sizes.append(len(rows))
+            return waiting(rows, pulse)
+
+        monkeypatch.setattr(edsim.interferometry, "_quantized_wait", recording)
+        base = RamseyConfig(omega0=W0, wait=1.0, field=FockField(12), spontaneous_rate=0.3)
+        cfgs = [dataclasses.replace(base, decoherence=DecoherencePartition.local_over(float(s), "atom", "field"))
+                for s in np.linspace(0.0, 4e-31, 10)]
+        rows = list(iter_ramsey_batch(cfgs))
+        assert sizes == [3, 3, 3, 1]
+        assert _rows_are_single_runs(rows, cfgs)
+        # an unsupported block in row 7 fails the third block: the first
+        # two blocks' rows come out, then row 7's single-run error
+        cfgs[6] = dataclasses.replace(base, decoherence=DecoherencePartition.global_over(1e-31, "atoms"))
+        with pytest.raises(ValueError) as single:
+            run_ramsey_quantized(cfgs[6])
+        rows = []
+        with pytest.raises(ValueError) as batch:
+            for row in iter_ramsey_batch(cfgs):
+                rows.append(row)
+        assert str(batch.value) == str(single.value) == "unsupported dephasing block ['atoms']"
+        assert _rows_are_single_runs(rows, cfgs[:6])
+
     def test_zero_wait_rows_keep_the_pulsed_pairs(self):
         # omega0=1e200 makes the dephasing rate infinite: the waited row
         # decays fully, and the zero-wait rows equal their sigma = 0 run,
